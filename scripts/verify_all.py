@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the full table-vs-search cross-validation and the changes audit.
 
-For each supported index n, exhaustively search (a, b) space up to the bound,
-compare against the enumerated family table up to equivalence, and print one
-summary line.  Finishes with the corrections audit.  Exit code 2 if any
-discrepancy or audit failure was reported, 0 otherwise.
+For each supported index n, find every n-defective pair (a, b) up to the
+bound (search_defective solves Phi_n(a, q) = +-T for products T of primes of
+n and confirms each solution by the definition), compare against the
+enumerated family table up to equivalence, and print one summary line.
+Finishes with the corrections audit.  Exit code 2 if any discrepancy or
+audit failure was reported, 0 otherwise.
 
 Known state of the table: for n=4 the search finds (6, 2), a valid
 4-defective pair that no table row produces and that is equivalent to no

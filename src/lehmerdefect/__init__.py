@@ -5,8 +5,8 @@ A Lehmer pair (alpha, beta), encoded by integers (a, b) with
 n-defective when its n-th element u_n has no primitive divisor.  For
 n in {3, 4, 5, 6, 8, 10, 12} the defective pairs form parametric families;
 this package generates the families exactly, decides defectiveness from the
-primitive-divisor definition, and exhaustively searches bounded (a, b) space
-to confirm the classification, reporting any discrepancy it finds.
+primitive-divisor definition, and finds every defective pair in a bounded
+(a, b) box to confirm the classification, reporting any discrepancy it finds.
 """
 
 from .families import (

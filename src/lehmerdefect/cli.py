@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="enumerate family table entries")
     common(p)
 
-    p = sub.add_parser("search", help="exhaustive scan for defective pairs")
+    p = sub.add_parser("search", help="find every defective pair up to the bound")
     common(p)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--checkpoint", default=None)

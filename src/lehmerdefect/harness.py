@@ -1,10 +1,24 @@
-"""Exhaustive search over bounded (a, b) and table-vs-search verification.
+"""Search for n-defective pairs in a bounded box, and table-vs-search verification.
 
-The scan walks canonical representatives only (a > 0, so each equivalence
-class {(a, b), (-a, -b)} is visited once), iterating q directly so that the
-a == b mod 4 constraint holds by construction.  Validity checks are inlined
-for speed and must stay in lockstep with pairs.validate_ab; a test pins the
-equivalence.
+The box holds the canonical representatives (a > 0, so each equivalence
+class {(a, b), (-a, -b)} appears once) with a <= bound, |b| <= bound and
+a == b mod 4; in companion coordinates p = a and q = (a - b) / 4.
+
+The search solves for defective pairs instead of scanning the box.  Every
+primitive divisor of u_n divides Phi_n(alpha, beta), and a prime of
+Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
+(primdiv.CYCLOTOMIC_FORMS).  So a pair is n-defective only if
+Phi_n(a, q) = +-T with T a product of primes of n.  For each a and each such
+T up to the largest |Phi_n| in the box, the integer roots q are solved for:
+Phi_n(a, q) is linear in q for n = 3, 4, 6 and quadratic for n = 5, 8, 10,
+12, solved with isqrt and a perfect-square test.  T = 0 is never a target:
+Phi_n vanishes only when alpha / beta is a root of unity.  Each root inside
+the box is checked with pairs.validate_ab and kept only if
+primdiv.residual_after_stripping is 1, so the definition decides every
+reported pair and the theorem is needed only for completeness.  The tests
+hold the search equal to a scan of the whole box by the definition
+(validate_ab plus the gcd strip) for every n at bound 1000, and at bound
+5000 in the extended acceptance run.
 
 Searches fan out over contiguous a-chunks.  Chunk boundaries depend only on
 the bound, never on the worker count, and results are merged in chunk order,
@@ -16,15 +30,21 @@ Checkpoint format: the state file opens with a "# n <tab> bound" header
 makes a wrong-bound resume detectable) followed by one line per completed
 chunk, "n <tab> a_from <tab> a_to <tab> hit-count"; a sibling "<path>.hits"
 file carries the corresponding "a <tab> b" lines.  A state line is only
-written after its hits are flushed, so the state file is the commit record;
-loading truncates both files to the last consistent prefix.
+written after its hits are flushed, so the state file is the commit record.
+Only newline-terminated lines count.  Loading drops a torn last line, every
+state line whose hits are not all present and every hit past the committed
+chunks, so those chunks are recomputed; a complete line that does not parse
+raises CheckpointMismatchError.  The files are rewritten, through a
+temporary file and os.replace, only when something is dropped; otherwise
+new chunks are appended.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
+from math import isqrt
 from pathlib import Path
 
 from .families import (
@@ -42,14 +62,13 @@ from .families import (
     raw_ab,
 )
 from .pairs import (
-    DEGENERATE_PQ,
     FailureKind,
     LehmerPair,
     canonicalize,
     lehmer_prefix,
     validate_ab,
 )
-from .primdiv import is_defective, residual_after_stripping
+from .primdiv import CYCLOTOMIC_FORMS, is_defective, residual_after_stripping
 
 
 @dataclass(frozen=True)
@@ -71,7 +90,7 @@ class TableFailure:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Outcome of comparing exhaustive search against the family tables."""
+    """Outcome of comparing the search against the family tables."""
 
     n: int
     bound: int
@@ -107,22 +126,62 @@ def _check_args(n: int, bound: int) -> None:
         raise ValueError(f"bound must be positive, got {bound}")
 
 
+def _products_up_to(primes: tuple[int, ...], limit: int) -> list[int]:
+    """Every product of powers of primes up to limit, 1 included."""
+    out = [1]
+    for p in primes:
+        for m in list(out):
+            m *= p
+            while m <= limit:
+                out.append(m)
+                m *= p
+    return out
+
+
+def _roots(coeffs: tuple[int, ...], a: int, targets: list[int]):
+    """Integers q with form(a, q) in targets; coeffs as in CYCLOTOMIC_FORMS."""
+    if len(coeffs) == 2:  # c0 a + c1 q = t
+        c0, c1 = coeffs
+        for t in targets:
+            q, rem = divmod(t - c0 * a, c1)
+            if not rem:
+                yield q
+        return
+    c0, c1, c2 = coeffs  # c2 q^2 + c1 a q + c0 a^2 - t = 0
+    disc_a = (c1 * c1 - 4 * c0 * c2) * a * a
+    for t in targets:
+        disc = disc_a + 4 * c2 * t
+        if disc < 0:
+            continue
+        r = isqrt(disc)
+        if r * r != disc:
+            continue
+        for num in (r - c1 * a, -r - c1 * a):
+            q, rem = divmod(num, 2 * c2)
+            if not rem:
+                yield q
+
+
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
-    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b)."""
+    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b).
+
+    Solves Phi_n(a, q) = +-T for every product T of primes of n up to the
+    largest |Phi_n| in the chunk's box (see the module docstring).
+    """
+    coeffs, primes = CYCLOTOMIC_FORMS[n]
+    a_lo, a_hi = max(1, a_from), min(a_to, bound)
+    q_max = (a_hi + bound) // 4  # largest |q| in the chunk's box
+    deg = len(coeffs) - 1
+    # t_max >= |Phi_n(a, q)| anywhere in the chunk's box (triangle inequality).
+    t_max = sum(abs(c) * a_hi ** (deg - i) * q_max**i for i, c in enumerate(coeffs))
+    targets = [s * t for t in _products_up_to(primes, t_max) for s in (1, -1)]
     hits: list[tuple[int, int]] = []
-    bad = DEGENERATE_PQ
-    for a in range(max(1, a_from), min(a_to, bound) + 1):
-        q_hi = (a + bound) // 4
-        q_lo = -((bound - a) // 4)
-        for q in range(q_hi, q_lo - 1, -1):  # descending q = ascending b
-            if q == 0:
-                continue
+    for a in range(a_lo, a_hi + 1):
+        q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
+        roots = {q for q in _roots(coeffs, a, targets) if q_lo <= q <= q_hi}
+        for q in sorted(roots, reverse=True):  # descending q = ascending b
             b = a - 4 * q
-            if b == 0:
-                continue
-            if gcd(a, q) != 1:
-                continue
-            if -1 <= q <= 1 and (a, q) in bad:
+            if not isinstance(validate_ab(a, b), LehmerPair):
                 continue
             if residual_after_stripping(a, b, n) == 1:
                 hits.append((a, b))
@@ -156,7 +215,7 @@ def _run_chunks(n, chunks, bound, jobs):
 
 
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
-    """Scan every candidate (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4."""
+    """Every n-defective (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4."""
     _check_args(n, bound)
     pairs: list[tuple[int, int]] = []
     for chunk_hits in _run_chunks(n, _chunks(bound), bound, jobs):
@@ -164,30 +223,50 @@ def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
     return SearchResult(n, bound, tuple(pairs))
 
 
+def _replace(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _committed(path: Path) -> tuple[list[str], str]:
+    """path's newline-terminated lines, and the torn tail after them ("" if none)."""
+    lines = path.read_text().split("\n") if path.exists() else [""]
+    return lines[:-1], lines[-1]
+
+
+def _fields(line: str, width: int) -> list[int]:
+    parts = line.split("\t")
+    try:
+        if len(parts) == width:
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+
+
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
 ) -> tuple[int, list[tuple[int, int]]]:
     header = f"# {n}\t{bound}"
-    if not state_path.exists():
-        state_path.write_text(header + "\n")
-        hits_path.write_text("")
+    state_lines, state_tail = _committed(state_path)
+    if not state_lines and header.startswith(state_tail):
+        # No checkpoint yet, or one torn before its header was committed.
+        _replace(hits_path, "")
+        _replace(state_path, header + "\n")
         return 0, []
-    state_lines = state_path.read_text().splitlines()
     if not state_lines or state_lines[0] != header:
         raise CheckpointMismatchError(
-            f"checkpoint header {state_lines[0] if state_lines else '<missing>'!r} "
+            f"checkpoint header {state_lines[0] if state_lines else state_tail!r} "
             f"does not match n={n} bound={bound}"
         )
     state_lines = state_lines[1:]
-    hit_lines = hits_path.read_text().splitlines() if hits_path.exists() else []
+    hit_lines, hits_tail = _committed(hits_path)
     done = 0
     need = 0
     for i, line in enumerate(state_lines):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            break
-        rn, lo, hi, cnt = (int(x) for x in parts)
-        if i >= len(chunks) or rn != n or (lo, hi) != chunks[i]:
+        rn, lo, hi, cnt = _fields(line, 4)
+        if i >= len(chunks) or rn != n or (lo, hi) != chunks[i] or cnt < 0:
             raise CheckpointMismatchError(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
                 f"{chunks[i] if i < len(chunks) else 'past end'} for n={n}"
@@ -196,10 +275,12 @@ def _load_checkpoint(
             break  # state line committed before its hits landed; drop it
         done += 1
         need += cnt
-    hits = [tuple(int(x) for x in l.split("\t")) for l in hit_lines[:need]]
-    state_path.write_text(header + "\n" + "".join(l + "\n" for l in state_lines[:done]))
-    hits_path.write_text("".join(f"{a}\t{b}\n" for a, b in hits))
-    return done, hits  # type: ignore[return-value]
+    hits = [(a, b) for a, b in (_fields(line, 2) for line in hit_lines[:need])]
+    if state_tail or done < len(state_lines):
+        _replace(state_path, "".join(l + "\n" for l in [header] + state_lines[:done]))
+    if hits_tail or need < len(hit_lines):
+        _replace(hits_path, "".join(l + "\n" for l in hit_lines[:need]))
+    return done, hits
 
 
 def search_with_checkpoint(

@@ -13,6 +13,14 @@ primitive primes and as an independent oracle in tests.
 
 Indices 1 and 2 are excluded: u_1 = u_2 = 1, so every pair is trivially
 1- and 2-defective.
+
+CYCLOTOMIC_FORMS holds Phi_n(alpha, beta), the n-th cyclotomic factor of u_n,
+as a binary form in (p, q) for each n with classified families.  A prime
+that divides Phi_n(alpha, beta) and does not divide n is a primitive divisor
+of u_n (Lehmer, Ann. of Math. 31 (1930); see also Voutier, Math. Comp. 64
+(1995) and Bilu, Hanrot and Voutier, J. reine angew. Math. 539 (2001)).
+So every n-defective pair has |Phi_n(p, q)| equal to a product of primes
+of n, which is what lets the search solve for defective pairs.
 """
 
 from __future__ import annotations
@@ -102,6 +110,20 @@ def primitive_divisors(pair: LehmerPair, n: int) -> list[int]:
     primes = defect_witness(pair, n, factor_residual=True).primitive_primes
     assert primes is not None
     return list(primes)
+
+
+# n -> (coefficients of Phi_n(p, q) on p^d, p^(d-1) q, ..., q^d; primes of n).
+# The product of Phi_d over the divisors d > 1 of odd n, or d >= 3 of even
+# n, is u_n; a test pins this.
+CYCLOTOMIC_FORMS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    3: ((1, -1), (3,)),
+    4: ((1, -2), (2,)),
+    5: ((1, -3, 1), (5,)),
+    6: ((1, -3), (2, 3)),
+    8: ((1, -4, 2), (2,)),
+    10: ((1, -5, 5), (2, 5)),
+    12: ((1, -4, 1), (2, 3)),
+}
 
 
 # ---------------------------------------------------------------------------

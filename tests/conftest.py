@@ -7,6 +7,7 @@ from hypothesis import assume, strategies as st
 
 from lehmerdefect import cli
 from lehmerdefect.pairs import LehmerPair, validate_ab
+from lehmerdefect.primdiv import residual_after_stripping
 
 
 def fib(n: int) -> int:
@@ -35,3 +36,21 @@ def run_cli():
         return code, out.getvalue(), err.getvalue()
 
     return runner
+
+
+def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The n-defective pairs of the search box, found by scanning all of it.
+
+    Every (a, b) with 0 < a <= bound, |b| <= bound and a == b mod 4 is
+    checked with validate_ab and decided by the gcd strip; no cyclotomic
+    form is used.  Pairs come in (a, b)-lex order, like search_defective.
+    """
+    hits: dict[int, list[tuple[int, int]]] = {n: [] for n in ns}
+    for a in range(1, bound + 1):
+        for q in range((a + bound) // 4, -((bound - a) // 4) - 1, -1):
+            b = a - 4 * q
+            if isinstance(validate_ab(a, b), LehmerPair):
+                for n in ns:
+                    if residual_after_stripping(a, b, n) == 1:
+                        hits[n].append((a, b))
+    return {n: tuple(pairs) for n, pairs in hits.items()}

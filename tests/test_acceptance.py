@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The extended bound-5000
-cross-validation is included by default (a couple of minutes on one core);
-set LEHMERDEFECT_SKIP_EXTENDED=1 to skip it during quick iterations.
+cross-validation and the bound-5000 comparison of the search with a scan of
+the whole box by the definition are included by default (about a minute on
+one core); set LEHMERDEFECT_SKIP_EXTENDED=1 to skip both during quick
+iterations.
 """
 
 import json
@@ -13,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from conftest import fib
+from conftest import definitional_search, fib
 from lehmerdefect.families import enumerate_families
 from lehmerdefect.harness import (
     audit_changes,
@@ -117,6 +119,20 @@ def test_criterion_3_extended_bound_5000():
     elapsed = time.time() - t0
     assert elapsed < 3600.0
     _report("3 (cross-validation 5000)", elapsed, f"matched per n: {matched}")
+
+
+@pytest.mark.skipif(
+    os.environ.get("LEHMERDEFECT_SKIP_EXTENDED") == "1",
+    reason="extended bound-5000 sweep skipped by LEHMERDEFECT_SKIP_EXTENDED=1",
+)
+def test_criterion_3_extended_solve_matches_definition_5000():
+    t0 = time.time()
+    scanned = definitional_search(5000, ALL_N)
+    for n in ALL_N:
+        assert search_defective(n, 5000).pairs == scanned[n], n
+    elapsed = time.time() - t0
+    counts = {n: len(pairs) for n, pairs in scanned.items()}
+    _report("3 (solve = definitional scan 5000)", elapsed, f"pairs per n: {counts}")
 
 
 def test_criterion_4_exclusion_audit():

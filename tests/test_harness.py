@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import definitional_search
 from lehmerdefect.families import SUPPORTED_N, UnsupportedNError, enumerate_families
 from lehmerdefect.harness import (
     CheckpointMismatchError,
@@ -40,7 +41,7 @@ class TestSearch:
         )
 
     def test_matches_validate_ab_grid(self):
-        # The scan inlines validity; pin it to the reference validator.
+        # Every b in range, not only a == b mod 4: the box misses no valid pair.
         bound, n = 40, 5
         expected = []
         for a in range(1, bound + 1):
@@ -49,6 +50,11 @@ class TestSearch:
                 if isinstance(pair, LehmerPair) and is_defective(pair, n):
                     expected.append((a, b))
         assert search_defective(n, bound).pairs == tuple(expected)
+
+    def test_solve_matches_definitional_scan_bound_1000(self):
+        scanned = definitional_search(1000, SUPPORTED_N)
+        for n in SUPPORTED_N:
+            assert search_defective(n, 1000).pairs == scanned[n], n
 
     def test_ordering_and_canonical_closure(self):
         result = search_defective(6, 120)
@@ -152,6 +158,56 @@ class TestCheckpoint:
         resumed = search_with_checkpoint(5, 150, path)
         assert resumed == search_defective(5, 150)
 
+    def test_every_truncation_resumes_or_is_refused(self, tmp_path):
+        n, bound = 3, 200
+        fresh = tmp_path / "fresh.ckpt"
+        full = search_with_checkpoint(n, bound, fresh)
+        want = (fresh.read_bytes(), (tmp_path / "fresh.ckpt.hits").read_bytes())
+        snap = tmp_path / "snap.ckpt"
+        assert search_with_checkpoint(n, bound, snap, stop_after_chunks=2) is None
+        state = snap.read_bytes()
+        hits = (tmp_path / "snap.ckpt.hits").read_bytes()
+        cuts = [(state[:i], hits) for i in range(len(state))]
+        cuts += [(state, hits[:i]) for i in range(len(hits))]
+        refused = 0
+        for i, (cut_state, cut_hits) in enumerate(cuts):
+            # Fresh files per cut: on ext4, truncating or deleting a file
+            # that was just rewritten waits for its data to be flushed.
+            torn = tmp_path / f"torn{i}.ckpt"
+            torn_hits = tmp_path / f"torn{i}.ckpt.hits"
+            torn.write_bytes(cut_state)
+            torn_hits.write_bytes(cut_hits)
+            try:
+                resumed = search_with_checkpoint(n, bound, torn)
+            except CheckpointMismatchError:
+                refused += 1
+                continue
+            assert resumed == full
+            assert (torn.read_bytes(), torn_hits.read_bytes()) == want
+        assert refused < len(cuts)
+
+    def test_complete_malformed_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        search_with_checkpoint(3, 200, path, stop_after_chunks=1)
+        good = path.read_text()
+        for bad in ("3\t33\t64\n", "3\t33\t64\tx\n", "3\t33\t64\t-1\n"):
+            path.write_text(good + bad)
+            with pytest.raises(CheckpointMismatchError):
+                search_with_checkpoint(3, 200, path)
+        path.write_text(good)
+        hits_path = tmp_path / "bad.ckpt.hits"
+        hits_path.write_text("1\n" + hits_path.read_text())
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(3, 200, path)
+
+    def test_intact_checkpoint_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "keep.ckpt"
+        search_with_checkpoint(3, 200, path, stop_after_chunks=2)
+        files = (path, tmp_path / "keep.ckpt.hits")
+        before = [(f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes()) for f in files]
+        assert search_with_checkpoint(3, 200, path, stop_after_chunks=0) is None
+        assert [(f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes()) for f in files] == before
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "clash.ckpt"
         search_with_checkpoint(5, 150, path, stop_after_chunks=1)
@@ -159,6 +215,11 @@ class TestCheckpoint:
             search_with_checkpoint(3, 150, path)
         with pytest.raises(CheckpointMismatchError):
             search_with_checkpoint(5, 3000, path)
+        other = tmp_path / "other.txt"
+        other.write_text("not a checkpoint")  # no newline: nothing committed
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(5, 150, other)
+        assert other.read_text() == "not a checkpoint"
 
 
 class TestAuditChanges:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import valid_pairs
 from lehmerdefect.pairs import lehmer_prefix, require_pair, validate_ab, LehmerPair
 from lehmerdefect.primdiv import (
+    CYCLOTOMIC_FORMS,
     UnsupportedIndexError,
     _strong_lucas,
     defect_witness,
@@ -17,6 +18,32 @@ from lehmerdefect.primdiv import (
     primitive_divisors,
     residual_after_stripping,
 )
+
+
+class TestCyclotomicForms:
+    def test_forms_multiply_to_u_n(self):
+        # Over the divisors d > 1 of odd n and d >= 3 of even n, the product
+        # of Phi_d(p, q) is u_n; primes of n as listed.
+        checked = 0
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                pair = validate_ab(a, b)
+                if not isinstance(pair, LehmerPair):
+                    continue
+                u = lehmer_prefix(pair, 12)
+                for n, (_, primes) in CYCLOTOMIC_FORMS.items():
+                    assert primes == tuple(sympy.primefactors(n))
+                    product = 1
+                    for d in range(3 if n % 2 == 0 else 2, n + 1):
+                        if n % d == 0:
+                            coeffs = CYCLOTOMIC_FORMS[d][0]
+                            deg = len(coeffs) - 1
+                            product *= sum(
+                                c * pair.p ** (deg - i) * pair.q**i for i, c in enumerate(coeffs)
+                            )
+                    assert product == u[n], (a, b, n)
+                    checked += 1
+        assert checked > 7 * 1000
 
 
 class TestWitness:
