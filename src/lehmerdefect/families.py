@@ -484,12 +484,13 @@ def _build_entry(row: FamilyRowId, params: FamilyParams) -> FamilyEntry | Valida
     res = validate_ab(*raw)
     if isinstance(res, ValidationFailure):
         return res
+    canon = canonicalize(res)
     return FamilyEntry(
         n=d.n,
         row=row,
         params=params,
         raw_ab=raw,
-        canonical_ab=(canonicalize(res).a, canonicalize(res).b),
+        canonical_ab=(canon.a, canon.b),
         pair=res,
     )
 

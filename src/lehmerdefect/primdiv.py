@@ -20,7 +20,8 @@ that divides Phi_n(alpha, beta) and does not divide n is a primitive divisor
 of u_n (Lehmer, Ann. of Math. 31 (1930); see also Voutier, Math. Comp. 64
 (1995) and Bilu, Hanrot and Voutier, J. reine angew. Math. 539 (2001)).
 So every n-defective pair has |Phi_n(p, q)| equal to a product of primes
-of n, which is what lets the search solve for defective pairs.
+of n, which is what lets the search solve for defective pairs; for the
+quadratic forms the exponents of those primes are also capped.
 """
 
 from __future__ import annotations
@@ -112,17 +113,23 @@ def primitive_divisors(pair: LehmerPair, n: int) -> list[int]:
     return list(primes)
 
 
-# n -> (coefficients of Phi_n(p, q) on p^d, p^(d-1) q, ..., q^d; primes of n).
+# n -> (coefficients of Phi_n(p, q) on p^d, p^(d-1) q, ..., q^d;
+# (prime, cap) for each prime of n).  The cap is the largest exponent of the
+# prime that divides Phi_n(p, q) when gcd(p, q) = 1, or None when there is
+# none; each cap holds because no residue pair mod prime^(cap + 1), other
+# than those with the prime dividing both p and q, makes the form vanish (a
+# finite analogue of the bounds on the non-primitive part of Phi_n in
+# Voutier (1995) and Bilu, Hanrot and Voutier (2001)).
 # The product of Phi_d over the divisors d > 1 of odd n, or d >= 3 of even
-# n, is u_n; a test pins this.
-CYCLOTOMIC_FORMS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    3: ((1, -1), (3,)),
-    4: ((1, -2), (2,)),
-    5: ((1, -3, 1), (5,)),
-    6: ((1, -3), (2, 3)),
-    8: ((1, -4, 2), (2,)),
-    10: ((1, -5, 5), (2, 5)),
-    12: ((1, -4, 1), (2, 3)),
+# n, is u_n.  Tests pin both facts.
+CYCLOTOMIC_FORMS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int | None], ...]]] = {
+    3: ((1, -1), ((3, None),)),
+    4: ((1, -2), ((2, None),)),
+    5: ((1, -3, 1), ((5, 1),)),
+    6: ((1, -3), ((2, None), (3, None))),
+    8: ((1, -4, 2), ((2, 1),)),
+    10: ((1, -5, 5), ((2, 0), (5, 1))),
+    12: ((1, -4, 1), ((2, 1), (3, 1))),
 }
 
 

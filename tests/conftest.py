@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from lehmerdefect import cli
+from lehmerdefect.harness import search_defective
 from lehmerdefect.pairs import LehmerPair, validate_ab
-from lehmerdefect.primdiv import residual_after_stripping
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
 
 
 def fib(n: int) -> int:
@@ -54,3 +55,18 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
                     if residual_after_stripping(a, b, n) == 1:
                         hits[n].append((a, b))
     return {n: tuple(pairs) for n, pairs in hits.items()}
+
+
+def uncapped_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """search_defective(n, bound).pairs with the valuation caps lifted.
+
+    Every product of primes of n up to the largest |Phi_n| of each chunk is
+    tried as a target, as if no cap in CYCLOTOMIC_FORMS had been proved.
+    """
+    form = CYCLOTOMIC_FORMS[n]
+    coeffs, prime_caps = form
+    CYCLOTOMIC_FORMS[n] = (coeffs, tuple((p, None) for p, _ in prime_caps))
+    try:
+        return search_defective(n, bound).pairs
+    finally:
+        CYCLOTOMIC_FORMS[n] = form

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from conftest import definitional_search
+from conftest import definitional_search, uncapped_search
+from lehmerdefect import harness
 from lehmerdefect.families import SUPPORTED_N, UnsupportedNError, enumerate_families
 from lehmerdefect.harness import (
     CheckpointMismatchError,
@@ -11,7 +14,7 @@ from lehmerdefect.harness import (
     _chunks,
 )
 from lehmerdefect.pairs import LehmerPair, validate_ab
-from lehmerdefect.primdiv import is_defective
+from lehmerdefect.primdiv import is_defective, residual_after_stripping
 
 
 class TestSearch:
@@ -55,6 +58,12 @@ class TestSearch:
         scanned = definitional_search(1000, SUPPORTED_N)
         for n in SUPPORTED_N:
             assert search_defective(n, 1000).pairs == scanned[n], n
+
+    @pytest.mark.parametrize("n", [5, 8, 10, 12])
+    def test_capped_solve_matches_uncapped_bound_20000(self, n):
+        # A bounded check of the valuation caps, at four times the bound of
+        # the extended definitional-scan comparison.
+        assert search_defective(n, 20000).pairs == uncapped_search(n, 20000)
 
     def test_ordering_and_canonical_closure(self):
         result = search_defective(6, 120)
@@ -104,6 +113,32 @@ class TestVerify:
         five = set(search_defective(5, 200).pairs)
         swapped = {(b, a) if b > 0 else (-b, -a) for a, b in five}
         assert ten == swapped
+
+    def test_residual_unchanged_by_negation(self):
+        # verify_table trusts the search for a matched entry whose raw pair
+        # may be the negation of the canonical one the search decided.
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                if isinstance(validate_ab(a, b), LehmerPair):
+                    for n in SUPPORTED_N:
+                        assert residual_after_stripping(a, b, n) == residual_after_stripping(
+                            -a, -b, n
+                        ), (a, b, n)
+
+    def test_unmatched_entry_is_still_decided(self, monkeypatch):
+        # An injected table entry with the non-defective pair (5, 1) for
+        # n = 5: the search does not find it, so verify_table must strip it.
+        entries, anomalies = harness.enumerate_with_anomalies(5, 10)
+        bogus = replace(entries[0], raw_ab=(5, 1), canonical_ab=(5, 1), pair=LehmerPair(5, 1))
+        assert (5, 1) not in search_defective(5, 10).pairs
+        monkeypatch.setattr(
+            harness, "enumerate_with_anomalies", lambda n, bound: (entries + [bogus], anomalies)
+        )
+        report = verify_table(5, 10)
+        assert [f.reason for f in report.table_failures] == [
+            f"not_defective:residual={residual_after_stripping(5, 1, 5)}"
+        ]
+        assert report.table_failures[0].raw_ab == (5, 1)
 
 
 class TestCheckpoint:

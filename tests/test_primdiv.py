@@ -20,6 +20,11 @@ from lehmerdefect.primdiv import (
 )
 
 
+def _phi(coeffs: tuple[int, ...], p: int, q: int) -> int:
+    deg = len(coeffs) - 1
+    return sum(c * p ** (deg - i) * q**i for i, c in enumerate(coeffs))
+
+
 class TestCyclotomicForms:
     def test_forms_multiply_to_u_n(self):
         # Over the divisors d > 1 of odd n and d >= 3 of even n, the product
@@ -31,19 +36,35 @@ class TestCyclotomicForms:
                 if not isinstance(pair, LehmerPair):
                     continue
                 u = lehmer_prefix(pair, 12)
-                for n, (_, primes) in CYCLOTOMIC_FORMS.items():
-                    assert primes == tuple(sympy.primefactors(n))
+                for n, (_, prime_caps) in CYCLOTOMIC_FORMS.items():
+                    assert tuple(p for p, _ in prime_caps) == tuple(sympy.primefactors(n))
                     product = 1
                     for d in range(3 if n % 2 == 0 else 2, n + 1):
                         if n % d == 0:
-                            coeffs = CYCLOTOMIC_FORMS[d][0]
-                            deg = len(coeffs) - 1
-                            product *= sum(
-                                c * pair.p ** (deg - i) * pair.q**i for i, c in enumerate(coeffs)
-                            )
+                            product *= _phi(CYCLOTOMIC_FORMS[d][0], pair.p, pair.q)
                     assert product == u[n], (a, b, n)
                     checked += 1
         assert checked > 7 * 1000
+
+    def test_valuation_caps(self):
+        # Phi_n(p, q) mod prime^e depends only on (p, q) mod prime^e, and
+        # gcd(p, q) = 1 leaves out exactly the residues with the prime
+        # dividing both.  So a capped prime must reach prime^(cap + 1) on no
+        # such residue pair; an uncapped one reaches prime^4 on some.
+        capped = set()
+        for n, (coeffs, prime_caps) in CYCLOTOMIC_FORMS.items():
+            for p, cap in prime_caps:
+                m = p ** (4 if cap is None else cap + 1)
+                reached = any(
+                    _phi(coeffs, x, y) % m == 0
+                    for x in range(m)
+                    for y in range(m)
+                    if x % p or y % p
+                )
+                assert reached == (cap is None), (n, p, cap)
+                if cap is not None:
+                    capped.add(n)
+        assert capped == {5, 8, 10, 12}
 
 
 class TestWitness:
