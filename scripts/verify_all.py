@@ -4,8 +4,9 @@
 For each supported index n, find every n-defective pair (a, b) up to the
 bound (search_defective solves Phi_n(a, q) = +-T for products T of primes of
 n and confirms each solution by the definition), compare against the
-enumerated family table up to equivalence, and print one summary line.
-Finishes with the corrections audit.  Exit code 2 if any discrepancy or
+enumerated family table up to equivalence, and print one summary line with
+the wall time and the process's peak resident set size so far.  Finishes
+with the corrections audit.  Exit code 2 if any discrepancy or
 audit failure was reported, 0 otherwise.
 
 Known state of the table: for n=4 the search finds (6, 2), a valid
@@ -19,6 +20,7 @@ Examples:
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -48,9 +50,11 @@ def main() -> int:
             if report.equivalent_duplicates:
                 bits.append(f"duplicates: {len(report.equivalent_duplicates)}")
             status = "; ".join(bits)
+        # ru_maxrss is in KiB on Linux: the process's peak so far, not this n's.
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"  n={n:>2}: matched={report.matched_count:>6}  "
-            f"[{time.time() - t0:6.2f}s]  {status}"
+            f"[{time.time() - t0:6.2f}s, peak {rss_mb:5.0f} MB]  {status}"
         )
 
     print("corrections audit")

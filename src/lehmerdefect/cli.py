@@ -98,9 +98,8 @@ def _params_doc(params: families.FamilyParams) -> dict:
     }
 
 
-def _params_cell(params: families.FamilyParams, name: str) -> str:
-    v = getattr(params, name)
-    return "-" if v is None else str(v)
+def _cell(v: int | None) -> int | str:
+    return "-" if v is None else v
 
 
 def _entry_doc(e: families.FamilyEntry) -> dict:
@@ -164,14 +163,14 @@ def _emit_family(n: int, bound: int, entries, fmt: str, out: IO[str]) -> None:
         }
         out.write(json.dumps(doc) + "\n")
     elif fmt == "tsv":
-        out.write("# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n")
+        lines = ["# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"]
         for e in entries:
-            cells = [str(n), e.row.value]
-            cells += [_params_cell(e.params, f) for f in ("k", "l", "q", "eps")]
-            cells += [str(e.raw_ab[0]), str(e.raw_ab[1])]
-            cells += [str(e.canonical_ab[0]), str(e.canonical_ab[1])]
-            cells.append(_provenance_cell(e))
-            out.write("\t".join(cells) + "\n")
+            p, (ra, rb), (ca, cb) = e.params, e.raw_ab, e.canonical_ab
+            lines.append(
+                f"{n}\t{e.row.value}\t{_cell(p.k)}\t{_cell(p.l)}\t{_cell(p.q)}\t{_cell(p.eps)}\t"
+                f"{ra}\t{rb}\t{ca}\t{cb}\t{_provenance_cell(e)}\n"
+            )
+        out.write("".join(lines))
     else:
         out.write(f"n={n} bound={bound} entries={len(entries)}\n")
         for e in entries:

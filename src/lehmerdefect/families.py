@@ -69,7 +69,7 @@ class FamilyRowId(str, Enum):
     N12_ZETA3 = "N12_ZETA3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyParams:
     """Parameters of one row instance; only the row's fields are set."""
 
@@ -91,7 +91,7 @@ class FamilyParams:
         return ",".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyEntry:
     """One realized row instance, validated and canonicalized.
 
@@ -105,8 +105,12 @@ class FamilyEntry:
     params: FamilyParams
     raw_ab: tuple[int, int]
     canonical_ab: tuple[int, int]
-    pair: LehmerPair
     provenance: tuple["FamilyEntry", ...] = field(default=(), compare=False)
+
+    @property
+    def pair(self) -> LehmerPair:
+        """The raw pair; raw_ab passed validate_ab when the entry was built."""
+        return LehmerPair(*self.raw_ab)
 
 
 @dataclass(frozen=True)
@@ -485,14 +489,7 @@ def _build_entry(row: FamilyRowId, params: FamilyParams) -> FamilyEntry | Valida
     if isinstance(res, ValidationFailure):
         return res
     canon = canonicalize(res)
-    return FamilyEntry(
-        n=d.n,
-        row=row,
-        params=params,
-        raw_ab=raw,
-        canonical_ab=(canon.a, canon.b),
-        pair=res,
-    )
+    return FamilyEntry(d.n, row, params, raw, raw if canon is res else (canon.a, canon.b))
 
 
 def instantiate(

@@ -74,7 +74,7 @@ class InvalidPairError(ValueError):
         self.failure = failure
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LehmerPair:
     """A validated (a, b) pair.  Construct through validate_ab or require_pair."""
 
@@ -131,15 +131,7 @@ def ab_of(p: int, q: int) -> tuple[int, int]:
 
 def lehmer_number(pair: LehmerPair, n: int) -> int:
     """Exact n-th element u_n of the pair's sequence, n >= 0."""
-    if n < 0:
-        raise ValueError(f"element index must be nonnegative, got {n}")
-    p, q = pair.a, pair.q
-    prev, cur = 0, 1
-    if n == 0:
-        return 0
-    for i in range(2, n + 1):
-        prev, cur = cur, (p * cur if i & 1 else cur) - q * prev
-    return cur
+    return lehmer_prefix(pair, n)[n]
 
 
 def lehmer_prefix(pair: LehmerPair, n: int) -> list[int]:

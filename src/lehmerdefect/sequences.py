@@ -19,7 +19,6 @@ phi(100) no longer fits in 64 bits.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,18 +66,16 @@ SPECS: dict[SequenceId, SequenceSpec] = {
 
 ZETAS = (SequenceId.ZETA0, SequenceId.ZETA1, SequenceId.ZETA2, SequenceId.ZETA3)
 
-# Shared append-only memo.  Fills are idempotent (values are deterministic),
-# extension is serialized by a lock, and readers never see a torn list under
-# the GIL, so concurrent use behaves as if the cache were absent.
-_cache: dict[SequenceId, list[int]] = {}
-_cache_lock = threading.Lock()
-_cache_enabled = True
 
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Toggle the shared memo.  Results are identical either way."""
-    global _cache_enabled
-    _cache_enabled = enabled
+def _walk(spec: SequenceSpec, k_from: int, k_to: int) -> list[int]:
+    """Elements k_from..k_to of the recurrence, walked up from its seeds."""
+    lo, hi = spec.seed0, spec.seed1
+    out = []
+    for k in range(spec.min_index, k_to + 1):
+        if k >= k_from:
+            out.append(lo)
+        lo, hi = hi, spec.coeff_a * hi + spec.coeff_b * lo
+    return out
 
 
 def seq_eval(seq: SequenceId, k: int) -> int:
@@ -88,20 +85,7 @@ def seq_eval(seq: SequenceId, k: int) -> int:
         raise IndexBelowMinimumError(
             f"{seq.value} is defined for k >= {spec.min_index}, got k={k}"
         )
-    i = k - spec.min_index
-    if not _cache_enabled:
-        lo, hi = spec.seed0, spec.seed1
-        if i == 0:
-            return lo
-        for _ in range(i - 1):
-            lo, hi = hi, spec.coeff_a * hi + spec.coeff_b * lo
-        return hi
-    vals = _cache.setdefault(seq, [spec.seed0, spec.seed1])
-    if len(vals) <= i:
-        with _cache_lock:
-            while len(vals) <= i:
-                vals.append(spec.coeff_a * vals[-1] + spec.coeff_b * vals[-2])
-    return vals[i]
+    return _walk(spec, k, k)[0]
 
 
 def seq_range(seq: SequenceId, k_from: int, k_to: int) -> list[int]:
@@ -113,4 +97,4 @@ def seq_range(seq: SequenceId, k_from: int, k_to: int) -> list[int]:
         raise IndexBelowMinimumError(
             f"{seq.value} is defined for k >= {spec.min_index}, got k_from={k_from}"
         )
-    return [seq_eval(seq, k) for k in range(k_from, k_to + 1)]
+    return _walk(spec, k_from, k_to)

@@ -1,6 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
 
 class TestBasics:
@@ -151,6 +155,14 @@ class TestGoldenOutputs:
         assert code == 0
         assert "n=5(1) PASS" in out
         assert out.rstrip().endswith("all_passed: true")
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_digest(run_cli, argv):
+    # Exit code and SHA-256 of stdout of family/verify n --bound 700 and of
+    # audit, in every format: every output byte is pinned.
+    code, out, _ = run_cli(*argv.split())
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == GOLDEN[argv]
 
 
 class TestDeterminism:

@@ -18,7 +18,7 @@ from lehmerdefect.families import (
     instantiate,
     raw_ab,
 )
-from lehmerdefect.pairs import FailureKind, canonicalize
+from lehmerdefect.pairs import FailureKind, canonicalize, validate_ab
 from lehmerdefect.primdiv import is_defective
 from lehmerdefect.sequences import SequenceId, seq_eval
 
@@ -114,6 +114,26 @@ class TestInstantiate:
         assert (e.pair.a, e.pair.b) == e.raw_ab
         canon = canonicalize(e.pair)
         assert e.canonical_ab == (canon.a, canon.b)
+
+
+class TestRecords:
+    """Table entries are slot-backed and derive their pair from raw_ab."""
+
+    def test_no_instance_dict(self):
+        e = enumerate_families(5, 50)[0]
+        for obj in (e, e.params, e.pair):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    @pytest.mark.parametrize("n", SUPPORTED_N)
+    def test_pair_and_canonical_follow_raw_ab(self, n):
+        for e in enumerate_families(n, 500):
+            assert e.pair == validate_ab(*e.raw_ab)
+            canon = canonicalize(e.pair)
+            assert e.canonical_ab == (canon.a, canon.b)
+
+    def test_params_eps_checked(self):
+        with pytest.raises(ValueError):
+            FamilyParams(eps=2)
 
 
 class TestEnumerate:

@@ -129,7 +129,7 @@ class TestVerify:
         # An injected table entry with the non-defective pair (5, 1) for
         # n = 5: the search does not find it, so verify_table must strip it.
         entries, anomalies = harness.enumerate_with_anomalies(5, 10)
-        bogus = replace(entries[0], raw_ab=(5, 1), canonical_ab=(5, 1), pair=LehmerPair(5, 1))
+        bogus = replace(entries[0], raw_ab=(5, 1), canonical_ab=(5, 1))
         assert (5, 1) not in search_defective(5, 10).pairs
         monkeypatch.setattr(
             harness, "enumerate_with_anomalies", lambda n, bound: (entries + [bogus], anomalies)

@@ -9,7 +9,6 @@ from lehmerdefect.sequences import (
     SequenceId,
     seq_eval,
     seq_range,
-    set_cache_enabled,
 )
 
 PHI, PSI, PI, RHO = SequenceId.PHI, SequenceId.PSI, SequenceId.PI, SequenceId.RHO
@@ -112,19 +111,6 @@ def test_abs_monotone_from_2(seq):
         cur = abs(seq_eval(seq, k))
         assert cur > prev
         prev = cur
-
-
-@given(seq=st.sampled_from(list(SequenceId)), k=st.integers(-2, 300))
-@settings(max_examples=60)
-def test_cache_off_matches_cache_on(seq, k):
-    if k < SPECS[seq].min_index:
-        k = SPECS[seq].min_index
-    cached = seq_eval(seq, k)
-    set_cache_enabled(False)
-    try:
-        assert seq_eval(seq, k) == cached
-    finally:
-        set_cache_enabled(True)
 
 
 @given(
