@@ -289,6 +289,20 @@ def _emit_audit(items, fmt: str, out: IO[str]) -> None:
 
 
 def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
+    # Values are exact at any size: lift the int/str digit limit (Python
+    # 3.11+, 4300 digits by default) for the run, in both directions.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _run(argv, stdout, stderr)
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, stdout, stderr)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()

@@ -39,14 +39,21 @@ written after its hits are flushed, so the state file is the commit record.
 Only newline-terminated lines count.  Loading drops a torn last line, every
 state line whose hits are not all present and every hit past the committed
 chunks, so those chunks are recomputed; a complete line that does not parse
-raises CheckpointMismatchError.  The files are rewritten, through a
-temporary file and os.replace, only when something is dropped; otherwise
-new chunks are appended.
+raises CheckpointMismatchError.  Whatever is kept is a prefix of each file
+(the header and the first committed state lines, the first hit lines), so a
+repair cuts the file in place to that prefix with os.truncate, which writes
+no data; otherwise new chunks are appended.  (Writing a temporary file and
+renaming it over the old one is slower: on ext4 that rename waits for the
+new file's data to reach the disk, which made a torn resume of
+search 6 --bound 1000 take about 110 ms against 15 ms for the cuts on a
+2-core ext4 host.)  The load is idempotent on prefixes, so a crash between
+the two cuts still resumes.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -230,20 +237,15 @@ def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
     return SearchResult(n, bound, tuple(pairs))
 
 
-def _replace(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _committed(path: Path) -> tuple[bytes, bytes]:
+    """path's newline-terminated lines, and the torn tail after them (b"" if none)."""
+    data = path.read_bytes() if path.exists() else b""
+    end = data.rfind(b"\n") + 1
+    return data[:end], data[end:]
 
 
-def _committed(path: Path) -> tuple[list[str], str]:
-    """path's newline-terminated lines, and the torn tail after them ("" if none)."""
-    lines = path.read_text().split("\n") if path.exists() else [""]
-    return lines[:-1], lines[-1]
-
-
-def _fields(line: str, width: int) -> list[int]:
-    parts = line.split("\t")
+def _fields(line: bytes, width: int) -> list[int]:
+    parts = line.split(b"\t")
     try:
         if len(parts) == width:
             return [int(x) for x in parts]
@@ -252,23 +254,32 @@ def _fields(line: str, width: int) -> list[int]:
     raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
 
 
+# The start of the first line that is not "a <tab> b".  A search for the
+# first bad line, not a match of (?:line)* over all of them: sre keeps
+# backtracking state for every repetition of a group, 3.4 MB for the
+# 10,857 hits of n = 6 at bound 1000 (possessive *+ needs Python 3.11).
+_BAD_HIT_LINE = re.compile(rb"^(?!-?[0-9]+\t-?[0-9]+\n|\Z)", re.M)
+
+
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
 ) -> tuple[int, list[tuple[int, int]]]:
-    header = f"# {n}\t{bound}"
-    state_lines, state_tail = _committed(state_path)
-    if not state_lines and header.startswith(state_tail):
+    header = f"# {n}\t{bound}\n".encode()
+    state, state_tail = _committed(state_path)
+    if not state and header.startswith(state_tail):
         # No checkpoint yet, or one torn before its header was committed.
-        _replace(hits_path, "")
-        _replace(state_path, header + "\n")
+        hits_path.write_bytes(b"")
+        state_path.write_bytes(header)
         return 0, []
-    if not state_lines or state_lines[0] != header:
+    if not state.startswith(header):
+        first = state[: state.find(b"\n")] if state else state_tail
         raise CheckpointMismatchError(
-            f"checkpoint header {state_lines[0] if state_lines else state_tail!r} "
-            f"does not match n={n} bound={bound}"
+            f"checkpoint header {first!r} does not match n={n} bound={bound}"
         )
-    state_lines = state_lines[1:]
-    hit_lines, hits_tail = _committed(hits_path)
+    state_lines = state[len(header) :].split(b"\n")[:-1]
+    hit_data, hits_tail = _committed(hits_path)
+    hit_count = hit_data.count(b"\n")
+    state_end = len(header)
     done = 0
     need = 0
     for i, line in enumerate(state_lines):
@@ -278,15 +289,24 @@ def _load_checkpoint(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
                 f"{chunks[i] if i < len(chunks) else 'past end'} for n={n}"
             )
-        if need + cnt > len(hit_lines):
+        if need + cnt > hit_count:
             break  # state line committed before its hits landed; drop it
+        state_end += len(line) + 1
         done += 1
         need += cnt
-    hits = [(a, b) for a, b in (_fields(line, 2) for line in hit_lines[:need])]
-    if state_tail or done < len(state_lines):
-        _replace(state_path, "".join(l + "\n" for l in [header] + state_lines[:done]))
-    if hits_tail or need < len(hit_lines):
-        _replace(hits_path, "".join(l + "\n" for l in hit_lines[:need]))
+    hits_end = len(hit_data)
+    for _ in range(hit_count - need):
+        hits_end = hit_data.rfind(b"\n", 0, hits_end - 1) + 1
+    bad = _BAD_HIT_LINE.search(hit_data, 0, hits_end)
+    if bad:
+        line = hit_data[bad.start() : hit_data.find(b"\n", bad.start())]
+        raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+    fields = map(int, hit_data[:hits_end].split())
+    hits = list(zip(fields, fields))
+    if state_end < len(state) + len(state_tail):
+        os.truncate(state_path, state_end)
+    if hits_end < len(hit_data) + len(hits_tail):
+        os.truncate(hits_path, hits_end)
     return done, hits
 
 

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import gcd
+from typing import Iterator
 
 # (p, q) pairs whose root ratio alpha/beta is a root of unity of order
 # 3, 4 or 6 (orders 1 and 2 are the a = 0 and b = 0 cases).
@@ -129,20 +131,32 @@ def ab_of(p: int, q: int) -> tuple[int, int]:
     return p, p - 4 * q
 
 
+def lehmer_elements(pair: LehmerPair) -> Iterator[int]:
+    """u_0, u_1, u_2, ... of the pair's sequence, holding two terms at a time."""
+    p, q = pair.a, pair.q
+    prev, cur, i = 0, 1, 1
+    yield prev
+    while True:
+        yield cur
+        i += 1
+        prev, cur = cur, (p * cur if i & 1 else cur) - q * prev
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"element index must be nonnegative, got {n}")
+
+
 def lehmer_number(pair: LehmerPair, n: int) -> int:
     """Exact n-th element u_n of the pair's sequence, n >= 0."""
-    return lehmer_prefix(pair, n)[n]
+    _check_index(n)
+    return next(islice(lehmer_elements(pair), n, None))
 
 
 def lehmer_prefix(pair: LehmerPair, n: int) -> list[int]:
     """[u_0, ..., u_n]."""
-    if n < 0:
-        raise ValueError(f"element index must be nonnegative, got {n}")
-    p, q = pair.a, pair.q
-    out = [0, 1]
-    for i in range(2, n + 1):
-        out.append((p * out[-1] if i & 1 else out[-1]) - q * out[-2])
-    return out[: n + 1]
+    _check_index(n)
+    return list(islice(lehmer_elements(pair), n + 1))
 
 
 def discriminant_sq(pair: LehmerPair) -> int:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+
+from lehmerdefect.pairs import lehmer_number, require_pair
+from lehmerdefect.sequences import SequenceId, seq_eval
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
@@ -22,6 +27,21 @@ class TestBasics:
 
     def test_module_help(self, run_cli):
         assert run_cli("--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("u", "1", "5", "21000"), lambda: lehmer_number(require_pair(1, 5), 21000)),
+            (("seq", "phi", "30000"), lambda: seq_eval(SequenceId.PHI, 30000)),
+        ],
+    )
+    def test_values_past_the_int_str_digit_limit(self, run_cli, argv, value):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, out, err = run_cli(*argv)
+        assert (code, err, limit()) == (0, "", before)
+        # Decimal parses and compares without the int/str digit limit.
+        assert len(out) > 4300 and Decimal(out) == value()
 
 
 class TestErrors:

@@ -243,6 +243,27 @@ class TestCheckpoint:
         assert search_with_checkpoint(3, 200, path, stop_after_chunks=0) is None
         assert [(f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes()) for f in files] == before
 
+    def test_torn_resume_cuts_files_in_place(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        files = (path, tmp_path / "cut.ckpt.hits")
+        search_with_checkpoint(3, 200, path, stop_after_chunks=2)
+        inodes = [f.stat().st_ino for f in files]
+        path.write_bytes(path.read_bytes()[:-2])  # tear the last state line
+        assert search_with_checkpoint(3, 200, path) == search_defective(3, 200)
+        assert [f.stat().st_ino for f in files] == inodes
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("bad", [b"\xff\t-111\n", "\u0663\t-111\n".encode()])
+    def test_committed_hit_line_must_be_ascii_digits(self, tmp_path, bad):
+        path = tmp_path / "hits.ckpt"
+        search_with_checkpoint(3, 200, path, stop_after_chunks=1)
+        hits_path = tmp_path / "hits.ckpt.hits"
+        lines = hits_path.read_bytes().splitlines(keepends=True)
+        assert lines
+        hits_path.write_bytes(bad + b"".join(lines[1:]))
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(3, 200, path)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "clash.ckpt"
         search_with_checkpoint(5, 150, path, stop_after_chunks=1)

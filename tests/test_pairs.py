@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -124,6 +125,16 @@ class TestElements:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             lehmer_number(require_pair(1, 5), -1)
+
+    def test_number_holds_two_terms(self):
+        # u_20000 of (1, 5) has about 14,000 bits; the whole prefix is 18 MB.
+        tracemalloc.start()
+        try:
+            lehmer_number(require_pair(1, 5), 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @given(pair=valid_pairs())
     def test_u1_u2_are_one(self, pair):
