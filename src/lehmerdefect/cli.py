@@ -24,6 +24,7 @@ LEHMERDEFECT_JOBS sets the default worker count; --jobs wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="re-verify the table corrections")
     p.add_argument("--format", choices=FORMATS, default="text")
     return parser
+
+
+# Building the parser costs most of a quick call such as check; parsing
+# leaves it unchanged, so one per process serves every run.
+_parser = functools.cache(build_parser)
 
 
 def _jobs_of(ns) -> int:
@@ -305,9 +311,8 @@ def run(argv: Sequence[str], stdout: IO[str] | None = None, stderr: IO[str] | No
 def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _parser().parse_args(list(argv))
     except _UsageError as e:
         err.write(f"error: {e}\n")
         return 1

@@ -38,16 +38,17 @@ file carries the corresponding "a <tab> b" lines.  A state line is only
 written after its hits are flushed, so the state file is the commit record.
 Only newline-terminated lines count.  Loading drops a torn last line, every
 state line whose hits are not all present and every hit past the committed
-chunks, so those chunks are recomputed; a complete line that does not parse
-raises CheckpointMismatchError.  Whatever is kept is a prefix of each file
-(the header and the first committed state lines, the first hit lines), so a
-repair cuts the file in place to that prefix with os.truncate, which writes
-no data; otherwise new chunks are appended.  (Writing a temporary file and
-renaming it over the old one is slower: on ext4 that rename waits for the
-new file's data to reach the disk, which made a torn resume of
-search 6 --bound 1000 take about 110 ms against 15 ms for the cuts on a
-2-core ext4 host.)  The load is idempotent on prefixes, so a crash between
-the two cuts still resumes.
+chunks, so those chunks are recomputed; a complete line whose bytes are not
+what the writer emits for its values (no "+", spaces, leading zeros, "_"
+separators or carriage returns) raises CheckpointMismatchError.  Whatever is
+kept is a prefix of each file (the header and the first committed state
+lines, the first hit lines), so a repair cuts the file in place to that
+prefix with os.truncate, which writes no data; otherwise new chunks are
+appended.  (Writing a temporary file and renaming it over the old one is
+slower: on ext4 that rename waits for the new file's data to reach the disk,
+which made a torn resume of search 6 --bound 1000 take about 110 ms against
+15 ms for the cuts on a 2-core ext4 host.)  The load is idempotent on
+prefixes, so a crash between the two cuts still resumes.
 """
 
 from __future__ import annotations
@@ -245,20 +246,22 @@ def _committed(path: Path) -> tuple[bytes, bytes]:
 
 
 def _fields(line: bytes, width: int) -> list[int]:
-    parts = line.split(b"\t")
+    """The values of a state line, which must be exactly what the writer emits."""
     try:
-        if len(parts) == width:
-            return [int(x) for x in parts]
+        values = [int(x) for x in line.split(b"\t")]
     except ValueError:
-        pass
-    raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+        values = []
+    if len(values) != width or b"\t".join(b"%d" % v for v in values) != line:
+        raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+    return values
 
 
-# The start of the first line that is not "a <tab> b".  A search for the
-# first bad line, not a match of (?:line)* over all of them: sre keeps
-# backtracking state for every repetition of a group, 3.4 MB for the
-# 10,857 hits of n = 6 at bound 1000 (possessive *+ needs Python 3.11).
-_BAD_HIT_LINE = re.compile(rb"^(?!-?[0-9]+\t-?[0-9]+\n|\Z)", re.M)
+# The start of the first line that is not "a <tab> b" as the writer emits
+# it (no sign on 0, no leading zero).  A search for the first bad line, not
+# a match of (?:line)* over all of them: sre keeps backtracking state for
+# every repetition of a group, 3.4 MB for the 10,857 hits of n = 6 at bound
+# 1000 (possessive *+ needs Python 3.11).
+_BAD_HIT_LINE = re.compile(rb"^(?!(?:0|-?[1-9][0-9]*)\t(?:0|-?[1-9][0-9]*)\n|\Z)", re.M)
 
 
 def _load_checkpoint(
@@ -391,39 +394,27 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
 # ---------------------------------------------------------------------------
 
 
-def _kind_of(reason) -> FailureKind | None:
-    if isinstance(reason, InvalidPair):
-        return reason.failure.kind
-    return None
-
-
 def _expect_invalid(n, row, params, kind, pq=None) -> tuple[bool, str]:
     reason = audit_exclusion(n, row, params)
-    ab = raw_ab(row, params)
-    ok = _kind_of(reason) is kind
+    ok = isinstance(reason, InvalidPair) and reason.failure.kind is kind
     if ok and pq is not None:
         ok = reason.failure.pq == pq
     detail = reason.failure.describe() if isinstance(reason, InvalidPair) else f"{reason!r}"
-    return ok, f"{row.value}({params.compact()}) -> (a,b)={ab}: {detail}"
+    return ok, f"{row.value}({params.compact()}) -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
 def _expect_duplicate(n, row, params, of_params) -> tuple[bool, str]:
     reason = audit_exclusion(n, row, params)
-    ab = raw_ab(row, params)
-    ok = (
-        isinstance(reason, DuplicateOf)
-        and reason.row is row
-        and reason.params == of_params
-    )
+    ok = isinstance(reason, DuplicateOf) and reason.row is row and reason.params == of_params
     detail = (
         f"duplicate of {reason.row.value}({reason.params.compact()}) at {reason.canonical_ab}"
         if isinstance(reason, DuplicateOf)
         else f"{reason!r}"
     )
-    return ok, f"{row.value}({params.compact()}) -> (a,b)={ab}: {detail}"
+    return ok, f"{row.value}({params.compact()}) -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
-def _boundary_eliminations(row: FamilyRowId, ks: tuple[int, ...]) -> tuple[bool, str]:
+def _expect_boundary_invalid(n, row, ks) -> tuple[bool, str]:
     notes = []
     ok = True
     for k in ks:
@@ -438,6 +429,74 @@ def _boundary_eliminations(row: FamilyRowId, ks: tuple[int, ...]) -> tuple[bool,
     return ok, f"{row.value}: " + " ".join(notes)
 
 
+def _expect_added(n, row, params, raw, canonical, evidence, prefix=None) -> tuple[bool, str]:
+    """The added instance is admitted with this raw and canonical pair, is
+    n-defective (raw and canonical), is enumerated at the bound max(|a|, |b|),
+    and has the given u_0..u_n when prefix is set."""
+    entry = instantiate(row, params)
+    ok = (
+        isinstance(entry, FamilyEntry)
+        and entry.raw_ab == raw
+        and entry.canonical_ab == canonical
+        and canonical in {e.canonical_ab for e in enumerate_families(n, max(map(abs, raw)))}
+        and (prefix is None or lehmer_prefix(entry.pair, n) == list(prefix))
+        and is_defective(entry.pair, n)
+        and is_defective(canonicalize(entry.pair), n)
+    )
+    return ok, evidence
+
+
+def _note(n, text) -> tuple[bool, str]:
+    return True, text
+
+
+_R, _P, _K = FamilyRowId, FamilyParams, FailureKind
+
+# Each correction baked into the family tables, as (change id, n, checks);
+# a check is (function, *args) and is called as function(n, *args).  The
+# item passes when every check does; its evidence joins theirs with "; ".
+_CHANGES = (
+    ("n=3(1)", 3, [(_expect_invalid, _R.N3_Q, _P(q=-1), _K.ZERO_A)]),
+    ("n=4(1)", 4, [(_expect_invalid, _R.N4_Q, _P(q=-1), _K.DEGENERATE_RATIO, (-1, -1))]),
+    ("n=4(2)", 4, [(_expect_invalid, _R.N4_POW2, _P(k=1, q=-1), _K.ZERO_A)]),
+    ("n=5(1)", 5, [(
+        _expect_added, _R.N5_PSI, _P(k=1, eps=1), (-1, -5), (1, 5),
+        "N5_PSI(k=1,eps=1) -> (a,b)=(-1,-5): valid, u_0..u_5=[0,1,1,-2,-3,5], 5-defective",
+        (0, 1, 1, -2, -3, 5),
+    )]),
+    ("n=5(2)", 5, [(_expect_duplicate, _R.N5_PSI, _P(k=0, eps=-1), _P(k=0, eps=1))]),
+    ("n=6(1)", 6, [(_expect_invalid, _R.N6_Q, _P(q=-1), _K.DEGENERATE_RATIO, (-2, -1))]),
+    ("n=6(2)", 6, [
+        (_expect_invalid, _R.N6_POW3, _P(l=1, q=-1), _K.ZERO_A),
+        (_expect_invalid, _R.N6_POW2, _P(k=1, q=-1), _K.DEGENERATE_RATIO, (-1, -1)),
+    ]),
+    ("n=8", 8, [
+        (_note, "no changes"),
+        (_expect_boundary_invalid, _R.N8_RHO, (0, 1)),
+        (_expect_boundary_invalid, _R.N8_PI, (0, 1)),
+    ]),
+    ("n=10(1)", 10, [(
+        _expect_added, _R.N10_PSI, _P(k=1, eps=1), (-5, -1), (5, 1),
+        "N10_PSI(k=1,eps=1) -> (a,b)=(-5,-1), canonical (5,1): valid, 10-defective",
+    )]),
+    ("n=10(2)", 10, [(_expect_duplicate, _R.N10_PSI, _P(k=0, eps=-1), _P(k=0, eps=1))]),
+    ("n=12(2)", 12, [
+        (_expect_invalid, _R.N12_ZETA0, _P(k=0, eps=1), _K.ZERO_Q),
+        (_expect_invalid, _R.N12_ZETA0, _P(k=0, eps=-1), _K.ZERO_Q),
+        (_expect_invalid, _R.N12_ZETA0, _P(k=1, eps=1), _K.ZERO_A),
+        (_expect_invalid, _R.N12_ZETA0, _P(k=1, eps=-1), _K.ZERO_B),
+        (_expect_invalid, _R.N12_ZETA1, _P(k=0, eps=1), _K.DEGENERATE_RATIO, (2, 1)),
+        (_expect_invalid, _R.N12_ZETA1, _P(k=0, eps=-1), _K.DEGENERATE_RATIO, (2, 1)),
+        (_expect_invalid, _R.N12_ZETA2, _P(k=0, eps=1), _K.DEGENERATE_RATIO, (1, 1)),
+        (_expect_invalid, _R.N12_ZETA2, _P(k=0, eps=-1), _K.DEGENERATE_RATIO, (3, 1)),
+    ]),
+    ("n=12(3)", 12, [(
+        _expect_added, _R.N12_ZETA3, _P(k=0, eps=1), (-1, -5), (1, 5),
+        "N12_ZETA3(k=0,eps=1) -> (a,b)=(-1,-5), canonical (1,5): enumerated at bound 5, 12-defective",
+    )]),
+)
+
+
 def audit_changes() -> list[AuditItem]:
     """Re-verify each correction baked into the family tables.
 
@@ -446,110 +505,10 @@ def audit_changes() -> list[AuditItem]:
     failure kind), the excluded duplicate really collides with the kept
     tuple, and the added instances really are valid and defective.
     """
-    items: list[AuditItem] = []
-
-    ok, ev = _expect_invalid(3, FamilyRowId.N3_Q, FamilyParams(q=-1), FailureKind.ZERO_A)
-    items.append(AuditItem("n=3(1)", ok, ev))
-
-    ok, ev = _expect_invalid(
-        4, FamilyRowId.N4_Q, FamilyParams(q=-1), FailureKind.DEGENERATE_RATIO, (-1, -1)
-    )
-    items.append(AuditItem("n=4(1)", ok, ev))
-
-    ok, ev = _expect_invalid(
-        4, FamilyRowId.N4_POW2, FamilyParams(k=1, q=-1), FailureKind.ZERO_A
-    )
-    items.append(AuditItem("n=4(2)", ok, ev))
-
-    entry = instantiate(FamilyRowId.N5_PSI, FamilyParams(k=1, eps=1))
-    ok = (
-        isinstance(entry, FamilyEntry)
-        and entry.raw_ab == (-1, -5)
-        and lehmer_prefix(entry.pair, 5) == [0, 1, 1, -2, -3, 5]
-        and is_defective(entry.pair, 5)
-    )
-    items.append(
-        AuditItem(
-            "n=5(1)",
-            ok,
-            "N5_PSI(k=1,eps=1) -> (a,b)=(-1,-5): valid, u_0..u_5=[0,1,1,-2,-3,5], 5-defective",
+    items = []
+    for change_id, n, checks in _CHANGES:
+        results = [check(n, *args) for check, *args in checks]
+        items.append(
+            AuditItem(change_id, all(ok for ok, _ in results), "; ".join(ev for _, ev in results))
         )
-    )
-
-    ok, ev = _expect_duplicate(
-        5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), FamilyParams(k=0, eps=1)
-    )
-    items.append(AuditItem("n=5(2)", ok, ev))
-
-    ok, ev = _expect_invalid(
-        6, FamilyRowId.N6_Q, FamilyParams(q=-1), FailureKind.DEGENERATE_RATIO, (-2, -1)
-    )
-    items.append(AuditItem("n=6(1)", ok, ev))
-
-    ok1, ev1 = _expect_invalid(
-        6, FamilyRowId.N6_POW3, FamilyParams(l=1, q=-1), FailureKind.ZERO_A
-    )
-    ok2, ev2 = _expect_invalid(
-        6, FamilyRowId.N6_POW2, FamilyParams(k=1, q=-1), FailureKind.DEGENERATE_RATIO, (-1, -1)
-    )
-    items.append(AuditItem("n=6(2)", ok1 and ok2, f"{ev1}; {ev2}"))
-
-    ok1, ev1 = _boundary_eliminations(FamilyRowId.N8_RHO, (0, 1))
-    ok2, ev2 = _boundary_eliminations(FamilyRowId.N8_PI, (0, 1))
-    items.append(AuditItem("n=8", ok1 and ok2, f"no changes; {ev1}; {ev2}"))
-
-    entry = instantiate(FamilyRowId.N10_PSI, FamilyParams(k=1, eps=1))
-    ok = (
-        isinstance(entry, FamilyEntry)
-        and entry.raw_ab == (-5, -1)
-        and entry.canonical_ab == (5, 1)
-        and is_defective(entry.pair, 10)
-    )
-    items.append(
-        AuditItem(
-            "n=10(1)",
-            ok,
-            "N10_PSI(k=1,eps=1) -> (a,b)=(-5,-1), canonical (5,1): valid, 10-defective",
-        )
-    )
-
-    ok, ev = _expect_duplicate(
-        10, FamilyRowId.N10_PSI, FamilyParams(k=0, eps=-1), FamilyParams(k=0, eps=1)
-    )
-    items.append(AuditItem("n=10(2)", ok, ev))
-
-    expected_kinds = {
-        (FamilyRowId.N12_ZETA0, 0, 1): (FailureKind.ZERO_Q, None),
-        (FamilyRowId.N12_ZETA0, 0, -1): (FailureKind.ZERO_Q, None),
-        (FamilyRowId.N12_ZETA0, 1, 1): (FailureKind.ZERO_A, None),
-        (FamilyRowId.N12_ZETA0, 1, -1): (FailureKind.ZERO_B, None),
-        (FamilyRowId.N12_ZETA1, 0, 1): (FailureKind.DEGENERATE_RATIO, (2, 1)),
-        (FamilyRowId.N12_ZETA1, 0, -1): (FailureKind.DEGENERATE_RATIO, (2, 1)),
-        (FamilyRowId.N12_ZETA2, 0, 1): (FailureKind.DEGENERATE_RATIO, (1, 1)),
-        (FamilyRowId.N12_ZETA2, 0, -1): (FailureKind.DEGENERATE_RATIO, (3, 1)),
-    }
-    all_ok = True
-    notes = []
-    for (row, k, eps), (kind, pq) in expected_kinds.items():
-        ok, ev = _expect_invalid(12, row, FamilyParams(k=k, eps=eps), kind, pq)
-        all_ok = all_ok and ok
-        notes.append(ev)
-    items.append(AuditItem("n=12(2)", all_ok, "; ".join(notes)))
-
-    entry = instantiate(FamilyRowId.N12_ZETA3, FamilyParams(k=0, eps=1))
-    canon_set = {e.canonical_ab for e in enumerate_families(12, 5)}
-    ok = (
-        isinstance(entry, FamilyEntry)
-        and entry.raw_ab == (-1, -5)
-        and entry.canonical_ab == (1, 5)
-        and (1, 5) in canon_set
-        and is_defective(canonicalize(entry.pair), 12)
-    )
-    items.append(
-        AuditItem(
-            "n=12(3)",
-            ok,
-            "N12_ZETA3(k=0,eps=1) -> (a,b)=(-1,-5), canonical (1,5): enumerated at bound 5, 12-defective",
-        )
-    )
     return items

@@ -54,8 +54,14 @@ class DefectWitness:
     primitive_primes: tuple[int, ...] | None = None
 
 
-def _u_and_product(a: int, b: int, n: int) -> tuple[int, int]:
-    """(u_n, |a*b*u_1*...*u_{n-1}|) by the parity recurrence."""
+def _decide(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """(u_n, |a*b*u_1*...*u_{n-1}|, residual) for the (already validated) pair.
+
+    u_n comes from the parity recurrence; the residual is |u_n| stripped by
+    gcd with the nonprimitive product until coprime.
+    """
+    if n < 3:
+        raise UnsupportedIndexError(f"defectiveness is defined for n >= 3, got {n}")
     q = (a - b) // 4
     d = a * b
     if d < 0:
@@ -65,37 +71,24 @@ def _u_and_product(a: int, b: int, n: int) -> tuple[int, int]:
         if i != 2:
             d *= cur if cur >= 0 else -cur
         prev, cur = cur, (a * cur if i & 1 else cur) - q * prev
-    return cur, d
-
-
-def _strip(m: int, d: int) -> int:
+    m = cur if cur >= 0 else -cur
+    if m == 0 or d == 0:
+        raise ArithmeticError(f"zero element for ({a}, {b}); pair is degenerate")
     g = gcd(m, d)
     while g > 1:
         m //= g
         g = gcd(m, d)
-    return m
+    return cur, d, m
 
 
 def residual_after_stripping(a: int, b: int, n: int) -> int:
     """Primitive part of |u_n| for the (already validated) pair (a, b)."""
-    if n < 3:
-        raise UnsupportedIndexError(f"defectiveness is defined for n >= 3, got {n}")
-    u, d = _u_and_product(a, b, n)
-    m = u if u >= 0 else -u
-    if m == 0 or d == 0:
-        raise ArithmeticError(f"zero element for ({a}, {b}); pair is degenerate")
-    return _strip(m, d)
+    return _decide(a, b, n)[2]
 
 
 def defect_witness(pair: LehmerPair, n: int, factor_residual: bool = False) -> DefectWitness:
     """Decide n-defectiveness by gcd stripping; optionally factor the residual."""
-    if n < 3:
-        raise UnsupportedIndexError(f"defectiveness is defined for n >= 3, got {n}")
-    u, d = _u_and_product(pair.a, pair.b, n)
-    m = u if u >= 0 else -u
-    if m == 0 or d == 0:
-        raise ArithmeticError(f"zero element for {pair}; pair is degenerate")
-    residual = _strip(m, d)
+    u, d, residual = _decide(pair.a, pair.b, n)
     witness = DefectWitness(pair, n, u, d, residual, residual == 1)
     if factor_residual:
         witness = replace(witness, primitive_primes=tuple(sorted(factorize(residual))))

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import lehmerdefect
+from lehmerdefect import cli
 from lehmerdefect.pairs import lehmer_number, require_pair
 from lehmerdefect.sequences import SequenceId, seq_eval
 
@@ -42,6 +48,27 @@ class TestBasics:
         assert (code, err, limit()) == (0, "", before)
         # Decimal parses and compares without the int/str digit limit.
         assert len(out) > 4300 and Decimal(out) == value()
+
+
+    def test_runs_in_one_process_match_standalone_runs(self, monkeypatch):
+        # The parser is built once per process: a usage error, check, --help
+        # and verify in a row must each behave as in a process of its own.
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width
+        env = {**os.environ, "PYTHONPATH": str(Path(lehmerdefect.__file__).parents[1])}
+        for argv in (
+            ["search", "5"],
+            ["check", "35", "-29", "6", "--format", "json"],
+            ["--help"],
+            ["verify", "4", "--bound", "30"],
+        ):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+                code = cli.run(argv, stdout=buf, stderr=buf)
+            alone = subprocess.run(
+                [sys.executable, "-m", "lehmerdefect", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (code, buf.getvalue()) == (alone.returncode, alone.stdout + alone.stderr), argv
 
 
 class TestErrors:

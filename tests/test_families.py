@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lehmerdefect.families import (
@@ -197,6 +199,52 @@ class TestEnumerate:
         for e in enumerate_families(10, 300):
             seq = SequenceId.PHI if e.row is R.N10_PHI else SequenceId.PSI
             assert e.pair.q == -seq_eval(seq, e.params.k)
+
+
+ROW_FIELDS = {
+    R.N3_Q: ("q",),
+    R.N3_POW3: ("k", "q"),
+    R.N4_Q: ("q",),
+    R.N4_POW2: ("k", "q"),
+    R.N5_PHI: ("k", "eps"),
+    R.N5_PSI: ("k", "eps"),
+    R.N6_Q: ("q",),
+    R.N6_POW3: ("l", "q"),
+    R.N6_POW2: ("k", "q"),
+    R.N6_POW6: ("k", "l", "q"),
+    R.N8_RHO: ("k", "eps"),
+    R.N8_PI: ("k", "eps"),
+    R.N10_PHI: ("k", "eps"),
+    R.N10_PSI: ("k", "eps"),
+    R.N12_ZETA0: ("k", "eps"),
+    R.N12_ZETA1: ("k", "eps"),
+    R.N12_ZETA2: ("k", "eps"),
+    R.N12_ZETA3: ("k", "eps"),
+}
+GRID = {"k": range(-1, 14), "l": range(-1, 9), "q": range(-602, 603), "eps": (1, -1)}
+
+
+class TestRowsAgreeWithSideConditions:
+    """Enumeration admits exactly the tuples instantiate accepts in bound."""
+
+    @pytest.mark.parametrize("n", SUPPORTED_N)
+    def test_enumeration_equals_accepted_grid(self, n):
+        bound = 300
+        entries, anomalies = enumerate_with_anomalies(n, bound)
+        got = [(e.row, e.params) for e in entries]
+        got += [(s.row, s.params) for e in entries for s in e.provenance]
+        got += [(row, params) for row, params, _, _ in anomalies]
+        want = []
+        for row in family_rows(n):
+            names = ROW_FIELDS[row]
+            for values in itertools.product(*(GRID[name] for name in names)):
+                params = FamilyParams(**dict(zip(names, values)))
+                if isinstance(instantiate(row, params), ConstraintViolation):
+                    continue
+                if max(map(abs, raw_ab(row, params))) <= bound:
+                    want.append((row, params))
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
 
 
 class TestLiteralTenFormulas:

@@ -264,6 +264,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             search_with_checkpoint(3, 200, path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda v: b"%d\t %d\t%d\t%d" % v,
+            lambda v: b"+%d\t%d\t%d\t%d" % v,
+            lambda v: b"%d\t%d_%d\t%d\t%d" % (v[0], v[1] // 10, v[1] % 10, *v[2:]),
+            lambda v: b"0%d\t%d\t%d\t%d" % v,
+            lambda v: b"%d\t%d\t%d\t%d\r" % v,
+        ],
+    )
+    def test_state_line_must_be_as_written(self, tmp_path, edit):
+        # int() reads each edited line as the original values; the resume
+        # would then keep bytes an uninterrupted run never writes.
+        path = tmp_path / "strict.ckpt"
+        search_with_checkpoint(3, 200, path, stop_after_chunks=2)
+        header, first, second = path.read_bytes().splitlines()
+        values = tuple(int(x) for x in second.split(b"\t"))
+        assert values[:3] == (3, 33, 64)
+        path.write_bytes(b"\n".join([header, first, edit(values), b""]))
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(3, 200, path)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda line: b"0" + line, lambda line: line.replace(b"\t", b"\t0")]
+    )
+    def test_hit_line_must_be_as_written(self, tmp_path, edit):
+        path = tmp_path / "strict.ckpt"
+        search_with_checkpoint(3, 200, path, stop_after_chunks=2)
+        hits_path = tmp_path / "strict.ckpt.hits"
+        lines = hits_path.read_bytes().splitlines(keepends=True)
+        assert lines[-1] == b"64\t132\n"
+        hits_path.write_bytes(b"".join(lines[:-1]) + edit(lines[-1]))
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(3, 200, path)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "clash.ckpt"
         search_with_checkpoint(5, 150, path, stop_after_chunks=1)
