@@ -24,6 +24,7 @@ LEHMERDEFECT_JOBS sets the default worker count; --jobs wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -96,66 +97,44 @@ def _jobs_of(ns) -> int:
     return max(1, int(os.environ.get("LEHMERDEFECT_JOBS", "1")))
 
 
-def _params_doc(params: families.FamilyParams) -> dict:
-    return {
-        name: getattr(params, name)
-        for name in ("k", "l", "q", "eps")
-        if getattr(params, name) is not None
-    }
+def _row_doc(x, **rest) -> dict:
+    """JSON of x's row and params (x a FamilyEntry or TableFailure), then rest."""
+    return {"row": x.row.value, "params": x.params.as_dict(), **rest}
 
 
 def _cell(v: int | None) -> int | str:
     return "-" if v is None else v
 
 
-def _entry_doc(e: families.FamilyEntry) -> dict:
-    return {
-        "row": e.row.value,
-        "params": _params_doc(e.params),
-        "raw_a": str(e.raw_ab[0]),
-        "raw_b": str(e.raw_ab[1]),
-        "canonical_a": str(e.canonical_ab[0]),
-        "canonical_b": str(e.canonical_ab[1]),
-        "provenance": [
-            {"row": s.row.value, "params": _params_doc(s.params)} for s in e.provenance
-        ],
-    }
-
-
-def _provenance_cell(e: families.FamilyEntry) -> str:
-    if not e.provenance:
-        return "-"
-    return ";".join(f"{s.row.value}({s.params.compact()})" for s in e.provenance)
-
-
-def _emit_check(witness: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
-    primes = witness.primitive_primes or ()
+def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
+    primes = w.primitive_primes
     if fmt == "json":
         doc = {
-            "a": str(witness.pair.a),
-            "b": str(witness.pair.b),
-            "n": witness.n,
-            "u_n": str(witness.u_n),
-            "nonprim_product": str(witness.nonprim_product),
-            "residual": str(witness.residual),
-            "defective": witness.defective,
+            "a": str(w.pair.a),
+            "b": str(w.pair.b),
+            "n": w.n,
+            "u_n": str(w.u_n),
+            "nonprim_product": str(w.nonprim_product),
+            "residual": str(w.residual),
+            "defective": w.defective,
             "primitive_primes": [str(p) for p in primes],
         }
         out.write(json.dumps(doc) + "\n")
-    elif fmt == "tsv":
-        out.write("# a\tb\tn\tu_n\tnonprim_product\tresidual\tdefective\tprimitive_primes\n")
-        out.write(
-            f"{witness.pair.a}\t{witness.pair.b}\t{witness.n}\t{witness.u_n}\t"
-            f"{witness.nonprim_product}\t{witness.residual}\t"
-            f"{str(witness.defective).lower()}\t{','.join(str(p) for p in primes)}\n"
-        )
+        return
+    fields = {
+        "n": w.n,
+        "u_n": w.u_n,
+        "nonprim_product": w.nonprim_product,
+        "residual": w.residual,
+        "defective": str(w.defective).lower(),
+    }
+    if fmt == "tsv":
+        out.write("# a\tb\t" + "\t".join(fields) + "\tprimitive_primes\n")
+        cells = (w.pair.a, w.pair.b, *fields.values(), ",".join(map(str, primes)))
+        out.write("\t".join(map(str, cells)) + "\n")
     else:
-        out.write(f"pair: ({witness.pair.a}, {witness.pair.b})\n")
-        out.write(f"n: {witness.n}\n")
-        out.write(f"u_n: {witness.u_n}\n")
-        out.write(f"nonprim_product: {witness.nonprim_product}\n")
-        out.write(f"residual: {witness.residual}\n")
-        out.write(f"defective: {str(witness.defective).lower()}\n")
+        out.write(f"pair: ({w.pair.a}, {w.pair.b})\n")
+        out.write("".join(f"{name}: {v}\n" for name, v in fields.items()))
         out.write(f"primitive_primes: {list(primes)}\n")
 
 
@@ -165,16 +144,27 @@ def _emit_family(n: int, bound: int, entries, fmt: str, out: IO[str]) -> None:
             "n": n,
             "bound": bound,
             "count": len(entries),
-            "entries": [_entry_doc(e) for e in entries],
+            "entries": [
+                _row_doc(
+                    e,
+                    raw_a=str(e.raw_ab[0]),
+                    raw_b=str(e.raw_ab[1]),
+                    canonical_a=str(e.canonical_ab[0]),
+                    canonical_b=str(e.canonical_ab[1]),
+                    provenance=[_row_doc(s) for s in e.provenance],
+                )
+                for e in entries
+            ],
         }
         out.write(json.dumps(doc) + "\n")
     elif fmt == "tsv":
         lines = ["# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"]
         for e in entries:
             p, (ra, rb), (ca, cb) = e.params, e.raw_ab, e.canonical_ab
+            prov = ";".join([s.row.label(s.params) for s in e.provenance]) or "-"
             lines.append(
                 f"{n}\t{e.row.value}\t{_cell(p.k)}\t{_cell(p.l)}\t{_cell(p.q)}\t{_cell(p.eps)}\t"
-                f"{ra}\t{rb}\t{ca}\t{cb}\t{_provenance_cell(e)}\n"
+                f"{ra}\t{rb}\t{ca}\t{cb}\t{prov}\n"
             )
         out.write("".join(lines))
     else:
@@ -195,24 +185,13 @@ def _emit_search(result: harness.SearchResult, fmt: str, out: IO[str]) -> None:
             "pairs": [[str(a), str(b)] for a, b in result.pairs],
         }
         out.write(json.dumps(doc) + "\n")
-    elif fmt == "tsv":
-        out.write("# a\tb\n")
-        for a, b in result.pairs:
-            out.write(f"{a}\t{b}\n")
+        return
+    if fmt == "tsv":
+        head, sep = "# a\tb\n", "\t"
     else:
-        out.write(f"n={result.n} bound={result.bound} count={len(result.pairs)}\n")
-        for a, b in result.pairs:
-            out.write(f"{a} {b}\n")
-
-
-def _failure_doc(f: harness.TableFailure) -> dict:
-    return {
-        "row": f.row.value,
-        "params": _params_doc(f.params),
-        "raw_a": str(f.raw_ab[0]),
-        "raw_b": str(f.raw_ab[1]),
-        "reason": f.reason,
-    }
+        head, sep = f"n={result.n} bound={result.bound} count={len(result.pairs)}\n", " "
+    out.write(head)
+    out.writelines(f"{a}{sep}{b}\n" for a, b in result.pairs)
 
 
 def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> None:
@@ -223,11 +202,14 @@ def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> N
             "matched_count": report.matched_count,
             "exact_agreement": report.exact_agreement,
             "missing_from_table": [[str(a), str(b)] for a, b in report.missing_from_table],
-            "table_failures": [_failure_doc(f) for f in report.table_failures],
+            "table_failures": [
+                _row_doc(f, raw_a=str(f.raw_ab[0]), raw_b=str(f.raw_ab[1]), reason=f.reason)
+                for f in report.table_failures
+            ],
             "equivalent_duplicates": [
                 {
-                    "kept": {"row": kept.row.value, "params": _params_doc(kept.params)},
-                    "shadow": {"row": sh.row.value, "params": _params_doc(sh.params)},
+                    "kept": _row_doc(kept),
+                    "shadow": _row_doc(sh),
                     "canonical_a": str(kept.canonical_ab[0]),
                     "canonical_b": str(kept.canonical_ab[1]),
                 }
@@ -235,41 +217,34 @@ def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> N
             ],
         }
         out.write(json.dumps(doc) + "\n")
-    elif fmt == "tsv":
-        out.write("# kind\ta\tb\tdetail\n")
-        out.write(
-            f"summary\t-\t-\tn={report.n} bound={report.bound} "
-            f"matched={report.matched_count} "
-            f"exact_agreement={str(report.exact_agreement).lower()}\n"
-        )
+        return
+    summary = (
+        f"n={report.n} bound={report.bound} matched={report.matched_count} "
+        f"exact_agreement={str(report.exact_agreement).lower()}"
+    )
+    if fmt == "tsv":
+        out.write(f"# kind\ta\tb\tdetail\nsummary\t-\t-\t{summary}\n")
         for a, b in report.missing_from_table:
             out.write(f"missing\t{a}\t{b}\t-\n")
         for f in report.table_failures:
             out.write(
-                f"table_failure\t{f.raw_ab[0]}\t{f.raw_ab[1]}\t"
-                f"{f.row.value}({f.params.compact()}) {f.reason}\n"
+                f"table_failure\t{f.raw_ab[0]}\t{f.raw_ab[1]}\t{f.row.label(f.params)} {f.reason}\n"
             )
         for kept, sh in report.equivalent_duplicates:
             out.write(
                 f"equivalent_duplicate\t{kept.canonical_ab[0]}\t{kept.canonical_ab[1]}\t"
-                f"kept={kept.row.value}({kept.params.compact()}) "
-                f"shadow={sh.row.value}({sh.params.compact()})\n"
+                f"kept={kept.row.label(kept.params)} shadow={sh.row.label(sh.params)}\n"
             )
     else:
-        out.write(
-            f"n={report.n} bound={report.bound} matched={report.matched_count} "
-            f"exact_agreement={str(report.exact_agreement).lower()}\n"
-        )
+        out.write(f"{summary}\n")
         for a, b in report.missing_from_table:
             out.write(f"missing from table: ({a}, {b})\n")
         for f in report.table_failures:
-            out.write(
-                f"table failure: {f.row.value}({f.params.compact()}) raw={f.raw_ab} {f.reason}\n"
-            )
+            out.write(f"table failure: {f.row.label(f.params)} raw={f.raw_ab} {f.reason}\n")
         for kept, sh in report.equivalent_duplicates:
             out.write(
-                f"equivalent duplicate: kept {kept.row.value}({kept.params.compact()}) "
-                f"shadow {sh.row.value}({sh.params.compact()}) at {kept.canonical_ab}\n"
+                f"equivalent duplicate: kept {kept.row.label(kept.params)} "
+                f"shadow {sh.row.label(sh.params)} at {kept.canonical_ab}\n"
             )
 
 
@@ -312,61 +287,47 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        ns = _parser().parse_args(list(argv))
+        with contextlib.redirect_stdout(out):
+            ns = _parser().parse_args(list(argv))
     except _UsageError as e:
         err.write(f"error: {e}\n")
         return 1
-    except SystemExit as e:  # --help
-        return 0 if e.code in (0, None) else 1
+    except SystemExit:  # --help, printed to out; usage errors raise _UsageError
+        return 0
 
     try:
         if ns.command == "seq":
             out.write(f"{sequences.seq_eval(sequences.SequenceId(ns.id), ns.k)}\n")
-            return 0
-        if ns.command == "u":
+        elif ns.command == "u":
+            out.write(f"{pairs.lehmer_number(pairs.require_pair(ns.a, ns.b), ns.n)}\n")
+        elif ns.command == "check":
             pair = pairs.require_pair(ns.a, ns.b)
-            out.write(f"{pairs.lehmer_number(pair, ns.n)}\n")
-            return 0
-        if ns.command == "check":
-            pair = pairs.require_pair(ns.a, ns.b)
-            witness = primdiv.defect_witness(pair, ns.n, factor_residual=True)
-            _emit_check(witness, ns.format, out)
-            return 0
-        if ns.command == "family":
-            if ns.bound < 0:
-                raise ValueError(f"bound must be nonnegative, got {ns.bound}")
+            _emit_check(primdiv.defect_witness(pair, ns.n), ns.format, out)
+        elif ns.command == "family":
             entries = families.enumerate_families(ns.n, ns.bound)
             _emit_family(ns.n, ns.bound, entries, ns.format, out)
-            return 0
-        if ns.command == "search":
+        elif ns.command == "search":
             if ns.checkpoint is not None:
                 result = harness.search_with_checkpoint(
                     ns.n, ns.bound, ns.checkpoint, jobs=_jobs_of(ns)
                 )
-                assert result is not None  # no stop_after_chunks from the CLI
             else:
                 result = harness.search_defective(ns.n, ns.bound, jobs=_jobs_of(ns))
             _emit_search(result, ns.format, out)
-            return 0
-        if ns.command == "verify":
+        elif ns.command == "verify":
             report = harness.verify_table(ns.n, ns.bound, jobs=_jobs_of(ns))
             _emit_verify(report, ns.format, out)
             return 0 if report.exact_agreement else 2
-        if ns.command == "audit":
+        else:  # audit, the one command left
             items = harness.audit_changes()
             _emit_audit(items, ns.format, out)
             return 0 if all(i.passed for i in items) else 2
-    except (
-        ValueError,
-        OSError,
-        pairs.InvalidPairError,
-        families.UnsupportedNError,
-        primdiv.UnsupportedIndexError,
-        harness.CheckpointMismatchError,
-    ) as e:
+        return 0
+    # The package's own errors (invalid pair, unsupported n or index, ...)
+    # subclass ValueError.
+    except (ValueError, OSError, harness.CheckpointMismatchError) as e:
         err.write(f"error: {e}\n")
         return 1
-    raise AssertionError(f"unhandled command {ns.command!r}")
 
 
 def main() -> None:

@@ -80,6 +80,9 @@ class FamilyRowId(str, Enum):
     N12_ZETA2 = "N12_ZETA2"
     N12_ZETA3 = "N12_ZETA3"
 
+    def label(self, params: FamilyParams) -> str:
+        return f"{self.value}({params.compact()})"
+
 
 @dataclass(frozen=True, slots=True)
 class FamilyParams:
@@ -94,13 +97,12 @@ class FamilyParams:
         if self.eps is not None and self.eps not in (-1, 1):
             raise ValueError(f"eps must be -1 or +1, got {self.eps}")
 
+    def as_dict(self) -> dict[str, int]:
+        """The set fields by name, in (k, l, q, eps) order."""
+        return {f: v for f in ("k", "l", "q", "eps") if (v := getattr(self, f)) is not None}
+
     def compact(self) -> str:
-        parts = []
-        for name in ("k", "l", "q", "eps"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}={v}")
-        return ",".join(parts)
+        return ",".join(f"{name}={v}" for name, v in self.as_dict().items())
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,14 +258,16 @@ class _Row:
         return None
 
     def params_within(self, bound: int) -> Iterator[tuple[FamilyParams, tuple[int, int]]]:
-        """(params, raw pair) of every admissible tuple that may land within
-        the bound, in (k/l, q, eps) order; linear rows yield only in-bound pairs."""
+        """(params, raw pair) of every admissible tuple with max(|a|, |b|) <=
+        bound, in (k/l, q, eps) order."""
         if self.seq is not None:
             for k in _seq_ks(self.qseq or self.seq, self.k_min, bound):
                 for eps in (1, -1):
                     if (k, eps) not in self.excluded:
                         p = FamilyParams(k=k, eps=eps)
-                        yield p, self.formula(p)
+                        a, b = ab = self.formula(p)
+                        if abs(a) <= bound and abs(b) <= bound:
+                            yield p, ab
             return
         c = self.coprime_to
         m_a, m_b = self.m
@@ -360,17 +364,14 @@ def enumerate_with_anomalies(
     order plus any in-bound tuples that failed pair validation.  Duplicate
     canonical pairs keep the first entry; later hits land in its provenance.
     """
-    if n not in SUPPORTED_N:
-        raise UnsupportedNError(f"no classified families for n={n}")
+    rows = family_rows(n)
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     entries: list[FamilyEntry] = []
     anomalies: list[tuple[FamilyRowId, FamilyParams, tuple[int, int], ValidationFailure]] = []
     index: dict[tuple[int, int], int] = {}
-    for row in family_rows(n):
+    for row in rows:
         for params, raw in _ROWS[row].params_within(bound):
-            if max(abs(raw[0]), abs(raw[1])) > bound:
-                continue
             built = _build_entry(n, row, params, raw)
             if isinstance(built, ValidationFailure):
                 anomalies.append((row, params, raw, built))
@@ -411,11 +412,10 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
             f"({params.compact()}) is not an explicit exclusion of {row.value} at n={n}"
         )
     raw = d.formula(params)
-    res = validate_ab(*raw)
-    if isinstance(res, ValidationFailure):
-        return InvalidPair(res)
-    canon = canonicalize(res)
+    built = _build_entry(n, row, params, raw)
+    if isinstance(built, ValidationFailure):
+        return InvalidPair(built)
     for entry in enumerate_families(n, max(abs(raw[0]), abs(raw[1]))):
-        if entry.canonical_ab == (canon.a, canon.b):
+        if entry.canonical_ab == built.canonical_ab:
             return DuplicateOf(entry.row, entry.params, entry.canonical_ab)
-    return Unexplained(raw, (canon.a, canon.b))
+    return Unexplained(raw, built.canonical_ab)

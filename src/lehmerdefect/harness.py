@@ -57,20 +57,20 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
 from pathlib import Path
 
 from .families import (
-    SUPPORTED_N,
     DuplicateOf,
     FamilyEntry,
     FamilyParams,
     FamilyRowId,
     InvalidPair,
-    UnsupportedNError,
     audit_exclusion,
     enumerate_families,
     enumerate_with_anomalies,
+    family_rows,
     instantiate,
     raw_ab,
 )
@@ -103,7 +103,13 @@ class TableFailure:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Outcome of comparing the search against the family tables."""
+    """Outcome of comparing the search against the family tables.
+
+    A table failure's reason is "invalid:<kind>" for an in-bound tuple whose
+    pair fails validate_ab, "not_defective:residual=<r>" for an entry the
+    gcd strip leaves r > 1, or "missed_by_search" for a defective entry the
+    search did not find.
+    """
 
     n: int
     bound: int
@@ -133,8 +139,7 @@ class CheckpointMismatchError(RuntimeError):
 
 
 def _check_args(n: int, bound: int) -> None:
-    if n not in SUPPORTED_N:
-        raise UnsupportedNError(f"no classified families for n={n}")
+    family_rows(n)  # raises UnsupportedNError for an n with no classified families
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
 
@@ -177,21 +182,21 @@ def _roots(coeffs: tuple[int, ...], a: int, targets: list[int]):
 
 
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
-    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b).
+    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
+    1 <= a_from <= a_to <= bound, as _chunks makes them.
 
     Solves Phi_n(a, q) = +-T for every product T of primes of n, within the
     primes' caps, up to the largest |Phi_n| in the chunk's box (see the
     module docstring).
     """
     coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
-    a_lo, a_hi = max(1, a_from), min(a_to, bound)
-    q_max = (a_hi + bound) // 4  # largest |q| in the chunk's box
+    q_max = (a_to + bound) // 4  # largest |q| in the chunk's box
     deg = len(coeffs) - 1
     # t_max >= |Phi_n(a, q)| anywhere in the chunk's box (triangle inequality).
-    t_max = sum(abs(c) * a_hi ** (deg - i) * q_max**i for i, c in enumerate(coeffs))
+    t_max = sum(abs(c) * a_to ** (deg - i) * q_max**i for i, c in enumerate(coeffs))
     targets = [s * t for t in _products_up_to(prime_caps, t_max) for s in (1, -1)]
     hits: list[tuple[int, int]] = []
-    for a in range(a_lo, a_hi + 1):
+    for a in range(a_from, a_to + 1):
         q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
         roots = {q for q in _roots(coeffs, a, targets) if q_lo <= q <= q_hi}
         for q in sorted(roots, reverse=True):  # descending q = ascending b
@@ -201,10 +206,6 @@ def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, i
             if residual_after_stripping(a, b, n) == 1:
                 hits.append((a, b))
     return hits
-
-
-def _scan_worker(args: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-    return _scan_range(*args)
 
 
 def _chunks(bound: int) -> list[tuple[int, int]]:
@@ -224,9 +225,9 @@ def _run_chunks(n, chunks, bound, jobs):
         for lo, hi in chunks:
             yield _scan_range(n, lo, hi, bound)
     else:
-        args = [(n, lo, hi, bound) for lo, hi in chunks]
+        los, his = zip(*chunks)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            yield from ex.map(_scan_worker, args)
+            yield from ex.map(_scan_range, repeat(n), los, his, repeat(bound))
 
 
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
@@ -354,38 +355,37 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     """Compare search_defective against enumerate_families up to equivalence.
 
     Mismatches are classified, never raised: pairs the search found with no
-    table entry, table entries that fail validation or are not defective, and
-    equivalent duplicates within the table.
+    table entry, table failures (in-bound tuples that fail validation as
+    "invalid:<kind>", entries that are not defective as
+    "not_defective:residual=<r>", defective entries the search did not find
+    as "missed_by_search") and equivalent duplicates within the table.
     """
-    _check_args(n, bound)
     result = search_defective(n, bound, jobs)
     entries, anomalies = enumerate_with_anomalies(n, bound)
     failures = [
         TableFailure(row, params, raw, f"invalid:{fail.describe()}")
         for row, params, raw, fail in anomalies
     ]
-    search_set = set(result.pairs)
+    # Built after the enumeration, so the two large structures do not both
+    # grow at once.
+    unmatched = set(result.pairs)
     for e in entries:
-        if e.canonical_ab in search_set:
+        if e.canonical_ab in unmatched:
             # The search found residual 1 for this class; |u_n| and |ab| are
             # unchanged by (a, b) -> (-a, -b), so the strip would agree.
+            unmatched.remove(e.canonical_ab)
             continue
         residual = residual_after_stripping(e.raw_ab[0], e.raw_ab[1], n)
-        if residual != 1:
-            failures.append(
-                TableFailure(e.row, e.params, e.raw_ab, f"not_defective:residual={residual}")
-            )
-    duplicates = tuple((e, shadow) for e in entries if e.provenance for shadow in e.provenance)
-    table_canon = {e.canonical_ab for e in entries}
-    missing = tuple(p for p in result.pairs if p not in table_canon)
-    matched = len(table_canon & search_set)
+        reason = "missed_by_search" if residual == 1 else f"not_defective:residual={residual}"
+        failures.append(TableFailure(e.row, e.params, e.raw_ab, reason))
+    missing = tuple(p for p in result.pairs if p in unmatched)
     return DiscrepancyReport(
         n=n,
         bound=bound,
         missing_from_table=missing,
         table_failures=tuple(failures),
-        equivalent_duplicates=duplicates,
-        matched_count=matched,
+        equivalent_duplicates=tuple((e, shadow) for e in entries for shadow in e.provenance),
+        matched_count=len(result.pairs) - len(missing),
     )
 
 
@@ -400,18 +400,18 @@ def _expect_invalid(n, row, params, kind, pq=None) -> tuple[bool, str]:
     if ok and pq is not None:
         ok = reason.failure.pq == pq
     detail = reason.failure.describe() if isinstance(reason, InvalidPair) else f"{reason!r}"
-    return ok, f"{row.value}({params.compact()}) -> (a,b)={raw_ab(row, params)}: {detail}"
+    return ok, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
 def _expect_duplicate(n, row, params, of_params) -> tuple[bool, str]:
     reason = audit_exclusion(n, row, params)
     ok = isinstance(reason, DuplicateOf) and reason.row is row and reason.params == of_params
     detail = (
-        f"duplicate of {reason.row.value}({reason.params.compact()}) at {reason.canonical_ab}"
+        f"duplicate of {reason.row.label(reason.params)} at {reason.canonical_ab}"
         if isinstance(reason, DuplicateOf)
         else f"{reason!r}"
     )
-    return ok, f"{row.value}({params.compact()}) -> (a,b)={raw_ab(row, params)}: {detail}"
+    return ok, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
 def _expect_boundary_invalid(n, row, ks) -> tuple[bool, str]:

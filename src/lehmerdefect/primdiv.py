@@ -26,7 +26,7 @@ quadratic forms the exponents of those primes are also capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .pairs import LehmerPair
@@ -42,7 +42,6 @@ class DefectWitness:
 
     residual is the primitive part of |u_n| (coprime to the nonprimitive
     product, divides |u_n|); the pair is defective iff residual == 1.
-    primitive_primes is filled only when factorization was requested.
     """
 
     pair: LehmerPair
@@ -50,8 +49,15 @@ class DefectWitness:
     u_n: int
     nonprim_product: int
     residual: int
-    defective: bool
-    primitive_primes: tuple[int, ...] | None = None
+
+    @property
+    def defective(self) -> bool:
+        return self.residual == 1
+
+    @property
+    def primitive_primes(self) -> tuple[int, ...]:
+        """The primitive prime divisors of u_n, ascending; factors the residual."""
+        return tuple(factorize(self.residual))
 
 
 def _decide(a: int, b: int, n: int) -> tuple[int, int, int]:
@@ -86,13 +92,9 @@ def residual_after_stripping(a: int, b: int, n: int) -> int:
     return _decide(a, b, n)[2]
 
 
-def defect_witness(pair: LehmerPair, n: int, factor_residual: bool = False) -> DefectWitness:
-    """Decide n-defectiveness by gcd stripping; optionally factor the residual."""
-    u, d, residual = _decide(pair.a, pair.b, n)
-    witness = DefectWitness(pair, n, u, d, residual, residual == 1)
-    if factor_residual:
-        witness = replace(witness, primitive_primes=tuple(sorted(factorize(residual))))
-    return witness
+def defect_witness(pair: LehmerPair, n: int) -> DefectWitness:
+    """Decide n-defectiveness by gcd stripping."""
+    return DefectWitness(pair, n, *_decide(pair.a, pair.b, n))
 
 
 def is_defective(pair: LehmerPair, n: int) -> bool:
@@ -101,9 +103,7 @@ def is_defective(pair: LehmerPair, n: int) -> bool:
 
 def primitive_divisors(pair: LehmerPair, n: int) -> list[int]:
     """Sorted primitive prime divisors of u_n; empty iff n-defective."""
-    primes = defect_witness(pair, n, factor_residual=True).primitive_primes
-    assert primes is not None
-    return list(primes)
+    return list(defect_witness(pair, n).primitive_primes)
 
 
 # n -> (coefficients of Phi_n(p, q) on p^d, p^(d-1) q, ..., q^d;

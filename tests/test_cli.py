@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import lehmerdefect
-from lehmerdefect import cli
+from lehmerdefect import cli, families, harness
+from lehmerdefect.families import FamilyEntry, FamilyParams, FamilyRowId
 from lehmerdefect.pairs import lehmer_number, require_pair
 from lehmerdefect.sequences import SequenceId, seq_eval
 
@@ -32,7 +34,10 @@ class TestBasics:
         assert (code, out) == (0, "144\n")
 
     def test_module_help(self, run_cli):
-        assert run_cli("--help")[0] == 0
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "") and out.startswith("usage: lehmerdefect")
+        code, out, _ = run_cli("search", "--help")
+        assert code == 0 and "--checkpoint" in out
 
     @pytest.mark.parametrize(
         "argv, value",
@@ -88,6 +93,10 @@ class TestErrors:
     def test_unsupported_n(self, run_cli):
         code, _, err = run_cli("verify", "7", "--bound", "10")
         assert code == 1 and "n=7" in err
+
+    def test_family_unsupported_n_before_bound(self, run_cli):
+        code, out, err = run_cli("family", "7", "--bound", "-1")
+        assert (code, out) == (1, "") and "n=7" in err
 
     def test_check_low_index(self, run_cli):
         code, _, err = run_cli("check", "1", "5", "2")
@@ -202,6 +211,117 @@ class TestGoldenOutputs:
         assert code == 0
         assert "n=5(1) PASS" in out
         assert out.rstrip().endswith("all_passed: true")
+
+
+_KEPT = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=1), (3, -5), (3, -5))
+_SHADOW = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), (-3, 5), (3, -5))
+
+
+class TestRenderings:
+    """Report shapes the shipped table never produces, in every format.
+
+    verify_table and enumerate_families are replaced by fixed results so the
+    missing-pair, failure, duplicate and provenance renderings stay pinned.
+    """
+
+    REPORT = harness.DiscrepancyReport(
+        n=5,
+        bound=9,
+        missing_from_table=((9, 1),),
+        table_failures=(
+            harness.TableFailure(FamilyRowId.N5_PHI, FamilyParams(k=3, eps=1), (1, -7), "invalid:ZeroA"),
+            harness.TableFailure(
+                FamilyRowId.N5_PSI, FamilyParams(k=1, eps=1), (-1, -5), "not_defective:residual=11"
+            ),
+        ),
+        equivalent_duplicates=((_KEPT, _SHADOW),),
+        matched_count=4,
+    )
+    ENTRIES = [
+        replace(
+            _KEPT,
+            provenance=(
+                _SHADOW,
+                FamilyEntry(5, FamilyRowId.N5_PHI, FamilyParams(k=3, eps=-1), (3, -5), (3, -5)),
+            ),
+        ),
+        FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=1, eps=1), (-1, -5), (1, 5)),
+    ]
+
+    @pytest.mark.parametrize(
+        "fmt, want",
+        [
+            (
+                "text",
+                "n=5 bound=9 matched=4 exact_agreement=false\n"
+                "missing from table: (9, 1)\n"
+                "table failure: N5_PHI(k=3,eps=1) raw=(1, -7) invalid:ZeroA\n"
+                "table failure: N5_PSI(k=1,eps=1) raw=(-1, -5) not_defective:residual=11\n"
+                "equivalent duplicate: kept N5_PSI(k=0,eps=1) shadow N5_PSI(k=0,eps=-1) at (3, -5)\n",
+            ),
+            (
+                "tsv",
+                "# kind\ta\tb\tdetail\n"
+                "summary\t-\t-\tn=5 bound=9 matched=4 exact_agreement=false\n"
+                "missing\t9\t1\t-\n"
+                "table_failure\t1\t-7\tN5_PHI(k=3,eps=1) invalid:ZeroA\n"
+                "table_failure\t-1\t-5\tN5_PSI(k=1,eps=1) not_defective:residual=11\n"
+                "equivalent_duplicate\t3\t-5\tkept=N5_PSI(k=0,eps=1) shadow=N5_PSI(k=0,eps=-1)\n",
+            ),
+            (
+                "json",
+                '{"n": 5, "bound": 9, "matched_count": 4, "exact_agreement": false, '
+                '"missing_from_table": [["9", "1"]], "table_failures": ['
+                '{"row": "N5_PHI", "params": {"k": 3, "eps": 1}, "raw_a": "1", "raw_b": "-7", '
+                '"reason": "invalid:ZeroA"}, '
+                '{"row": "N5_PSI", "params": {"k": 1, "eps": 1}, "raw_a": "-1", "raw_b": "-5", '
+                '"reason": "not_defective:residual=11"}], '
+                '"equivalent_duplicates": [{"kept": {"row": "N5_PSI", "params": {"k": 0, "eps": 1}}, '
+                '"shadow": {"row": "N5_PSI", "params": {"k": 0, "eps": -1}}, '
+                '"canonical_a": "3", "canonical_b": "-5"}]}\n',
+            ),
+        ],
+    )
+    def test_verify_discrepancies(self, run_cli, monkeypatch, fmt, want):
+        monkeypatch.setattr(harness, "verify_table", lambda n, bound, jobs=1: self.REPORT)
+        assert run_cli("verify", "5", "--bound", "9", "--format", fmt) == (2, want, "")
+
+    @pytest.mark.parametrize(
+        "fmt, want",
+        [
+            (
+                "text",
+                "n=5 bound=9 entries=2\n"
+                "row=N5_PSI params=k=0,eps=1 raw=(3, -5) canonical=(3, -5)\n"
+                "row=N5_PSI params=k=1,eps=1 raw=(-1, -5) canonical=(1, 5)\n",
+            ),
+            (
+                "tsv",
+                "# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"
+                "5\tN5_PSI\t0\t-\t-\t1\t3\t-5\t3\t-5\tN5_PSI(k=0,eps=-1);N5_PHI(k=3,eps=-1)\n"
+                "5\tN5_PSI\t1\t-\t-\t1\t-1\t-5\t1\t5\t-\n",
+            ),
+            (
+                "json",
+                '{"n": 5, "bound": 9, "count": 2, "entries": ['
+                '{"row": "N5_PSI", "params": {"k": 0, "eps": 1}, "raw_a": "3", "raw_b": "-5", '
+                '"canonical_a": "3", "canonical_b": "-5", "provenance": ['
+                '{"row": "N5_PSI", "params": {"k": 0, "eps": -1}}, '
+                '{"row": "N5_PHI", "params": {"k": 3, "eps": -1}}]}, '
+                '{"row": "N5_PSI", "params": {"k": 1, "eps": 1}, "raw_a": "-1", "raw_b": "-5", '
+                '"canonical_a": "1", "canonical_b": "5", "provenance": []}]}\n',
+            ),
+        ],
+    )
+    def test_family_provenance(self, run_cli, monkeypatch, fmt, want):
+        monkeypatch.setattr(families, "enumerate_families", lambda n, bound: self.ENTRIES)
+        assert run_cli("family", "5", "--bound", "9", "--format", fmt) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_family_negative_bound(self, run_cli, fmt):
+        assert run_cli("family", "3", "--bound", "-1", "--format", fmt) == (
+            1, "", "error: bound must be nonnegative, got -1\n"
+        )
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

@@ -21,7 +21,7 @@ from lehmerdefect.families import (
     raw_ab,
 )
 from lehmerdefect.pairs import FailureKind, canonicalize, validate_ab
-from lehmerdefect.primdiv import is_defective
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, is_defective
 from lehmerdefect.sequences import SequenceId, seq_eval
 
 R = FamilyRowId
@@ -41,6 +41,14 @@ class TestRows:
             R.N12_ZETA2,
             R.N12_ZETA3,
         ]
+
+    def test_one_index_set(self):
+        # search solves CYCLOTOMIC_FORMS[n] for every n that has table rows:
+        # the supported n, the n of the rows and the forms' keys are one set.
+        rows = [row for n in SUPPORTED_N for row in family_rows(n)]
+        assert sorted(rows) == sorted(FamilyRowId)
+        assert all(family_rows(n) for n in SUPPORTED_N)
+        assert set(CYCLOTOMIC_FORMS) == set(SUPPORTED_N)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 9, 11, 13])
     def test_unsupported_n(self, n):

@@ -4,7 +4,13 @@ import pytest
 
 from conftest import definitional_search, uncapped_search
 from lehmerdefect import harness
-from lehmerdefect.families import SUPPORTED_N, UnsupportedNError, enumerate_families
+from lehmerdefect.families import (
+    SUPPORTED_N,
+    FamilyParams,
+    FamilyRowId,
+    UnsupportedNError,
+    enumerate_families,
+)
 from lehmerdefect.harness import (
     CheckpointMismatchError,
     audit_changes,
@@ -139,6 +145,27 @@ class TestVerify:
             f"not_defective:residual={residual_after_stripping(5, 1, 5)}"
         ]
         assert report.table_failures[0].raw_ab == (5, 1)
+
+    def test_search_miss_is_reported(self, monkeypatch, run_cli):
+        # A search that loses a defective pair the table holds must not leave
+        # exact agreement standing: the entry is stripped, found defective and
+        # reported as missed by the search.
+        search = harness.search_defective
+
+        def lossy(n, bound, jobs=1):
+            result = search(n, bound, jobs)
+            return replace(result, pairs=tuple(p for p in result.pairs if p != (7, -5)))
+
+        monkeypatch.setattr(harness, "search_defective", lossy)
+        report = verify_table(5, 200)
+        assert [(f.row, f.params, f.raw_ab, f.reason) for f in report.table_failures] == [
+            (FamilyRowId.N5_PSI, FamilyParams(k=2, eps=-1), (7, -5), "missed_by_search")
+        ]
+        assert report.missing_from_table == () and not report.exact_agreement
+        assert report.matched_count == len(enumerate_families(5, 200)) - 1
+        code, out, _ = run_cli("verify", "5", "--bound", "200", "--format", "tsv")
+        assert code == 2
+        assert "table_failure\t7\t-5\tN5_PSI(k=2,eps=-1) missed_by_search\n" in out
 
 
 class TestCheckpoint:

@@ -75,7 +75,7 @@ class TestWitness:
         assert w.nonprim_product == 5 * 1 * 1 * 2 * 3
 
     def test_5_1_not_defective_at_5(self):
-        w = defect_witness(require_pair(5, 1), 5, factor_residual=True)
+        w = defect_witness(require_pair(5, 1), 5)
         assert not w.defective
         assert (w.u_n, w.nonprim_product, w.residual) == (11, 60, 11)
         assert w.primitive_primes == (11,)
