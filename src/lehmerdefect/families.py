@@ -274,9 +274,8 @@ class _Row:
         for exps, t in _power_terms(tuple(base for _, base in self.powers), 2 * bound):
             make = partial(FamilyParams, **dict(zip(self.fields, exps)))
             skip = {v[-1] for v in self.excluded if v[:-1] == exps}
-            qs = _q_range(t, m_a, m_b, bound)
-            for q in qs if c == 1 else [q for q in qs if gcd(c, q) == 1]:
-                if q not in skip:
+            for q in _q_range(t, m_a, m_b, bound):
+                if gcd(c, q) == 1 and q not in skip:
                     yield make(q=q), (t + m_a * q, t + m_b * q)
 
 
@@ -318,12 +317,10 @@ def family_rows(n: int) -> list[FamilyRowId]:
 
 def _check_shape(row: FamilyRowId, params: FamilyParams) -> None:
     want = _ROWS[row].fields
-    for name in ("k", "l", "q", "eps"):
-        have = getattr(params, name) is not None
-        if have != (name in want):
-            raise ValueError(
-                f"{row.value} takes parameters ({', '.join(want)}); got {params.compact() or 'none'}"
-            )
+    if params.as_dict().keys() != set(want):
+        raise ValueError(
+            f"{row.value} takes parameters ({', '.join(want)}); got {params.compact() or 'none'}"
+        )
 
 
 def _build_entry(

@@ -25,30 +25,31 @@ whole box by the definition (validate_ab plus the gcd strip) for every n at
 bound 1000, and at bound 5000 in the extended acceptance run, and the
 capped solve equal to the uncapped one at bound 20000.
 
-Searches fan out over contiguous a-chunks.  Chunk boundaries depend only on
-the bound, never on the worker count, and results are merged in chunk order,
-so output is byte-identical for any --jobs value and checkpoint files written
-by interrupted runs line up with any later resume.
+Searches fan out over contiguous a-chunks, one worker at most per chunk.
+Chunk boundaries depend only on the bound, not on the worker count, and
+results are merged in chunk order, so output is byte-identical for any --jobs
+value and the checkpoint files of interrupted runs line up with any resume.
 
 Checkpoint format: the state file opens with a "# n <tab> bound" header
 (chunk boundaries for different bounds can coincide, so the header is what
 makes a wrong-bound resume detectable) followed by one line per completed
 chunk, "n <tab> a_from <tab> a_to <tab> hit-count"; a sibling "<path>.hits"
-file carries the corresponding "a <tab> b" lines.  A state line is only
-written after its hits are flushed, so the state file is the commit record.
-Only newline-terminated lines count.  Loading drops a torn last line, every
-state line whose hits are not all present and every hit past the committed
-chunks, so those chunks are recomputed; a complete line whose bytes are not
-what the writer emits for its values (no "+", spaces, leading zeros, "_"
-separators or carriage returns) raises CheckpointMismatchError.  Whatever is
-kept is a prefix of each file (the header and the first committed state
-lines, the first hit lines), so a repair cuts the file in place to that
-prefix with os.truncate, which writes no data; otherwise new chunks are
-appended.  (Writing a temporary file and renaming it over the old one is
-slower: on ext4 that rename waits for the new file's data to reach the disk,
-which made a torn resume of search 6 --bound 1000 take about 110 ms against
-15 ms for the cuts on a 2-core ext4 host.)  The load is idempotent on
-prefixes, so a crash between the two cuts still resumes.
+file carries the corresponding "a <tab> b" lines.  The writer appends bytes,
+each integer spelled by b"%d", and writes a state line only after its hits
+are flushed, so the state file is the commit record.  Only newline-terminated
+lines count.  Loading drops a torn last line, every state line whose hits are
+not all present and every hit past the committed chunks, so those chunks are
+recomputed; a complete line outside the grammar of b"%d" (_INT: ASCII digits,
+no "+", no sign on 0, no leading zero; no spaces, "_" or carriage returns)
+raises CheckpointMismatchError.  What is kept is a prefix of each file (the
+header and the first committed state lines, the first hit lines), so a
+repair cuts the file in place to that prefix with os.truncate, which writes
+no data; otherwise new chunks are appended.  (Writing a temporary file and
+renaming it over the old one is slower: on ext4 that rename waits for the
+new file's data to reach the disk, which made a torn resume of search 6
+--bound 1000 take about 110 ms against 15 ms for the cuts on a 2-core ext4
+host.)  The load is idempotent on prefixes, so a crash between the two cuts
+still resumes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .families import (
 from .pairs import (
     FailureKind,
     LehmerPair,
+    ValidationFailure,
     canonicalize,
     lehmer_prefix,
     validate_ab,
@@ -221,12 +223,15 @@ def _chunks(bound: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(n, chunks, bound, jobs):
-    if jobs <= 1 or len(chunks) <= 1:
+    # A fork-started pool starts all max_workers processes at its first
+    # submit, so ask for no more than there are chunks.
+    workers = min(jobs, len(chunks))
+    if workers <= 1:
         for lo, hi in chunks:
             yield _scan_range(n, lo, hi, bound)
     else:
         los, his = zip(*chunks)
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             yield from ex.map(_scan_range, repeat(n), los, his, repeat(bound))
 
 
@@ -246,29 +251,20 @@ def _committed(path: Path) -> tuple[bytes, bytes]:
     return data[:end], data[end:]
 
 
-def _fields(line: bytes, width: int) -> list[int]:
-    """The values of a state line, which must be exactly what the writer emits."""
-    try:
-        values = [int(x) for x in line.split(b"\t")]
-    except ValueError:
-        values = []
-    if len(values) != width or b"\t".join(b"%d" % v for v in values) != line:
-        raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
-    return values
-
-
-# The start of the first line that is not "a <tab> b" as the writer emits
-# it (no sign on 0, no leading zero).  A search for the first bad line, not
-# a match of (?:line)* over all of them: sre keeps backtracking state for
-# every repetition of a group, 3.4 MB for the 10,857 hits of n = 6 at bound
-# 1000 (possessive *+ needs Python 3.11).
-_BAD_HIT_LINE = re.compile(rb"^(?!(?:0|-?[1-9][0-9]*)\t(?:0|-?[1-9][0-9]*)\n|\Z)", re.M)
+# Exactly what b"%d" writes.  _BAD_HIT_LINE finds the start of the first line
+# that is not "a <tab> b": a search for the first bad line, not a match of
+# (?:line)* over all of them, since sre keeps backtracking state for every
+# repetition of a group, 3.4 MB for the 10,857 hits of n = 6 at bound 1000
+# (possessive *+ needs Python 3.11).
+_INT = rb"(?:0|-?[1-9][0-9]*)"
+_STATE_LINE = re.compile(rb"(%s)\t(%s)\t(%s)\t(%s)" % ((_INT,) * 4))
+_BAD_HIT_LINE = re.compile(rb"^(?!%s\t%s\n|\Z)" % (_INT, _INT), re.M)
 
 
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
 ) -> tuple[int, list[tuple[int, int]]]:
-    header = f"# {n}\t{bound}\n".encode()
+    header = b"# %d\t%d\n" % (n, bound)
     state, state_tail = _committed(state_path)
     if not state and header.startswith(state_tail):
         # No checkpoint yet, or one torn before its header was committed.
@@ -287,7 +283,10 @@ def _load_checkpoint(
     done = 0
     need = 0
     for i, line in enumerate(state_lines):
-        rn, lo, hi, cnt = _fields(line, 4)
+        match = _STATE_LINE.fullmatch(line)
+        if not match:
+            raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+        rn, lo, hi, cnt = map(int, match.groups())
         if i >= len(chunks) or rn != n or (lo, hi) != chunks[i] or cnt < 0:
             raise CheckpointMismatchError(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
@@ -336,14 +335,11 @@ def search_with_checkpoint(
     if stop_after_chunks is not None:
         todo = todo[:stop_after_chunks]
     if todo:
-        with open(state_path, "a", encoding="utf-8") as sf, open(
-            hits_path, "a", encoding="utf-8"
-        ) as hf:
+        with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
             for (lo, hi), chunk_hits in zip(todo, _run_chunks(n, todo, bound, jobs)):
-                for a, b in chunk_hits:
-                    hf.write(f"{a}\t{b}\n")
+                hf.write(b"".join(b"%d\t%d\n" % ab for ab in chunk_hits))
                 hf.flush()
-                sf.write(f"{n}\t{lo}\t{hi}\t{len(chunk_hits)}\n")
+                sf.write(b"%d\t%d\t%d\t%d\n" % (n, lo, hi, len(chunk_hits)))
                 sf.flush()
                 hits.extend(chunk_hits)
     if done + len(todo) < len(chunks):
@@ -394,24 +390,20 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
 # ---------------------------------------------------------------------------
 
 
-def _expect_invalid(n, row, params, kind, pq=None) -> tuple[bool, str]:
-    reason = audit_exclusion(n, row, params)
-    ok = isinstance(reason, InvalidPair) and reason.failure.kind is kind
-    if ok and pq is not None:
-        ok = reason.failure.pq == pq
-    detail = reason.failure.describe() if isinstance(reason, InvalidPair) else f"{reason!r}"
-    return ok, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
+def _expect_excluded(n, row, params, want) -> tuple[bool, str]:
+    """audit_exclusion re-derives exactly want for this excluded tuple."""
+    got = audit_exclusion(n, row, params)
+    if isinstance(got, InvalidPair):
+        detail = got.failure.describe()
+    elif isinstance(got, DuplicateOf):
+        detail = f"duplicate of {got.row.label(got.params)} at {got.canonical_ab}"
+    else:
+        detail = f"{got!r}"
+    return got == want, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
-def _expect_duplicate(n, row, params, of_params) -> tuple[bool, str]:
-    reason = audit_exclusion(n, row, params)
-    ok = isinstance(reason, DuplicateOf) and reason.row is row and reason.params == of_params
-    detail = (
-        f"duplicate of {reason.row.label(reason.params)} at {reason.canonical_ab}"
-        if isinstance(reason, DuplicateOf)
-        else f"{reason!r}"
-    )
-    return ok, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
+def _invalid(kind: FailureKind, pq: tuple[int, int] | None = None) -> InvalidPair:
+    return InvalidPair(ValidationFailure(kind, pq))
 
 
 def _expect_boundary_invalid(n, row, ks) -> tuple[bool, str]:
@@ -450,25 +442,25 @@ def _note(n, text) -> tuple[bool, str]:
     return True, text
 
 
-_R, _P, _K = FamilyRowId, FamilyParams, FailureKind
+_R, _P, _K, _X = FamilyRowId, FamilyParams, FailureKind, _expect_excluded
 
 # Each correction baked into the family tables, as (change id, n, checks);
 # a check is (function, *args) and is called as function(n, *args).  The
 # item passes when every check does; its evidence joins theirs with "; ".
 _CHANGES = (
-    ("n=3(1)", 3, [(_expect_invalid, _R.N3_Q, _P(q=-1), _K.ZERO_A)]),
-    ("n=4(1)", 4, [(_expect_invalid, _R.N4_Q, _P(q=-1), _K.DEGENERATE_RATIO, (-1, -1))]),
-    ("n=4(2)", 4, [(_expect_invalid, _R.N4_POW2, _P(k=1, q=-1), _K.ZERO_A)]),
+    ("n=3(1)", 3, [(_X, _R.N3_Q, _P(q=-1), _invalid(_K.ZERO_A))]),
+    ("n=4(1)", 4, [(_X, _R.N4_Q, _P(q=-1), _invalid(_K.DEGENERATE_RATIO, (-1, -1)))]),
+    ("n=4(2)", 4, [(_X, _R.N4_POW2, _P(k=1, q=-1), _invalid(_K.ZERO_A))]),
     ("n=5(1)", 5, [(
         _expect_added, _R.N5_PSI, _P(k=1, eps=1), (-1, -5), (1, 5),
         "N5_PSI(k=1,eps=1) -> (a,b)=(-1,-5): valid, u_0..u_5=[0,1,1,-2,-3,5], 5-defective",
         (0, 1, 1, -2, -3, 5),
     )]),
-    ("n=5(2)", 5, [(_expect_duplicate, _R.N5_PSI, _P(k=0, eps=-1), _P(k=0, eps=1))]),
-    ("n=6(1)", 6, [(_expect_invalid, _R.N6_Q, _P(q=-1), _K.DEGENERATE_RATIO, (-2, -1))]),
+    ("n=5(2)", 5, [(_X, _R.N5_PSI, _P(k=0, eps=-1), DuplicateOf(_R.N5_PSI, _P(k=0, eps=1), (3, -5)))]),
+    ("n=6(1)", 6, [(_X, _R.N6_Q, _P(q=-1), _invalid(_K.DEGENERATE_RATIO, (-2, -1)))]),
     ("n=6(2)", 6, [
-        (_expect_invalid, _R.N6_POW3, _P(l=1, q=-1), _K.ZERO_A),
-        (_expect_invalid, _R.N6_POW2, _P(k=1, q=-1), _K.DEGENERATE_RATIO, (-1, -1)),
+        (_X, _R.N6_POW3, _P(l=1, q=-1), _invalid(_K.ZERO_A)),
+        (_X, _R.N6_POW2, _P(k=1, q=-1), _invalid(_K.DEGENERATE_RATIO, (-1, -1))),
     ]),
     ("n=8", 8, [
         (_note, "no changes"),
@@ -479,16 +471,16 @@ _CHANGES = (
         _expect_added, _R.N10_PSI, _P(k=1, eps=1), (-5, -1), (5, 1),
         "N10_PSI(k=1,eps=1) -> (a,b)=(-5,-1), canonical (5,1): valid, 10-defective",
     )]),
-    ("n=10(2)", 10, [(_expect_duplicate, _R.N10_PSI, _P(k=0, eps=-1), _P(k=0, eps=1))]),
+    ("n=10(2)", 10, [(_X, _R.N10_PSI, _P(k=0, eps=-1), DuplicateOf(_R.N10_PSI, _P(k=0, eps=1), (5, -3)))]),
     ("n=12(2)", 12, [
-        (_expect_invalid, _R.N12_ZETA0, _P(k=0, eps=1), _K.ZERO_Q),
-        (_expect_invalid, _R.N12_ZETA0, _P(k=0, eps=-1), _K.ZERO_Q),
-        (_expect_invalid, _R.N12_ZETA0, _P(k=1, eps=1), _K.ZERO_A),
-        (_expect_invalid, _R.N12_ZETA0, _P(k=1, eps=-1), _K.ZERO_B),
-        (_expect_invalid, _R.N12_ZETA1, _P(k=0, eps=1), _K.DEGENERATE_RATIO, (2, 1)),
-        (_expect_invalid, _R.N12_ZETA1, _P(k=0, eps=-1), _K.DEGENERATE_RATIO, (2, 1)),
-        (_expect_invalid, _R.N12_ZETA2, _P(k=0, eps=1), _K.DEGENERATE_RATIO, (1, 1)),
-        (_expect_invalid, _R.N12_ZETA2, _P(k=0, eps=-1), _K.DEGENERATE_RATIO, (3, 1)),
+        (_X, _R.N12_ZETA0, _P(k=0, eps=1), _invalid(_K.ZERO_Q)),
+        (_X, _R.N12_ZETA0, _P(k=0, eps=-1), _invalid(_K.ZERO_Q)),
+        (_X, _R.N12_ZETA0, _P(k=1, eps=1), _invalid(_K.ZERO_A)),
+        (_X, _R.N12_ZETA0, _P(k=1, eps=-1), _invalid(_K.ZERO_B)),
+        (_X, _R.N12_ZETA1, _P(k=0, eps=1), _invalid(_K.DEGENERATE_RATIO, (2, 1))),
+        (_X, _R.N12_ZETA1, _P(k=0, eps=-1), _invalid(_K.DEGENERATE_RATIO, (2, 1))),
+        (_X, _R.N12_ZETA2, _P(k=0, eps=1), _invalid(_K.DEGENERATE_RATIO, (1, 1))),
+        (_X, _R.N12_ZETA2, _P(k=0, eps=-1), _invalid(_K.DEGENERATE_RATIO, (3, 1))),
     ]),
     ("n=12(3)", 12, [(
         _expect_added, _R.N12_ZETA3, _P(k=0, eps=1), (-1, -5), (1, 5),

@@ -63,21 +63,19 @@ class DefectWitness:
 def _decide(a: int, b: int, n: int) -> tuple[int, int, int]:
     """(u_n, |a*b*u_1*...*u_{n-1}|, residual) for the (already validated) pair.
 
-    u_n comes from the parity recurrence; the residual is |u_n| stripped by
-    gcd with the nonprimitive product until coprime.
+    u_n comes from the parity recurrence; signs are dropped after the loop,
+    as gcd ignores them.  The residual is |u_n| stripped by gcd with the
+    nonprimitive product until coprime.
     """
     if n < 3:
         raise UnsupportedIndexError(f"defectiveness is defined for n >= 3, got {n}")
     q = (a - b) // 4
     d = a * b
-    if d < 0:
-        d = -d
     prev, cur = 0, 1
     for i in range(2, n + 1):
-        if i != 2:
-            d *= cur if cur >= 0 else -cur
+        d *= cur
         prev, cur = cur, (a * cur if i & 1 else cur) - q * prev
-    m = cur if cur >= 0 else -cur
+    d, m = abs(d), abs(cur)
     if m == 0 or d == 0:
         raise ArithmeticError(f"zero element for ({a}, {b}); pair is degenerate")
     g = gcd(m, d)

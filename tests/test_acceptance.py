@@ -2,9 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The extended bound-5000
 cross-validation and the bound-5000 comparison of the search with a scan of
-the whole box by the definition are included by default (about a minute on
-one core); set LEHMERDEFECT_SKIP_EXTENDED=1 to skip both during quick
-iterations.
+the whole box by the definition are included by default (about 165 s on one
+core of a 2-core host); set LEHMERDEFECT_SKIP_EXTENDED=1 to skip both during
+quick iterations.
 """
 
 import json

@@ -6,6 +6,7 @@ from conftest import definitional_search, uncapped_search
 from lehmerdefect import harness
 from lehmerdefect.families import (
     SUPPORTED_N,
+    DuplicateOf,
     FamilyParams,
     FamilyRowId,
     UnsupportedNError,
@@ -19,7 +20,7 @@ from lehmerdefect.harness import (
     verify_table,
     _chunks,
 )
-from lehmerdefect.pairs import LehmerPair, validate_ab
+from lehmerdefect.pairs import FailureKind, LehmerPair, validate_ab
 from lehmerdefect.primdiv import is_defective, residual_after_stripping
 
 
@@ -91,6 +92,33 @@ class TestSearch:
         serial = search_defective(5, 150, jobs=1)
         parallel = search_defective(5, 150, jobs=3)
         assert serial == parallel
+
+    def test_pool_is_sized_by_the_chunks(self, monkeypatch):
+        # A stand-in pool that records its size and maps in this process, so
+        # the test starts no process.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        serial = search_defective(5, 100, jobs=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        assert len(_chunks(100)) == 4
+        assert search_defective(5, 100, jobs=64) == serial
+        assert sizes == [4]
+        assert len(_chunks(20)) == 1
+        search_defective(5, 20, jobs=8)
+        assert sizes == [4]
 
     def test_bad_args(self):
         with pytest.raises(UnsupportedNError):
@@ -280,6 +308,16 @@ class TestCheckpoint:
         assert [f.stat().st_ino for f in files] == inodes
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_zero_count_must_be_as_written(self, tmp_path):
+        # b"%d" writes 0 without a sign; int() would read "-0" as 0 too.
+        path = tmp_path / "zero.ckpt"
+        search_with_checkpoint(8, 200, path, stop_after_chunks=3)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[-1] == b"8\t65\t96\t0\n"
+        path.write_bytes(b"".join(lines[:-1]) + b"8\t65\t96\t-0\n")
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(8, 200, path)
+
     @pytest.mark.parametrize("bad", [b"\xff\t-111\n", "\u0663\t-111\n".encode()])
     def test_committed_hit_line_must_be_ascii_digits(self, tmp_path, bad):
         path = tmp_path / "hits.ckpt"
@@ -314,7 +352,12 @@ class TestCheckpoint:
             search_with_checkpoint(3, 200, path)
 
     @pytest.mark.parametrize(
-        "edit", [lambda line: b"0" + line, lambda line: line.replace(b"\t", b"\t0")]
+        "edit",
+        [
+            lambda line: b"0" + line,
+            lambda line: line.replace(b"\t", b"\t0"),
+            lambda line: line.replace(b"\t", b"\t+"),
+        ],
     )
     def test_hit_line_must_be_as_written(self, tmp_path, edit):
         path = tmp_path / "strict.ckpt"
@@ -367,3 +410,22 @@ class TestAuditChanges:
         assert "DegenerateRatio(-1, -1)" in by_id["n=4(1)"].evidence
         assert "duplicate of N5_PSI(k=0,eps=1)" in by_id["n=5(2)"].evidence
         assert "(1,5)" in by_id["n=12(3)"].evidence.replace(" ", "")
+
+    def test_wrong_expectation_fails(self, monkeypatch):
+        # An exclusion check compares the whole re-derived outcome: the failure
+        # kind and offending (p, q), or the kept row, params and canonical pair.
+        psi, kept, excl = FamilyRowId.N5_PSI, FamilyParams(k=0, eps=1), FamilyParams(k=0, eps=-1)
+        n4_q, q = FamilyRowId.N4_Q, FamilyParams(q=-1)
+        checks = [
+            (5, psi, excl, DuplicateOf(psi, kept, (3, -5))),  # the true outcome
+            (5, psi, excl, DuplicateOf(psi, kept, (5, -3))),
+            (5, psi, excl, DuplicateOf(FamilyRowId.N5_PHI, kept, (3, -5))),
+            (5, psi, excl, harness._invalid(FailureKind.ZERO_A)),
+            (4, n4_q, q, harness._invalid(FailureKind.ZERO_A)),
+            (4, n4_q, q, harness._invalid(FailureKind.DEGENERATE_RATIO, (1, 1))),
+        ]
+        changes = tuple(
+            (str(i), n, [(harness._expect_excluded, *check)]) for i, (n, *check) in enumerate(checks)
+        )
+        monkeypatch.setattr(harness, "_CHANGES", changes)
+        assert [item.passed for item in audit_changes()] == [True] + [False] * 5
