@@ -31,25 +31,16 @@ from .harness import (
 from .pairs import (
     LehmerPair,
     ValidationFailure,
-    ab_of,
     canonicalize,
     discriminant_sq,
     equivalent,
     lehmer_number,
     lehmer_prefix,
-    pq_of,
     require_pair,
     validate_ab,
 )
-from .primdiv import (
-    DefectWitness,
-    defect_witness,
-    factorize,
-    is_defective,
-    is_prime,
-    primitive_divisors,
-)
-from .sequences import SequenceId, SequenceSpec, seq_eval, seq_range
+from .primdiv import DefectWitness, defect_witness, factorize, is_prime
+from .sequences import SequenceId, SequenceSpec, seq_eval
 
 __version__ = "0.1.0"
 
@@ -66,7 +57,6 @@ __all__ = [
     "SequenceSpec",
     "UnsupportedNError",
     "ValidationFailure",
-    "ab_of",
     "audit_changes",
     "audit_exclusion",
     "canonicalize",
@@ -77,17 +67,13 @@ __all__ = [
     "factorize",
     "family_rows",
     "instantiate",
-    "is_defective",
     "is_prime",
     "lehmer_number",
     "lehmer_prefix",
-    "pq_of",
-    "primitive_divisors",
     "require_pair",
     "search_defective",
     "search_with_checkpoint",
     "seq_eval",
-    "seq_range",
     "validate_ab",
     "verify_table",
 ]

@@ -94,7 +94,11 @@ _parser = functools.cache(build_parser)
 def _jobs_of(ns) -> int:
     if getattr(ns, "jobs", None) is not None:
         return max(1, ns.jobs)
-    return max(1, int(os.environ.get("LEHMERDEFECT_JOBS", "1")))
+    env = os.environ.get("LEHMERDEFECT_JOBS", "1")
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"LEHMERDEFECT_JOBS must be an integer, got {env!r}") from None
 
 
 def _row_doc(x, **rest) -> dict:

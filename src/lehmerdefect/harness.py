@@ -79,11 +79,10 @@ from .pairs import (
     FailureKind,
     LehmerPair,
     ValidationFailure,
-    canonicalize,
     lehmer_prefix,
     validate_ab,
 )
-from .primdiv import CYCLOTOMIC_FORMS, is_defective, residual_after_stripping
+from .primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
 
 
 @dataclass(frozen=True)
@@ -432,8 +431,8 @@ def _expect_added(n, row, params, raw, canonical, evidence, prefix=None) -> tupl
         and entry.canonical_ab == canonical
         and canonical in {e.canonical_ab for e in enumerate_families(n, max(map(abs, raw)))}
         and (prefix is None or lehmer_prefix(entry.pair, n) == list(prefix))
-        and is_defective(entry.pair, n)
-        and is_defective(canonicalize(entry.pair), n)
+        and residual_after_stripping(*raw, n) == 1
+        and residual_after_stripping(*canonical, n) == 1
     )
     return ok, evidence
 

@@ -123,14 +123,6 @@ def require_pair(a: int, b: int) -> LehmerPair:
     return res
 
 
-def pq_of(pair: LehmerPair) -> tuple[int, int]:
-    return pair.a, (pair.a - pair.b) // 4
-
-
-def ab_of(p: int, q: int) -> tuple[int, int]:
-    return p, p - 4 * q
-
-
 def lehmer_elements(pair: LehmerPair) -> Iterator[int]:
     """u_0, u_1, u_2, ... of the pair's sequence, holding two terms at a time."""
     p, q = pair.a, pair.q

@@ -6,10 +6,12 @@ A pair is n-defective when u_n has no primitive divisor.
 
 The decision procedure never factors u_n: it strips m = |u_n| by gcd with D
 until coprime.  The residual is the primitive part of u_n; it is 1 exactly
-when the pair is n-defective.  Full factorization (trial division, then
-Brent's cycle variant of the rho method with a deterministic parameter
-sequence, behind a deterministic primality test) is used only for reporting
-primitive primes and as an independent oracle in tests.
+when the pair is n-defective.  defect_witness(pair, n) returns the whole
+record (.defective, .primitive_primes); residual_after_stripping(a, b, n)
+returns the residual alone, for the search loop.  Full factorization (trial
+division, then Brent's cycle variant of the rho method with a deterministic
+parameter sequence, behind a deterministic primality test) is used only for
+reporting primitive primes and as an independent oracle in tests.
 
 Indices 1 and 2 are excluded: u_1 = u_2 = 1, so every pair is trivially
 1- and 2-defective.
@@ -93,15 +95,6 @@ def residual_after_stripping(a: int, b: int, n: int) -> int:
 def defect_witness(pair: LehmerPair, n: int) -> DefectWitness:
     """Decide n-defectiveness by gcd stripping."""
     return DefectWitness(pair, n, *_decide(pair.a, pair.b, n))
-
-
-def is_defective(pair: LehmerPair, n: int) -> bool:
-    return defect_witness(pair, n).defective
-
-
-def primitive_divisors(pair: LehmerPair, n: int) -> list[int]:
-    """Sorted primitive prime divisors of u_n; empty iff n-defective."""
-    return list(defect_witness(pair, n).primitive_primes)
 
 
 # n -> (coefficients of Phi_n(p, q) on p^d, p^(d-1) q, ..., q^d;

@@ -13,8 +13,9 @@ The negative-index seeds are the unique downward continuation of each
 recurrence; family formulas evaluate them at small negative indices, so
 they are part of the contract, not an implementation convenience.
 
-All values are exact (unbounded) integers.  Elements grow exponentially:
-phi(100) no longer fits in 64 bits.
+seq_eval(seq, k) is the one accessor: it walks the recurrence k - min_index
+steps up from the seeds.  All values are exact (unbounded) integers.
+Elements grow exponentially: phi(100) no longer fits in 64 bits.
 """
 
 from __future__ import annotations
@@ -67,34 +68,14 @@ SPECS: dict[SequenceId, SequenceSpec] = {
 ZETAS = (SequenceId.ZETA0, SequenceId.ZETA1, SequenceId.ZETA2, SequenceId.ZETA3)
 
 
-def _walk(spec: SequenceSpec, k_from: int, k_to: int) -> list[int]:
-    """Elements k_from..k_to of the recurrence, walked up from its seeds."""
-    lo, hi = spec.seed0, spec.seed1
-    out = []
-    for k in range(spec.min_index, k_to + 1):
-        if k >= k_from:
-            out.append(lo)
-        lo, hi = hi, spec.coeff_a * hi + spec.coeff_b * lo
-    return out
-
-
 def seq_eval(seq: SequenceId, k: int) -> int:
-    """Exact k-th element of the sequence."""
+    """Exact k-th element of the sequence, walked up from its seeds."""
     spec = SPECS[seq]
     if k < spec.min_index:
         raise IndexBelowMinimumError(
             f"{seq.value} is defined for k >= {spec.min_index}, got k={k}"
         )
-    return _walk(spec, k, k)[0]
-
-
-def seq_range(seq: SequenceId, k_from: int, k_to: int) -> list[int]:
-    """Elements k_from..k_to inclusive (k_from <= k_to required)."""
-    if k_to < k_from:
-        raise ValueError(f"empty range: k_from={k_from} > k_to={k_to}")
-    spec = SPECS[seq]
-    if k_from < spec.min_index:
-        raise IndexBelowMinimumError(
-            f"{seq.value} is defined for k >= {spec.min_index}, got k_from={k_from}"
-        )
-    return _walk(spec, k_from, k_to)
+    lo, hi = spec.seed0, spec.seed1
+    for _ in range(k - spec.min_index):
+        lo, hi = hi, spec.coeff_a * hi + spec.coeff_b * lo
+    return lo

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from math import gcd
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import assume, strategies as st
 from lehmerdefect import cli
 from lehmerdefect.harness import search_defective
 from lehmerdefect.pairs import LehmerPair, validate_ab
-from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS
 
 
 def fib(n: int) -> int:
@@ -43,17 +44,31 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
     """The n-defective pairs of the search box, found by scanning all of it.
 
     Every (a, b) with 0 < a <= bound, |b| <= bound and a == b mod 4 is
-    checked with validate_ab and decided by the gcd strip; no cyclotomic
-    form is used.  Pairs come in (a, b)-lex order, like search_defective.
+    checked with validate_ab.  Each valid pair's elements u_1..u_max(ns) are
+    walked once by the parity recurrence, keeping the running product
+    a*b*u_1*...*u_{i-1}; at each n in ns, u_n is stripped by gcd with that
+    product until coprime, and the pair is n-defective when +-1 is left.
+    Neither primdiv nor a cyclotomic form is used.  Pairs come in (a, b)-lex
+    order, like search_defective.
     """
     hits: dict[int, list[tuple[int, int]]] = {n: [] for n in ns}
+    top = max(ns)
     for a in range(1, bound + 1):
         for q in range((a + bound) // 4, -((bound - a) // 4) - 1, -1):
             b = a - 4 * q
-            if isinstance(validate_ab(a, b), LehmerPair):
-                for n in ns:
-                    if residual_after_stripping(a, b, n) == 1:
-                        hits[n].append((a, b))
+            if not isinstance(validate_ab(a, b), LehmerPair):
+                continue
+            d, prev, cur = a * b, 0, 1
+            for i in range(2, top + 1):
+                d *= cur
+                prev, cur = cur, (a * cur if i & 1 else cur) - q * prev
+                if i in hits:
+                    m, g = cur, gcd(cur, d)
+                    while g > 1:
+                        m //= g
+                        g = gcd(m, d)
+                    if m in (1, -1):
+                        hits[i].append((a, b))
     return {n: tuple(pairs) for n, pairs in hits.items()}
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The extended bound-5000
 cross-validation and the bound-5000 comparison of the search with a scan of
-the whole box by the definition are included by default (about 165 s on one
+the whole box by the definition are included by default (about 90 s on one
 core of a 2-core host); set LEHMERDEFECT_SKIP_EXTENDED=1 to skip both during
 quick iterations.
 """
@@ -30,7 +30,7 @@ from lehmerdefect.pairs import (
     require_pair,
     validate_ab,
 )
-from lehmerdefect.primdiv import defect_witness, factorize, is_defective
+from lehmerdefect.primdiv import defect_witness, factorize
 from lehmerdefect.sequences import ZETAS, SequenceId, seq_eval
 
 ALL_N = (3, 4, 5, 6, 8, 10, 12)
@@ -51,7 +51,7 @@ def test_criterion_1_exceptional_pair_reproduction():
     assert isinstance(pair, LehmerPair)
     assert lehmer_prefix(pair, 5) == [0, 1, 1, -2, -3, 5]
     assert discriminant_sq(pair) == 5
-    assert is_defective(pair, 5)
+    assert defect_witness(pair, 5).defective
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report("1 (pair (-1,-5))", elapsed, "(-1,-5): prefix, discriminant 5, 5-defective")

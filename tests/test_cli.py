@@ -361,3 +361,17 @@ class TestDeterminism:
             "search", "5", "--bound", "60", "--jobs", "1", "--format", "tsv"
         )
         assert out == out1
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_jobs_env_invalid_is_named(self, run_cli, monkeypatch, value):
+        monkeypatch.setenv("LEHMERDEFECT_JOBS", value)
+        code, out, err = run_cli("search", "5", "--bound", "10")
+        assert (code, out) == (1, "")
+        assert err == f"error: LEHMERDEFECT_JOBS must be an integer, got {value!r}\n"
+
+    def test_jobs_flag_does_not_read_env(self, run_cli, monkeypatch):
+        monkeypatch.setenv("LEHMERDEFECT_JOBS", "abc")
+        code, out, err = run_cli("search", "5", "--bound", "10", "--jobs", "2")
+        assert (code, err) == (0, "")
+        monkeypatch.delenv("LEHMERDEFECT_JOBS")
+        assert run_cli("search", "5", "--bound", "10", "--jobs", "1") == (0, out, "")

@@ -13,6 +13,7 @@ from lehmerdefect.families import (
     NotAnExclusionError,
     Unexplained,
     UnsupportedNError,
+    _ROWS,
     audit_exclusion,
     enumerate_families,
     enumerate_with_anomalies,
@@ -21,7 +22,7 @@ from lehmerdefect.families import (
     raw_ab,
 )
 from lehmerdefect.pairs import FailureKind, canonicalize, validate_ab
-from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, is_defective
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, defect_witness
 from lehmerdefect.sequences import SequenceId, seq_eval
 
 R = FamilyRowId
@@ -173,7 +174,7 @@ class TestEnumerate:
         for e in entries:
             assert max(abs(e.raw_ab[0]), abs(e.raw_ab[1])) <= 200
             assert e.n == n
-            assert is_defective(e.pair, n)
+            assert defect_witness(e.pair, n).defective
 
     @pytest.mark.parametrize("n", SUPPORTED_N)
     def test_intra_n_distinct_at_500(self, n):
@@ -327,6 +328,21 @@ class TestAuditExclusion:
         assert isinstance(reason, Unexplained)
         assert reason.raw_ab == (6, 2)
         assert reason.canonical_ab == (6, 2)
+
+    def test_every_row_exclusion_is_explained(self):
+        # Straight from the row records, so no excluded tuple goes unchecked:
+        # each is invalid or a duplicate, except the open (6, 2) question.
+        checked = 0
+        for row, d in _ROWS.items():
+            for values in d.excluded:
+                params = FamilyParams(**dict(zip(d.fields, values)))
+                reason = audit_exclusion(d.n, row, params)
+                if (row, values) == (R.N4_POW2, (2, 1)):
+                    assert reason == Unexplained((6, 2), (6, 2))
+                else:
+                    assert isinstance(reason, (InvalidPair, DuplicateOf)), (row, values, reason)
+                checked += 1
+        assert checked == 27
 
     def test_not_an_exclusion(self):
         with pytest.raises(NotAnExclusionError):

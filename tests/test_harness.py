@@ -21,7 +21,7 @@ from lehmerdefect.harness import (
     _chunks,
 )
 from lehmerdefect.pairs import FailureKind, LehmerPair, validate_ab
-from lehmerdefect.primdiv import is_defective, residual_after_stripping
+from lehmerdefect.primdiv import defect_witness, residual_after_stripping
 
 
 class TestSearch:
@@ -57,7 +57,7 @@ class TestSearch:
         for a in range(1, bound + 1):
             for b in range(-bound, bound + 1):
                 pair = validate_ab(a, b)
-                if isinstance(pair, LehmerPair) and is_defective(pair, n):
+                if isinstance(pair, LehmerPair) and defect_witness(pair, n).defective:
                     expected.append((a, b))
         assert search_defective(n, bound).pairs == tuple(expected)
 

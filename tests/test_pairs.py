@@ -11,13 +11,11 @@ from lehmerdefect.pairs import (
     InvalidPairError,
     LehmerPair,
     ValidationFailure,
-    ab_of,
     canonicalize,
     discriminant_sq,
     equivalent,
     lehmer_number,
     lehmer_prefix,
-    pq_of,
     require_pair,
     validate_ab,
 )
@@ -27,7 +25,7 @@ class TestValidation:
     def test_minus1_minus5_is_valid(self):
         pair = validate_ab(-1, -5)
         assert isinstance(pair, LehmerPair)
-        assert pq_of(pair) == (-1, 1)
+        assert (pair.p, pair.q) == (-1, 1)
 
     @pytest.mark.parametrize(
         "a,b,kind",
@@ -58,7 +56,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("p,q", sorted(DEGENERATE_PQ))
     def test_all_degenerate_pq_rejected(self, p, q):
-        res = validate_ab(*ab_of(p, q))
+        res = validate_ab(p, p - 4 * q)
         assert isinstance(res, ValidationFailure)
         if (p, q) in ((4, 1), (-4, -1)):
             # b = p - 4q = 0 here, reported first under the precedence order
@@ -80,18 +78,19 @@ class TestCoordinates:
         [(-1, -5, -1, 1), (1, 5, 1, -1), (3, -5, 3, 2)],
     )
     def test_pq_of(self, a, b, p, q):
-        assert pq_of(require_pair(a, b)) == (p, q)
+        pair = require_pair(a, b)
+        assert (pair.p, pair.q) == (p, q)
 
     @pytest.mark.parametrize(
         "p,q,a,b",
         [(-1, 1, -1, -5), (1, -1, 1, 5), (5, 1, 5, 1)],
     )
     def test_ab_of(self, p, q, a, b):
-        assert ab_of(p, q) == (a, b)
+        assert validate_ab(p, p - 4 * q) == LehmerPair(a, b)
 
     @given(pair=valid_pairs())
     def test_round_trip(self, pair):
-        assert ab_of(*pq_of(pair)) == (pair.a, pair.b)
+        assert validate_ab(pair.p, pair.p - 4 * pair.q) == pair
         assert pair.p == pair.a
         assert pair.q == (pair.a - pair.b) // 4
 
@@ -143,7 +142,7 @@ class TestElements:
 
     @given(pair=valid_pairs())
     def test_u3_u4_closed_forms(self, pair):
-        p, q = pq_of(pair)
+        p, q = pair.p, pair.q
         assert lehmer_number(pair, 3) == p - q
         assert lehmer_number(pair, 4) == p - 2 * q
 

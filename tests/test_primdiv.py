@@ -13,9 +13,7 @@ from lehmerdefect.primdiv import (
     _strong_lucas,
     defect_witness,
     factorize,
-    is_defective,
     is_prime,
-    primitive_divisors,
     residual_after_stripping,
 )
 
@@ -82,7 +80,7 @@ class TestWitness:
 
     def test_fibonacci_pair_defective_at_12(self):
         # u_12 = 144 = 2^4 * 3^2; 2 | u_3 = 2 and 3 | u_4 = 3
-        assert is_defective(require_pair(1, 5), 12)
+        assert defect_witness(require_pair(1, 5), 12).defective
 
     def test_unit_element_trivially_defective(self):
         # (3, -5) has u_3 = p - q = 1: no prime divisors at all
@@ -99,13 +97,13 @@ class TestWitness:
     @pytest.mark.parametrize(
         "a,b,n,primes",
         [
-            ((5), 1, 5, [11]),
-            (-1, -5, 5, []),
-            (1, 5, 12, []),
+            (5, 1, 5, (11,)),
+            (-1, -5, 5, ()),
+            (1, 5, 12, ()),
         ],
     )
     def test_primitive_divisors(self, a, b, n, primes):
-        assert primitive_divisors(require_pair(a, b), n) == primes
+        assert defect_witness(require_pair(a, b), n).primitive_primes == primes
 
     @given(pair=valid_pairs(limit=500), n=st.sampled_from((3, 4, 5, 6, 8, 10, 12)))
     @settings(max_examples=80)

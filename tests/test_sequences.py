@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lehmerdefect.sequences import (
     SPECS,
@@ -8,7 +6,6 @@ from lehmerdefect.sequences import (
     IndexBelowMinimumError,
     SequenceId,
     seq_eval,
-    seq_range,
 )
 
 PHI, PSI, PI, RHO = SequenceId.PHI, SequenceId.PSI, SequenceId.PI, SequenceId.RHO
@@ -55,14 +52,7 @@ def test_unrolled_values(seq, k, expected):
     ],
 )
 def test_seq_range(seq, lo, hi, expected):
-    assert seq_range(seq, lo, hi) == expected
-
-
-def test_seq_range_rejects_empty_and_low():
-    with pytest.raises(ValueError):
-        seq_range(PHI, 3, 2)
-    with pytest.raises(IndexBelowMinimumError):
-        seq_range(PHI, -3, 0)
+    assert [seq_eval(seq, k) for k in range(lo, hi + 1)] == expected
 
 
 @pytest.mark.parametrize("seq", list(SequenceId))
@@ -74,7 +64,7 @@ def test_index_below_minimum(seq):
 @pytest.mark.parametrize("seq", list(SequenceId))
 def test_recurrence_holds_to_200(seq):
     spec = SPECS[seq]
-    vals = seq_range(seq, spec.min_index, 200)
+    vals = [seq_eval(seq, k) for k in range(spec.min_index, 200 + 1)]
     for i in range(2, len(vals)):
         assert vals[i] == spec.coeff_a * vals[i - 1] + spec.coeff_b * vals[i - 2]
 
@@ -112,15 +102,3 @@ def test_abs_monotone_from_2(seq):
         assert cur > prev
         prev = cur
 
-
-@given(
-    seq=st.sampled_from(list(SequenceId)),
-    lo=st.integers(-2, 50),
-    width=st.integers(0, 40),
-)
-@settings(max_examples=60)
-def test_seq_range_matches_pointwise(seq, lo, width):
-    lo = max(lo, SPECS[seq].min_index)
-    vals = seq_range(seq, lo, lo + width)
-    assert len(vals) == width + 1
-    assert vals == [seq_eval(seq, k) for k in range(lo, lo + width + 1)]
