@@ -55,6 +55,14 @@ def test_seq_range(seq, lo, hi, expected):
     assert [seq_eval(seq, k) for k in range(lo, hi + 1)] == expected
 
 
+def test_seq_range_rejects_empty_and_low():
+    # A range is walked through seq_eval: an empty one yields nothing, and
+    # one that starts below PHI's minimum index raises at its first element.
+    assert [seq_eval(PHI, k) for k in range(3, 2 + 1)] == []
+    with pytest.raises(IndexBelowMinimumError):
+        [seq_eval(PHI, k) for k in range(-3, 0 + 1)]
+
+
 @pytest.mark.parametrize("seq", list(SequenceId))
 def test_index_below_minimum(seq):
     with pytest.raises(IndexBelowMinimumError):
