@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterator
 
@@ -272,11 +272,12 @@ class _Row:
         c = self.coprime_to
         m_a, m_b = self.m
         for exps, t in _power_terms(tuple(base for _, base in self.powers), 2 * bound):
-            make = partial(FamilyParams, **dict(zip(self.fields, exps)))
+            powers = dict(zip(self.fields, exps))
+            k, l = powers.get("k"), powers.get("l")
             skip = {v[-1] for v in self.excluded if v[:-1] == exps}
             for q in _q_range(t, m_a, m_b, bound):
                 if gcd(c, q) == 1 and q not in skip:
-                    yield make(q=q), (t + m_a * q, t + m_b * q)
+                    yield FamilyParams(k, l, q), (t + m_a * q, t + m_b * q)
 
 
 _N5_PHI = _Row(5, seq=SequenceId.PHI, stride=2, k_min=3)

@@ -8,22 +8,29 @@ The search solves for defective pairs instead of scanning the box.  Every
 primitive divisor of u_n divides Phi_n(alpha, beta), and a prime of
 Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
 (primdiv.CYCLOTOMIC_FORMS).  So a pair is n-defective only if
-Phi_n(a, q) = +-T with T a product of primes of n.  For each a and each such
-T up to the largest |Phi_n| in the box, the integer roots q are solved for:
-Phi_n(a, q) is linear in q for n = 3, 4, 6 and quadratic for n = 5, 8, 10,
-12, solved with isqrt and a perfect-square test.  For the quadratic forms a
-valid pair (gcd(a, b) = 1, so gcd(a, q) = 1) caps the exponent of each
-prime in T (primdiv.CYCLOTOMIC_FORMS; each cap is proved by enumerating
-residues mod prime^(cap + 1)), so their targets are a fixed set whatever
-the bound: +-1, +-5 for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3,
-+-6 for n = 12.  T = 0 is never a target: Phi_n vanishes only when
-alpha / beta is a root of unity.  Each root inside the box is checked with
-pairs.validate_ab and kept only if primdiv.residual_after_stripping is 1,
-so the definition decides every reported pair and the theorem is needed
-only for completeness.  The tests hold the search equal to a scan of the
-whole box by the definition (validate_ab plus the gcd strip) for every n at
-bound 1000, and at bound 5000 in the extended acceptance run, and the
-capped solve equal to the uncapped one at bound 20000.
+Phi_n(a, q) = +-T with T a product of primes of n; the targets are those
++-T up to the largest |Phi_n| in the chunk's box.  For n = 3, 4, 6 the
+form is linear, Phi_n(a, q) = a - m*q with m = 1, 2, 3, so the roots of a
+target t are a = t + m*q, b = t - (4 - m)*q.  The search steps q through
+the one interval that puts a in the chunk and |b| <= bound, and only
+through the residues coprime to the primes of n that divide t: a valid
+pair has gcd(a, q) = 1, and gcd(a, q) = gcd(t, q).  So every in-box root
+with gcd(a, q) = 1 is visited once, with no per-a division, and each
+chunk's hits are sorted into (a, b) order.  For n = 5, 8, 10, 12 the form
+is quadratic in q, and the roots are solved for each a and target with
+isqrt and a perfect-square test.  For the quadratic forms a valid pair
+(gcd(a, b) = 1, so gcd(a, q) = 1) caps the exponent of each prime in T
+(primdiv.CYCLOTOMIC_FORMS; each cap is proved by enumerating residues mod
+prime^(cap + 1)), so their targets are a fixed set whatever the bound:
++-1, +-5 for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3, +-6 for
+n = 12.  T = 0 is never a target: Phi_n vanishes only when alpha / beta is
+a root of unity.  Each root is checked with pairs.validate_ab and kept
+only if primdiv.residual_after_stripping is 1, so the definition decides
+every reported pair and the theorem is needed only for completeness.  The
+tests hold the search equal to a scan of the whole box by the definition
+(validate_ab plus the gcd strip) for every n at every bound up to 64, at
+1000 and at 5000, the linear steps equal to a root search per a at bound
+10000, and the capped solve equal to the uncapped one at bound 20000.
 
 Searches fan out over contiguous a-chunks, one worker at most per chunk.
 Chunk boundaries depend only on the bound, not on the worker count, and
@@ -59,7 +66,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 from .families import (
@@ -158,37 +165,12 @@ def _products_up_to(prime_caps: tuple[tuple[int, int | None], ...], limit: int) 
     return out
 
 
-def _roots(coeffs: tuple[int, ...], a: int, targets: list[int]):
-    """Integers q with form(a, q) in targets; coeffs as in CYCLOTOMIC_FORMS."""
-    if len(coeffs) == 2:  # c0 a + c1 q = t
-        c0, c1 = coeffs
-        for t in targets:
-            q, rem = divmod(t - c0 * a, c1)
-            if not rem:
-                yield q
-        return
-    c0, c1, c2 = coeffs  # c2 q^2 + c1 a q + c0 a^2 - t = 0
-    disc_a = (c1 * c1 - 4 * c0 * c2) * a * a
-    for t in targets:
-        disc = disc_a + 4 * c2 * t
-        if disc < 0:
-            continue
-        r = isqrt(disc)
-        if r * r != disc:
-            continue
-        for num in (r - c1 * a, -r - c1 * a):
-            q, rem = divmod(num, 2 * c2)
-            if not rem:
-                yield q
+def _roots(n: int, a_from: int, a_to: int, bound: int):
+    """(a, q) in the chunk's box with Phi_n(a, q) = +-T, each once; for the
+    linear forms only those with gcd(a, q) = 1.
 
-
-def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
-    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
-    1 <= a_from <= a_to <= bound, as _chunks makes them.
-
-    Solves Phi_n(a, q) = +-T for every product T of primes of n, within the
-    primes' caps, up to the largest |Phi_n| in the chunk's box (see the
-    module docstring).
+    T runs over the products of primes of n, within the primes' caps, up to
+    the largest |Phi_n| in the chunk's box (see the module docstring).
     """
     coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
     q_max = (a_to + bound) // 4  # largest |q| in the chunk's box
@@ -196,17 +178,53 @@ def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, i
     # t_max >= |Phi_n(a, q)| anywhere in the chunk's box (triangle inequality).
     t_max = sum(abs(c) * a_to ** (deg - i) * q_max**i for i, c in enumerate(coeffs))
     targets = [s * t for t in _products_up_to(prime_caps, t_max) for s in (1, -1)]
-    hits: list[tuple[int, int]] = []
+    if deg == 1:  # a - m q = t, so a = t + m q and b = t - (4 - m) q
+        m = -coeffs[1]
+        k = 4 - m
+        for t in targets:
+            # a_from <= a <= a_to and -bound <= b <= bound, as bounds on q.
+            q_from = max(-((t - a_from) // m), -((bound - t) // k))
+            q_to = min((a_to - t) // m, (t + bound) // k)
+            # gcd(a, q) = gcd(t, q): step q through the residues coprime to
+            # the primes of n that divide t.
+            rad = prod(p for p, _ in prime_caps if t % p == 0)
+            for r in range(rad):
+                if gcd(r, rad) == 1:
+                    for q in range(q_from + (r - q_from) % rad, q_to + 1, rad):
+                        yield t + m * q, q
+        return
+    c0, c1, c2 = coeffs  # c2 q^2 + c1 a q + c0 a^2 - t = 0
     for a in range(a_from, a_to + 1):
         q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
-        roots = {q for q in _roots(coeffs, a, targets) if q_lo <= q <= q_hi}
-        for q in sorted(roots, reverse=True):  # descending q = ascending b
-            b = a - 4 * q
-            if not isinstance(validate_ab(a, b), LehmerPair):
+        disc_a = (c1 * c1 - 4 * c0 * c2) * a * a
+        qs = set()
+        for t in targets:
+            disc = disc_a + 4 * c2 * t
+            if disc < 0:
                 continue
-            if residual_after_stripping(a, b, n) == 1:
-                hits.append((a, b))
-    return hits
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in (r - c1 * a, -r - c1 * a):
+                q, rem = divmod(num, 2 * c2)
+                if not rem and q_lo <= q <= q_hi:
+                    qs.add(q)
+        for q in qs:
+            yield a, q
+
+
+def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
+    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
+    1 <= a_from <= a_to <= bound, as _chunks makes them."""
+    # Hits are kept per a, so the hits of one a share one int object (_roots
+    # builds a afresh for each root: 28 bytes a hit otherwise) and only each
+    # a's b values are sorted.
+    hit_bs: dict[int, list[int]] = {}
+    for a, q in _roots(n, a_from, a_to, bound):
+        b = a - 4 * q
+        if isinstance(validate_ab(a, b), LehmerPair) and residual_after_stripping(a, b, n) == 1:
+            hit_bs.setdefault(a, []).append(b)
+    return [(a, b) for a in sorted(hit_bs) for b in sorted(hit_bs[a])]
 
 
 def _chunks(bound: int) -> list[tuple[int, int]]:

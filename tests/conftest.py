@@ -9,7 +9,7 @@ from hypothesis import assume, strategies as st
 from lehmerdefect import cli
 from lehmerdefect.harness import search_defective
 from lehmerdefect.pairs import LehmerPair, validate_ab
-from lehmerdefect.primdiv import CYCLOTOMIC_FORMS
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
 
 
 def fib(n: int) -> int:
@@ -85,3 +85,35 @@ def uncapped_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         return search_defective(n, bound).pairs
     finally:
         CYCLOTOMIC_FORMS[n] = form
+
+
+def per_a_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """search_defective(n, bound).pairs for a linear n, by a root search per a.
+
+    Phi_n(p, q) = p + c1*q (CYCLOTOMIC_FORMS).  For each a and each target
+    t = +-T, T a product of primes of n up to the largest |Phi_n| in the
+    box, the root q = (t - a) / c1 is kept when it divides exactly and lies
+    in the box; the roots are checked with validate_ab and the gcd strip.
+    """
+    (c0, c1), prime_caps = CYCLOTOMIC_FORMS[n]
+    t_max = c0 * bound + abs(c1) * (2 * bound // 4)
+    products = [1]
+    for p, _ in prime_caps:
+        for m in list(products):
+            while m * p <= t_max:
+                m *= p
+                products.append(m)
+    targets = [s * t for t in products for s in (1, -1)]
+    hits = []
+    for a in range(1, bound + 1):
+        q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
+        roots = set()
+        for t in targets:
+            q, rem = divmod(t - c0 * a, c1)
+            if not rem and q_lo <= q <= q_hi:
+                roots.add(q)
+        for q in sorted(roots, reverse=True):  # descending q = ascending b
+            b = a - 4 * q
+            if isinstance(validate_ab(a, b), LehmerPair) and residual_after_stripping(a, b, n) == 1:
+                hits.append((a, b))
+    return tuple(hits)

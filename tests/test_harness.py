@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import definitional_search, uncapped_search
+from conftest import definitional_search, per_a_search, uncapped_search
 from lehmerdefect import harness
 from lehmerdefect.families import (
     SUPPORTED_N,
@@ -20,8 +20,8 @@ from lehmerdefect.harness import (
     verify_table,
     _chunks,
 )
-from lehmerdefect.pairs import FailureKind, LehmerPair, validate_ab
-from lehmerdefect.primdiv import defect_witness, residual_after_stripping
+from lehmerdefect.pairs import DEGENERATE_PQ, FailureKind, LehmerPair, validate_ab
+from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, defect_witness, residual_after_stripping
 
 
 class TestSearch:
@@ -71,6 +71,36 @@ class TestSearch:
         # A bounded check of the valuation caps, at four times the bound of
         # the extended definitional-scan comparison.
         assert search_defective(n, 20000).pairs == uncapped_search(n, 20000)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_linear_steps_match_per_a_solve_bound_10000(self, n):
+        assert search_defective(n, 10000).pairs == per_a_search(n, 10000)
+
+    def test_solve_matches_definitional_scan_small_bounds(self):
+        # Bounds 33..64 have two chunks.  The linear roots the solve gives
+        # are collected with their Phi_n, to show that these bounds reach
+        # q = 0, b = 0, DEGENERATE_PQ and negative targets.
+        linear = set()
+        for bound in range(1, 65):
+            scanned = definitional_search(bound, SUPPORTED_N)
+            for n in SUPPORTED_N:
+                assert search_defective(n, bound).pairs == scanned[n], (n, bound)
+                coeffs = CYCLOTOMIC_FORMS[n][0]
+                for lo, hi in _chunks(bound):
+                    for a, q in harness._roots(n, lo, hi, bound):
+                        assert lo <= a <= hi and abs(a - 4 * q) <= bound
+                        if len(coeffs) == 2:
+                            linear.add((a, q, a + coeffs[1] * q))
+        assert any(q == 0 for _, q, _ in linear)
+        assert any(a == 4 * q for a, q, _ in linear)
+        assert any((a, q) in DEGENERATE_PQ for a, q, _ in linear)
+        assert any(t < 0 for _, _, t in linear)
+
+    def test_hits_of_one_a_share_its_int(self):
+        # Each hit would otherwise hold its own a, 28 bytes (see _scan_range).
+        first = {}
+        for a, _ in search_defective(6, 2000).pairs:
+            assert first.setdefault(a, a) is a
 
     def test_ordering_and_canonical_closure(self):
         result = search_defective(6, 120)

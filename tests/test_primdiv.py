@@ -64,6 +64,14 @@ class TestCyclotomicForms:
                     capped.add(n)
         assert capped == {5, 8, 10, 12}
 
+    def test_linear_form_shape(self):
+        # harness._roots steps q with a = t + m*q and b = t - (4 - m)*q,
+        # m = -c1, which needs c0 = 1 and 0 < m < 4.
+        linear = {n: coeffs for n, (coeffs, _) in CYCLOTOMIC_FORMS.items() if len(coeffs) == 2}
+        assert set(linear) == {3, 4, 6}
+        for n, (c0, c1) in linear.items():
+            assert c0 == 1 and -4 < c1 < 0, n
+
 
 class TestWitness:
     def test_minus1_minus5_defective_at_5(self):
