@@ -39,7 +39,7 @@ def main() -> int:
     clean = True
     print(f"table-vs-search cross-validation, bound {args.bound}")
     for n in SUPPORTED_N:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = verify_table(n, args.bound, jobs=args.jobs)
         status = "exact agreement"
         if not report.exact_agreement:
@@ -59,7 +59,7 @@ def main() -> int:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"  n={n:>2}: matched={report.matched_count:>6}  "
-            f"[{time.time() - t0:6.2f}s, peak {rss_mb:5.0f} MB]  {status}"
+            f"[{time.perf_counter() - t0:6.2f}s, peak {rss_mb:5.0f} MB]  {status}"
         )
 
     print("corrections audit")

@@ -36,6 +36,7 @@ from .pairs import (
     equivalent,
     lehmer_number,
     lehmer_prefix,
+    pair_failure,
     require_pair,
     validate_ab,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "is_prime",
     "lehmer_number",
     "lehmer_prefix",
+    "pair_failure",
     "require_pair",
     "search_defective",
     "search_with_checkpoint",

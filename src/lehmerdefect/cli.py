@@ -29,6 +29,8 @@ import functools
 import json
 import os
 import sys
+from itertools import groupby
+from operator import attrgetter
 from typing import IO, Sequence
 
 from . import families, harness, pairs, primdiv, sequences
@@ -106,10 +108,6 @@ def _row_doc(x, **rest) -> dict:
     return {"row": x.row.value, "params": x.params.as_dict(), **rest}
 
 
-def _cell(v: int | None) -> int | str:
-    return "-" if v is None else v
-
-
 def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
     primes = w.primitive_primes
     if fmt == "json":
@@ -163,13 +161,17 @@ def _emit_family(n: int, bound: int, entries, fmt: str, out: IO[str]) -> None:
         out.write(json.dumps(doc) + "\n")
     elif fmt == "tsv":
         lines = ["# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"]
-        for e in entries:
-            p, (ra, rb), (ca, cb) = e.params, e.raw_ab, e.canonical_ab
-            prov = ";".join([s.row.label(s.params) for s in e.provenance]) or "-"
-            lines.append(
-                f"{n}\t{e.row.value}\t{_cell(p.k)}\t{_cell(p.l)}\t{_cell(p.q)}\t{_cell(p.eps)}\t"
-                f"{ra}\t{rb}\t{ca}\t{cb}\t{prov}\n"
-            )
+        # Entries come in row order, so each row's label is read once.
+        for row, group in groupby(entries, attrgetter("row")):
+            head = f"{n}\t{row.value}\t"
+            for e in group:
+                p, (ra, rb), (ca, cb) = e.params, e.raw_ab, e.canonical_ab
+                prov = ";".join([s.row.label(s.params) for s in e.provenance]) or "-"
+                lines.append(
+                    f"{head}{'-' if p.k is None else p.k}\t{'-' if p.l is None else p.l}\t"
+                    f"{'-' if p.q is None else p.q}\t{'-' if p.eps is None else p.eps}\t"
+                    f"{ra}\t{rb}\t{ca}\t{cb}\t{prov}\n"
+                )
         out.write("".join(lines))
     else:
         out.write(f"n={n} bound={bound} entries={len(entries)}\n")

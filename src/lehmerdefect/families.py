@@ -41,12 +41,7 @@ from functools import cached_property
 from math import gcd, prod
 from typing import Iterator
 
-from .pairs import (
-    LehmerPair,
-    ValidationFailure,
-    canonicalize,
-    validate_ab,
-)
+from .pairs import LehmerPair, ValidationFailure, pair_failure
 from .sequences import SequenceId, seq_eval
 
 SUPPORTED_N = (3, 4, 5, 6, 8, 10, 12)
@@ -123,7 +118,8 @@ class FamilyEntry:
 
     @property
     def pair(self) -> LehmerPair:
-        """The raw pair; raw_ab passed validate_ab when the entry was built."""
+        """The raw pair; raw_ab passed the pair rules (pairs.pair_failure, which
+        validate_ab wraps) when the entry was built."""
         return LehmerPair(*self.raw_ab)
 
 
@@ -327,11 +323,11 @@ def _check_shape(row: FamilyRowId, params: FamilyParams) -> None:
 def _build_entry(
     n: int, row: FamilyRowId, params: FamilyParams, raw: tuple[int, int]
 ) -> FamilyEntry | ValidationFailure:
-    res = validate_ab(*raw)
-    if isinstance(res, ValidationFailure):
-        return res
-    canon = canonicalize(res)
-    return FamilyEntry(n, row, params, raw, raw if canon is res else (canon.a, canon.b))
+    failure = pair_failure(*raw)
+    if failure is not None:
+        return failure
+    a, b = raw  # canonical: the a > 0 one of (a, b), (-a, -b), as in pairs.canonicalize
+    return FamilyEntry(n, row, params, raw, raw if a > 0 else (-a, -b))
 
 
 def instantiate(

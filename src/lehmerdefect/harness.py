@@ -24,11 +24,12 @@ isqrt and a perfect-square test.  For the quadratic forms a valid pair
 prime^(cap + 1)), so their targets are a fixed set whatever the bound:
 +-1, +-5 for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3, +-6 for
 n = 12.  T = 0 is never a target: Phi_n vanishes only when alpha / beta is
-a root of unity.  Each root is checked with pairs.validate_ab and kept
-only if primdiv.residual_after_stripping is 1, so the definition decides
-every reported pair and the theorem is needed only for completeness.  The
-tests hold the search equal to a scan of the whole box by the definition
-(validate_ab plus the gcd strip) for every n at every bound up to 64, at
+a root of unity.  Each root is checked with the pair rules
+(pairs.pair_failure, which builds no pair) and kept only if
+primdiv.residual_after_stripping is 1, so the definition decides every
+reported pair and the theorem is needed only for completeness.  The tests
+hold the search equal to a scan of the whole box by the definition (the
+pair rules plus the gcd strip) for every n at every bound up to 64, at
 1000 and at 5000, the linear steps equal to a root search per a at bound
 10000, and the capped solve equal to the uncapped one at bound 20000.
 
@@ -82,13 +83,7 @@ from .families import (
     instantiate,
     raw_ab,
 )
-from .pairs import (
-    FailureKind,
-    LehmerPair,
-    ValidationFailure,
-    lehmer_prefix,
-    validate_ab,
-)
+from .pairs import FailureKind, ValidationFailure, lehmer_prefix, pair_failure
 from .primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
 
 
@@ -114,9 +109,9 @@ class DiscrepancyReport:
     """Outcome of comparing the search against the family tables.
 
     A table failure's reason is "invalid:<kind>" for an in-bound tuple whose
-    pair fails validate_ab, "not_defective:residual=<r>" for an entry the
-    gcd strip leaves r > 1, or "missed_by_search" for a defective entry the
-    search did not find.
+    pair breaks a pair rule (pairs.pair_failure), "not_defective:residual=<r>"
+    for an entry the gcd strip leaves r > 1, or "missed_by_search" for a
+    defective entry the search did not find.
     """
 
     n: int
@@ -215,14 +210,16 @@ def _roots(n: int, a_from: int, a_to: int, bound: int):
 
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
     """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
-    1 <= a_from <= a_to <= bound, as _chunks makes them."""
+    1 <= a_from <= a_to <= bound, as _chunks makes them.  A root is kept when
+    it passes the pair rules (pair_failure; no LehmerPair is built) and the
+    gcd strip leaves 1."""
     # Hits are kept per a, so the hits of one a share one int object (_roots
     # builds a afresh for each root: 28 bytes a hit otherwise) and only each
     # a's b values are sorted.
     hit_bs: dict[int, list[int]] = {}
     for a, q in _roots(n, a_from, a_to, bound):
         b = a - 4 * q
-        if isinstance(validate_ab(a, b), LehmerPair) and residual_after_stripping(a, b, n) == 1:
+        if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1:
             hit_bs.setdefault(a, []).append(b)
     return [(a, b) for a in sorted(hit_bs) for b in sorted(hit_bs[a])]
 
@@ -429,12 +426,12 @@ def _expect_boundary_invalid(n, row, ks) -> tuple[bool, str]:
     for k in ks:
         for eps in (1, -1):
             ab = raw_ab(row, FamilyParams(k=k, eps=eps))
-            res = validate_ab(*ab)
-            if isinstance(res, LehmerPair):
+            failure = pair_failure(*ab)
+            if failure is None:
                 ok = False
                 notes.append(f"k={k},eps={eps}:{ab} UNEXPECTEDLY VALID")
             else:
-                notes.append(f"k={k},eps={eps}:{ab}={res.describe()}")
+                notes.append(f"k={k},eps={eps}:{ab}={failure.describe()}")
     return ok, f"{row.value}: " + " ".join(notes)
 
 

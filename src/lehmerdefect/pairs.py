@@ -57,7 +57,7 @@ class FailureKind(Enum):
 
 @dataclass(frozen=True)
 class ValidationFailure:
-    """First violated pair rule, under the fixed precedence of validate_ab."""
+    """First violated pair rule, under the fixed precedence of pair_failure."""
 
     kind: FailureKind
     pq: tuple[int, int] | None = None  # offending (p, q), DEGENERATE_RATIO only
@@ -92,12 +92,13 @@ class LehmerPair:
         return (self.a - self.b) // 4
 
 
-def validate_ab(a: int, b: int) -> LehmerPair | ValidationFailure:
-    """Check the pair rules in fixed precedence order.
+def pair_failure(a: int, b: int) -> ValidationFailure | None:
+    """The first pair rule (a, b) breaks, or None when it is a Lehmer pair.
 
     Order: ZeroA, ZeroB, NotCongruentMod4, ZeroQ, NotCoprime, DegenerateRatio.
     Cheap structural checks come before arithmetic ones, and the first failure
-    is the reported one, so error identities are deterministic.
+    is the reported one, so error identities are deterministic.  No pair is
+    built, so the search and the table enumeration call this on every tuple.
     """
     if a == 0:
         return ValidationFailure(FailureKind.ZERO_A)
@@ -112,15 +113,20 @@ def validate_ab(a: int, b: int) -> LehmerPair | ValidationFailure:
         return ValidationFailure(FailureKind.NOT_COPRIME)
     if (a, q) in DEGENERATE_PQ:
         return ValidationFailure(FailureKind.DEGENERATE_RATIO, (a, q))
-    return LehmerPair(a, b)
+    return None
+
+
+def validate_ab(a: int, b: int) -> LehmerPair | ValidationFailure:
+    """The LehmerPair (a, b), or the first rule it breaks (pair_failure)."""
+    return pair_failure(a, b) or LehmerPair(a, b)
 
 
 def require_pair(a: int, b: int) -> LehmerPair:
     """validate_ab, raising InvalidPairError instead of returning the failure."""
-    res = validate_ab(a, b)
-    if isinstance(res, ValidationFailure):
-        raise InvalidPairError(a, b, res)
-    return res
+    failure = pair_failure(a, b)
+    if failure is not None:
+        raise InvalidPairError(a, b, failure)
+    return LehmerPair(a, b)
 
 
 def lehmer_elements(pair: LehmerPair) -> Iterator[int]:

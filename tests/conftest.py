@@ -8,7 +8,7 @@ from hypothesis import assume, strategies as st
 
 from lehmerdefect import cli
 from lehmerdefect.harness import search_defective
-from lehmerdefect.pairs import LehmerPair, validate_ab
+from lehmerdefect.pairs import LehmerPair, pair_failure
 from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
 
 
@@ -25,9 +25,9 @@ def valid_pairs(draw, limit: int = 10_000) -> LehmerPair:
     """Validated pairs with |a|, |b| <= limit."""
     a = draw(st.integers(-limit, limit).filter(bool))
     q = draw(st.integers(-((limit - a) // 4), (limit + a) // 4).filter(bool))
-    res = validate_ab(a, a - 4 * q)
-    assume(isinstance(res, LehmerPair))
-    return res
+    b = a - 4 * q
+    assume(pair_failure(a, b) is None)
+    return LehmerPair(a, b)
 
 
 @pytest.fixture
@@ -44,10 +44,11 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
     """The n-defective pairs of the search box, found by scanning all of it.
 
     Every (a, b) with 0 < a <= bound, |b| <= bound and a == b mod 4 is
-    checked with validate_ab.  Each valid pair's elements u_1..u_max(ns) are
-    walked once by the parity recurrence, keeping the running product
-    a*b*u_1*...*u_{i-1}; at each n in ns, u_n is stripped by gcd with that
-    product until coprime, and the pair is n-defective when +-1 is left.
+    checked with the pair rules (pair_failure).  Each valid pair's elements
+    u_1..u_max(ns) are walked once by the parity recurrence, keeping the
+    running product a*b*u_1*...*u_{i-1}; at each n in ns, u_n is stripped by
+    gcd with that product until coprime, and the pair is n-defective when +-1
+    is left.
     Neither primdiv nor a cyclotomic form is used.  Pairs come in (a, b)-lex
     order, like search_defective.
     """
@@ -56,7 +57,7 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
     for a in range(1, bound + 1):
         for q in range((a + bound) // 4, -((bound - a) // 4) - 1, -1):
             b = a - 4 * q
-            if not isinstance(validate_ab(a, b), LehmerPair):
+            if pair_failure(a, b) is not None:
                 continue
             d, prev, cur = a * b, 0, 1
             for i in range(2, top + 1):
@@ -93,7 +94,8 @@ def per_a_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     Phi_n(p, q) = p + c1*q (CYCLOTOMIC_FORMS).  For each a and each target
     t = +-T, T a product of primes of n up to the largest |Phi_n| in the
     box, the root q = (t - a) / c1 is kept when it divides exactly and lies
-    in the box; the roots are checked with validate_ab and the gcd strip.
+    in the box; the roots are checked with the pair rules (pair_failure) and
+    the gcd strip.
     """
     (c0, c1), prime_caps = CYCLOTOMIC_FORMS[n]
     t_max = c0 * bound + abs(c1) * (2 * bound // 4)
@@ -114,6 +116,6 @@ def per_a_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
                 roots.add(q)
         for q in sorted(roots, reverse=True):  # descending q = ascending b
             b = a - 4 * q
-            if isinstance(validate_ab(a, b), LehmerPair) and residual_after_stripping(a, b, n) == 1:
+            if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1:
                 hits.append((a, b))
     return tuple(hits)

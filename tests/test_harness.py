@@ -189,6 +189,34 @@ class TestVerify:
                             -a, -b, n
                         ), (a, b, n)
 
+    def test_search_and_tables_build_no_pair(self, monkeypatch):
+        # The search and the table enumeration check every tuple with the
+        # pair rules alone: with LehmerPair unconstructible they return what
+        # they return normally.
+        bound = 300
+        want = {
+            n: (
+                search_defective(n, bound),
+                harness.enumerate_with_anomalies(n, bound),
+                verify_table(n, bound),
+            )
+            for n in SUPPORTED_N
+        }
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a LehmerPair was built")
+
+        monkeypatch.setattr(LehmerPair, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            LehmerPair(1, 5)
+        for n in SUPPORTED_N:
+            got = (
+                search_defective(n, bound),
+                harness.enumerate_with_anomalies(n, bound),
+                verify_table(n, bound),
+            )
+            assert got == want[n], n
+
     def test_unmatched_entry_is_still_decided(self, monkeypatch):
         # An injected table entry with the non-defective pair (5, 1) for
         # n = 5: the search does not find it, so verify_table must strip it.

@@ -16,6 +16,7 @@ from lehmerdefect.pairs import (
     equivalent,
     lehmer_number,
     lehmer_prefix,
+    pair_failure,
     require_pair,
     validate_ab,
 )
@@ -70,6 +71,27 @@ class TestValidation:
             require_pair(3, 2)
         assert exc.value.failure.kind is FailureKind.NOT_CONGRUENT_MOD_4
         assert require_pair(-1, -5) == LehmerPair(-1, -5)
+
+    def test_pair_failure_agrees_with_validate_ab(self):
+        """pair_failure is None exactly where validate_ab and require_pair
+        give the pair, and is otherwise their failure, kind and pq alike."""
+        grid = [(a, b) for a in range(-60, 61) for b in range(-60, 61)]
+        degenerate = [(p, p - 4 * q) for p, q in sorted(DEGENERATE_PQ)]
+        kinds = set()
+        for a, b in grid + degenerate:
+            failure = pair_failure(a, b)
+            res = validate_ab(a, b)
+            if failure is None:
+                assert res == LehmerPair(a, b)
+                assert require_pair(a, b) == res
+            else:
+                assert isinstance(res, ValidationFailure)
+                assert (res.kind, res.pq) == (failure.kind, failure.pq)
+                with pytest.raises(InvalidPairError) as exc:
+                    require_pair(a, b)
+                assert exc.value.failure == failure
+            kinds.add(None if failure is None else failure.kind)
+        assert kinds == {None, *FailureKind}
 
 
 class TestCoordinates:
