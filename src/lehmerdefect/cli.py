@@ -29,8 +29,6 @@ import functools
 import json
 import os
 import sys
-from itertools import groupby
-from operator import attrgetter
 from typing import IO, Sequence
 
 from . import families, harness, pairs, primdiv, sequences
@@ -103,9 +101,9 @@ def _jobs_of(ns) -> int:
         raise ValueError(f"LEHMERDEFECT_JOBS must be an integer, got {env!r}") from None
 
 
-def _row_doc(x, **rest) -> dict:
-    """JSON of x's row and params (x a FamilyEntry or TableFailure), then rest."""
-    return {"row": x.row.value, "params": x.params.as_dict(), **rest}
+def _row_doc(row: families.FamilyRowId, params: dict[str, int], **rest) -> dict:
+    """JSON of a row and its parameters, then rest."""
+    return {"row": row.value, "params": params, **rest}
 
 
 def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
@@ -140,45 +138,45 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
         out.write(f"primitive_primes: {list(primes)}\n")
 
 
-def _emit_family(n: int, bound: int, entries, fmt: str, out: IO[str]) -> None:
+def _emit_family(n: int, bound: int, table, fmt: str, out: IO[str]) -> None:
+    """Render families.table_records(n, bound): each record, with the row and
+    (k, l, q, eps) of its shadows as its provenance."""
+    records, shadows, _ = table
+    view = families.record_view
+    provenance = {key: [view(key, s)[:2] for s in recs] for key, recs in shadows.items()}
+
     if fmt == "json":
-        doc = {
-            "n": n,
-            "bound": bound,
-            "count": len(entries),
-            "entries": [
-                _row_doc(
-                    e,
-                    raw_a=str(e.raw_ab[0]),
-                    raw_b=str(e.raw_ab[1]),
-                    canonical_a=str(e.canonical_ab[0]),
-                    canonical_b=str(e.canonical_ab[1]),
-                    provenance=[_row_doc(s) for s in e.provenance],
-                )
-                for e in entries
-            ],
-        }
+        entries = []
+        for key, rec in records.items():
+            row, values, (ra, rb) = view(key, rec)
+            prov = [_row_doc(r, families.params_dict(v)) for r, v in provenance.get(key, ())]
+            entries.append(_row_doc(
+                row, families.params_dict(values), raw_a=str(ra), raw_b=str(rb),
+                canonical_a=str(key[0]), canonical_b=str(key[1]), provenance=prov,
+            ))
+        doc = {"n": n, "bound": bound, "count": len(records), "entries": entries}
         out.write(json.dumps(doc) + "\n")
     elif fmt == "tsv":
         lines = ["# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"]
-        # Entries come in row order, so each row's label is read once.
-        for row, group in groupby(entries, attrgetter("row")):
-            head = f"{n}\t{row.value}\t"
-            for e in group:
-                p, (ra, rb), (ca, cb) = e.params, e.raw_ab, e.canonical_ab
-                prov = ";".join([s.row.label(s.params) for s in e.provenance]) or "-"
-                lines.append(
-                    f"{head}{'-' if p.k is None else p.k}\t{'-' if p.l is None else p.l}\t"
-                    f"{'-' if p.q is None else p.q}\t{'-' if p.eps is None else p.eps}\t"
-                    f"{ra}\t{rb}\t{ca}\t{cb}\t{prov}\n"
+        for key, rec in records.items():
+            row, (k, l, q, eps), (ra, rb) = view(key, rec)
+            labels = "-"
+            if key in provenance:
+                labels = ";".join(
+                    [f"{r.value}({families.params_text(v)})" for r, v in provenance[key]]
                 )
+            lines.append(
+                f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
+                f"{'-' if q is None else q}\t{'-' if eps is None else eps}\t"
+                f"{ra}\t{rb}\t{key[0]}\t{key[1]}\t{labels}\n"
+            )
         out.write("".join(lines))
     else:
-        out.write(f"n={n} bound={bound} entries={len(entries)}\n")
-        for e in entries:
+        out.write(f"n={n} bound={bound} entries={len(records)}\n")
+        for key, rec in records.items():
+            row, values, raw = view(key, rec)
             out.write(
-                f"row={e.row.value} params={e.params.compact()} raw={e.raw_ab} "
-                f"canonical={e.canonical_ab}\n"
+                f"row={row.value} params={families.params_text(values)} raw={raw} canonical={key}\n"
             )
 
 
@@ -209,13 +207,16 @@ def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> N
             "exact_agreement": report.exact_agreement,
             "missing_from_table": [[str(a), str(b)] for a, b in report.missing_from_table],
             "table_failures": [
-                _row_doc(f, raw_a=str(f.raw_ab[0]), raw_b=str(f.raw_ab[1]), reason=f.reason)
+                _row_doc(
+                    f.row, f.params.as_dict(),
+                    raw_a=str(f.raw_ab[0]), raw_b=str(f.raw_ab[1]), reason=f.reason,
+                )
                 for f in report.table_failures
             ],
             "equivalent_duplicates": [
                 {
-                    "kept": _row_doc(kept),
-                    "shadow": _row_doc(sh),
+                    "kept": _row_doc(kept.row, kept.params.as_dict()),
+                    "shadow": _row_doc(sh.row, sh.params.as_dict()),
                     "canonical_a": str(kept.canonical_ab[0]),
                     "canonical_b": str(kept.canonical_ab[1]),
                 }
@@ -310,8 +311,8 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
             pair = pairs.require_pair(ns.a, ns.b)
             _emit_check(primdiv.defect_witness(pair, ns.n), ns.format, out)
         elif ns.command == "family":
-            entries = families.enumerate_families(ns.n, ns.bound)
-            _emit_family(ns.n, ns.bound, entries, ns.format, out)
+            table = families.table_records(ns.n, ns.bound)
+            _emit_family(ns.n, ns.bound, table, ns.format, out)
         elif ns.command == "search":
             if ns.checkpoint is not None:
                 result = harness.search_with_checkpoint(

@@ -31,6 +31,14 @@ For every row, q(pair) = (a-b)/4 equals a fixed sequence value or the free
 parameter q, so max(|a|, |b|) >= 2|q| bounds the enumeration: sequence rows
 stop at the first index whose value exceeds bound/2, and linear rows stop
 once the power term alone exceeds twice the bound.
+
+One enumeration core, table_records, walks each row as plain ints, checks
+every tuple with the pair rules and files the valid ones under their
+canonical pair as records: flat tuples (row position, sign, k, l, q, eps)
+that hold nothing the cyclic GC tracks.  enumerate_with_anomalies builds its
+FamilyEntry list from the records; verify_table (harness) and the family
+command (cli) match and render the records themselves, and build FamilyEntry
+and FamilyParams objects only for what they report.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .pairs import LehmerPair, ValidationFailure, pair_failure
 from .sequences import SequenceId, seq_eval
@@ -79,6 +87,16 @@ class FamilyRowId(str, Enum):
         return f"{self.value}({params.compact()})"
 
 
+def params_dict(values: tuple[int | None, ...]) -> dict[str, int]:
+    """(k, l, q, eps) values by name, in that order, leaving out the None ones."""
+    return {name: v for name, v in zip(("k", "l", "q", "eps"), values) if v is not None}
+
+
+def params_text(values: tuple[int | None, ...]) -> str:
+    """The set (k, l, q, eps) values as "k=1,eps=-1"."""
+    return ",".join(f"{name}={v}" for name, v in params_dict(values).items())
+
+
 @dataclass(frozen=True, slots=True)
 class FamilyParams:
     """Parameters of one row instance; only the row's fields are set."""
@@ -94,10 +112,10 @@ class FamilyParams:
 
     def as_dict(self) -> dict[str, int]:
         """The set fields by name, in (k, l, q, eps) order."""
-        return {f: v for f in ("k", "l", "q", "eps") if (v := getattr(self, f)) is not None}
+        return params_dict((self.k, self.l, self.q, self.eps))
 
     def compact(self) -> str:
-        return ",".join(f"{name}={v}" for name, v in self.as_dict().items())
+        return params_text((self.k, self.l, self.q, self.eps))
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,40 +248,38 @@ class _Row:
     def values(self, p: FamilyParams) -> tuple[int, ...]:
         return tuple(getattr(p, name) for name in self.fields)
 
-    def formula(self, p: FamilyParams) -> tuple[int, int]:
+    def formula(self, values: tuple[int, ...]) -> tuple[int, int]:
+        """The raw pair at the parameter values, given in field order."""
         if self.seq is None:
-            t = 1
-            for name, base in self.powers:
-                t *= base ** getattr(p, name)
-            return t + self.m[0] * p.q, t + self.m[1] * p.q
-        a = self.scale * seq_eval(self.seq, p.k - self.stride * p.eps)
-        b = a - 4 * seq_eval(self.qseq or self.seq, p.k)
+            t = prod(base**e for (_, base), e in zip(self.powers, values))
+            return t + self.m[0] * values[-1], t + self.m[1] * values[-1]
+        k, eps = values
+        a = self.scale * seq_eval(self.seq, k - self.stride * eps)
+        b = a - 4 * seq_eval(self.qseq or self.seq, k)
         return (b, a) if self.swap else (a, b)
 
-    def constraint(self, p: FamilyParams) -> str | None:
+    def constraint(self, values: tuple[int, ...]) -> str | None:
         """The failed side condition, or None; exclusions are checked apart."""
         if self.seq is not None:
-            return f"k >= {self.k_min} required" if p.k < self.k_min else None
+            return f"k >= {self.k_min} required" if values[0] < self.k_min else None
         names = self.fields[:-1]
-        for name in names:
-            if getattr(p, name) < 1:
-                return " and ".join(f"{name} > 0" for name in names) + " required"
+        if min(values[:-1], default=1) < 1:
+            return " and ".join(f"{name} > 0" for name in names) + " required"
         c = self.coprime_to
-        if gcd(c, p.q) != 1:
+        if gcd(c, values[-1]) != 1:
             return f"{c} must not divide q" if len(names) == 1 else f"q must be coprime to {c}"
         return None
 
-    def params_within(self, bound: int) -> Iterator[tuple[FamilyParams, tuple[int, int]]]:
-        """(params, raw pair) of every admissible tuple with max(|a|, |b|) <=
-        bound, in (k/l, q, eps) order."""
+    def walk(self, bound: int) -> Iterator[tuple[int | None, ...]]:
+        """(k, l, q, eps, a, b) of every admissible tuple with max(|a|, |b|) <=
+        bound, in (k/l, q, eps) order; the fields the row lacks are None."""
         if self.seq is not None:
             for k in _seq_ks(self.qseq or self.seq, self.k_min, bound):
                 for eps in (1, -1):
                     if (k, eps) not in self.excluded:
-                        p = FamilyParams(k=k, eps=eps)
-                        a, b = ab = self.formula(p)
+                        a, b = self.formula((k, eps))
                         if abs(a) <= bound and abs(b) <= bound:
-                            yield p, ab
+                            yield k, None, None, eps, a, b
             return
         c = self.coprime_to
         m_a, m_b = self.m
@@ -273,7 +289,7 @@ class _Row:
             skip = {v[-1] for v in self.excluded if v[:-1] == exps}
             for q in _q_range(t, m_a, m_b, bound):
                 if gcd(c, q) == 1 and q not in skip:
-                    yield FamilyParams(k, l, q), (t + m_a * q, t + m_b * q)
+                    yield k, l, q, None, t + m_a * q, t + m_b * q
 
 
 _N5_PHI = _Row(5, seq=SequenceId.PHI, stride=2, k_min=3)
@@ -341,12 +357,72 @@ def instantiate(
     """
     _check_shape(row, params)
     d = _ROWS[row]
-    reason = d.constraint(params)
-    if reason is None and d.values(params) in d.excluded:
+    values = d.values(params)
+    reason = d.constraint(values)
+    if reason is None and values in d.excluded:
         reason = f"({params.compact()}) is explicitly excluded"
     if reason is not None:
         return ConstraintViolation(row, params, reason)
-    return _build_entry(d.n, row, params, d.formula(params))
+    return _build_entry(d.n, row, params, d.formula(values))
+
+
+# A record is a flat tuple (row position, sign, k, l, q, eps), None for the
+# fields its row lacks: the row is _ROW_IDS[position], and the raw pair is
+# sign times the canonical pair the record is filed under.  Holding nothing
+# the cyclic GC tracks, a record and its key are untracked at the first
+# collection that sees them, so a large table costs later collections nothing.
+_ROW_IDS = tuple(_ROWS)
+Record = tuple[int | None, ...]
+Pair = tuple[int, int]
+
+
+def table_records(n: int, bound: int) -> tuple[
+    dict[Pair, Record], dict[Pair, list[Record]], list[tuple[Pair, Record, ValidationFailure]]
+]:
+    """The table for n with max(|a|, |b|) <= bound on the raw pair, as records.
+
+    Every in-bound tuple is checked with the pair rules (pair_failure), in
+    deterministic (row, k/l, q, eps) order.  Returns
+
+        records     canonical pair -> the first record with that pair, in order
+        shadows     canonical pair -> the later records with that pair (the
+                    table's internal duplicates; empty for the shipped table)
+        anomalies   (raw pair, record with sign 1, failure) for each tuple
+                    whose pair breaks a pair rule, in order
+    """
+    family_rows(n)  # raises UnsupportedNError for an n with no classified families
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    records: dict[Pair, Record] = {}
+    shadows: dict[Pair, list[Record]] = {}
+    anomalies: list[tuple[Pair, Record, ValidationFailure]] = []
+    for pos, row in enumerate(_ROWS.values()):
+        if row.n != n:
+            continue
+        for k, l, q, eps, a, b in row.walk(bound):
+            failure = pair_failure(a, b)
+            if failure is not None:
+                anomalies.append(((a, b), (pos, 1, k, l, q, eps), failure))
+                continue
+            if a > 0:
+                key, rec = (a, b), (pos, 1, k, l, q, eps)
+            else:
+                key, rec = (-a, -b), (pos, -1, k, l, q, eps)
+            if records.setdefault(key, rec) is not rec:
+                shadows.setdefault(key, []).append(rec)
+    return records, shadows, anomalies
+
+
+def record_view(key: Pair, rec: Record) -> tuple[FamilyRowId, Record, Pair]:
+    """(row, (k, l, q, eps), raw pair) of the record filed under key."""
+    return _ROW_IDS[rec[0]], rec[2:], key if rec[1] == 1 else (-key[0], -key[1])
+
+
+def record_entry(n: int, key: Pair, rec: Record, shadows: Sequence[Record] = ()) -> FamilyEntry:
+    """The FamilyEntry of a record, with the given shadow records as its provenance."""
+    row, values, raw = record_view(key, rec)
+    provenance = tuple([record_entry(n, key, s) for s in shadows]) if shadows else ()
+    return FamilyEntry(n, row, FamilyParams(*values), raw, key, provenance)
 
 
 def enumerate_with_anomalies(
@@ -358,25 +434,18 @@ def enumerate_with_anomalies(
     order plus any in-bound tuples that failed pair validation.  Duplicate
     canonical pairs keep the first entry; later hits land in its provenance.
     """
-    rows = family_rows(n)
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    entries: list[FamilyEntry] = []
-    anomalies: list[tuple[FamilyRowId, FamilyParams, tuple[int, int], ValidationFailure]] = []
-    index: dict[tuple[int, int], int] = {}
-    for row in rows:
-        for params, raw in _ROWS[row].params_within(bound):
-            built = _build_entry(n, row, params, raw)
-            if isinstance(built, ValidationFailure):
-                anomalies.append((row, params, raw, built))
-                continue
-            at = index.get(built.canonical_ab)
-            if at is None:
-                index[built.canonical_ab] = len(entries)
-                entries.append(built)
-            else:
-                kept = entries[at]
-                entries[at] = replace(kept, provenance=kept.provenance + (built,))
+    records, shadows, bad = table_records(n, bound)
+    anomalies = []
+    for raw, rec, failure in bad:
+        row, values, _ = record_view(raw, rec)
+        anomalies.append((row, FamilyParams(*values), raw, failure))
+    # Records are popped as their entries are built, last first, so the
+    # records and the entries do not both stay whole.
+    entries = []
+    while records:
+        key, rec = records.popitem()
+        entries.append(record_entry(n, key, rec, shadows.get(key, ())))
+    entries.reverse()
     return entries, anomalies
 
 
@@ -389,7 +458,8 @@ def enumerate_families(n: int, bound: int) -> list[FamilyEntry]:
 def raw_ab(row: FamilyRowId, params: FamilyParams) -> tuple[int, int]:
     """The row formula evaluated at params, ignoring side conditions."""
     _check_shape(row, params)
-    return _ROWS[row].formula(params)
+    d = _ROWS[row]
+    return d.formula(d.values(params))
 
 
 def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReason:
@@ -401,15 +471,18 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
     judgment; verify_table is the arbiter of whether such a pair is missing.
     """
     d = _ROWS[row]
-    if d.n != n or d.values(params) not in d.excluded:
+    values = d.values(params)
+    if d.n != n or values not in d.excluded:
         raise NotAnExclusionError(
             f"({params.compact()}) is not an explicit exclusion of {row.value} at n={n}"
         )
-    raw = d.formula(params)
+    raw = d.formula(values)
     built = _build_entry(n, row, params, raw)
     if isinstance(built, ValidationFailure):
         return InvalidPair(built)
-    for entry in enumerate_families(n, max(abs(raw[0]), abs(raw[1]))):
-        if entry.canonical_ab == built.canonical_ab:
-            return DuplicateOf(entry.row, entry.params, entry.canonical_ab)
-    return Unexplained(raw, built.canonical_ab)
+    key = built.canonical_ab
+    rec = table_records(n, max(abs(raw[0]), abs(raw[1])))[0].get(key)
+    if rec is None:
+        return Unexplained(raw, key)
+    kept_row, kept_values, _ = record_view(key, rec)
+    return DuplicateOf(kept_row, FamilyParams(*kept_values), key)

@@ -33,6 +33,13 @@ pair rules plus the gcd strip) for every n at every bound up to 64, at
 1000 and at 5000, the linear steps equal to a root search per a at bound
 10000, and the capped solve equal to the uncapped one at bound 20000.
 
+verify_table compares the search with the family table as records
+(families.table_records): every search pair is looked up by canonical pair,
+and the records are checked against the search's pairs only when some record
+is left unmatched.  FamilyParams, FamilyEntry and TableFailure objects are
+built only for what the report lists: invalid tuples, unmatched records and
+the table's internal duplicates.
+
 Searches fan out over contiguous a-chunks, one worker at most per chunk.
 Chunk boundaries depend only on the bound, not on the worker count, and
 results are merged in chunk order, so output is byte-identical for any --jobs
@@ -70,6 +77,8 @@ from itertools import repeat
 from math import gcd, isqrt, prod
 from pathlib import Path
 
+# enumerate_with_anomalies is not called here; it stays importable from
+# harness, where perfbench/layers.py times it.
 from .families import (
     DuplicateOf,
     FamilyEntry,
@@ -77,11 +86,13 @@ from .families import (
     FamilyRowId,
     InvalidPair,
     audit_exclusion,
-    enumerate_families,
     enumerate_with_anomalies,
     family_rows,
     instantiate,
     raw_ab,
+    record_entry,
+    record_view,
+    table_records,
 )
 from .pairs import FailureKind, ValidationFailure, lehmer_prefix, pair_failure
 from .primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
@@ -361,41 +372,54 @@ def search_with_checkpoint(
     return SearchResult(n, bound, tuple(hits))
 
 
+def _table_failure(key: tuple[int, int], rec: tuple, reason: str) -> TableFailure:
+    row, values, raw = record_view(key, rec)
+    return TableFailure(row, FamilyParams(*values), raw, reason)
+
+
 def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
-    """Compare search_defective against enumerate_families up to equivalence.
+    """Compare search_defective against the family table up to equivalence.
 
     Mismatches are classified, never raised: pairs the search found with no
     table entry, table failures (in-bound tuples that fail validation as
     "invalid:<kind>", entries that are not defective as
     "not_defective:residual=<r>", defective entries the search did not find
-    as "missed_by_search") and equivalent duplicates within the table.
+    as "missed_by_search") and equivalent duplicates within the table.  The
+    table is matched as records (see the module docstring).
     """
     result = search_defective(n, bound, jobs)
-    entries, anomalies = enumerate_with_anomalies(n, bound)
+    records, shadows, anomalies = table_records(n, bound)
     failures = [
-        TableFailure(row, params, raw, f"invalid:{fail.describe()}")
-        for row, params, raw, fail in anomalies
+        _table_failure(raw, rec, f"invalid:{fail.describe()}") for raw, rec, fail in anomalies
     ]
-    # Built after the enumeration, so the two large structures do not both
-    # grow at once.
-    unmatched = set(result.pairs)
-    for e in entries:
-        if e.canonical_ab in unmatched:
-            # The search found residual 1 for this class; |u_n| and |ab| are
-            # unchanged by (a, b) -> (-a, -b), so the strip would agree.
-            unmatched.remove(e.canonical_ab)
-            continue
-        residual = residual_after_stripping(e.raw_ab[0], e.raw_ab[1], n)
-        reason = "missed_by_search" if residual == 1 else f"not_defective:residual={residual}"
-        failures.append(TableFailure(e.row, e.params, e.raw_ab, reason))
-    missing = tuple(p for p in result.pairs if p in unmatched)
+    missing = tuple(p for p in result.pairs if p not in records)
+    matched = len(result.pairs) - len(missing)
+    # The search's pairs are distinct, so when as many matched as there are
+    # records, every record matched and the search set is not needed.
+    if matched < len(records):
+        found = set(result.pairs)
+        for key, rec in records.items():
+            if key in found:
+                # The search found residual 1 for this class; |u_n| and |ab|
+                # are unchanged by (a, b) -> (-a, -b), so the strip would agree.
+                continue
+            raw = record_view(key, rec)[2]
+            residual = residual_after_stripping(raw[0], raw[1], n)
+            reason = "missed_by_search" if residual == 1 else f"not_defective:residual={residual}"
+            failures.append(_table_failure(key, rec, reason))
+    duplicates = []
+    if shadows:  # in the order of the kept records
+        for key, rec in records.items():
+            if key in shadows:
+                kept = record_entry(n, key, rec, shadows[key])
+                duplicates.extend((kept, shadow) for shadow in kept.provenance)
     return DiscrepancyReport(
         n=n,
         bound=bound,
         missing_from_table=missing,
         table_failures=tuple(failures),
-        equivalent_duplicates=tuple((e, shadow) for e in entries for shadow in e.provenance),
-        matched_count=len(result.pairs) - len(missing),
+        equivalent_duplicates=tuple(duplicates),
+        matched_count=matched,
     )
 
 
@@ -444,7 +468,7 @@ def _expect_added(n, row, params, raw, canonical, evidence, prefix=None) -> tupl
         isinstance(entry, FamilyEntry)
         and entry.raw_ab == raw
         and entry.canonical_ab == canonical
-        and canonical in {e.canonical_ab for e in enumerate_families(n, max(map(abs, raw)))}
+        and canonical in table_records(n, max(map(abs, raw)))[0]
         and (prefix is None or lehmer_prefix(entry.pair, n) == list(prefix))
         and residual_after_stripping(*raw, n) == 1
         and residual_after_stripping(*canonical, n) == 1

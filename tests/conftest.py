@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import io
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from math import gcd
+from multiprocessing import get_context
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -40,21 +43,11 @@ def run_cli():
     return runner
 
 
-def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The n-defective pairs of the search box, found by scanning all of it.
-
-    Every (a, b) with 0 < a <= bound, |b| <= bound and a == b mod 4 is
-    checked with the pair rules (pair_failure).  Each valid pair's elements
-    u_1..u_max(ns) are walked once by the parity recurrence, keeping the
-    running product a*b*u_1*...*u_{i-1}; at each n in ns, u_n is stripped by
-    gcd with that product until coprime, and the pair is n-defective when +-1
-    is left.
-    Neither primdiv nor a cyclotomic form is used.  Pairs come in (a, b)-lex
-    order, like search_defective.
-    """
+def _definitional_range(a_from: int, a_to: int, bound: int, ns) -> dict[int, list[tuple[int, int]]]:
+    """definitional_search's hits with a_from <= a <= a_to, per n in ns."""
     hits: dict[int, list[tuple[int, int]]] = {n: [] for n in ns}
     top = max(ns)
-    for a in range(1, bound + 1):
+    for a in range(a_from, a_to + 1):
         for q in range((a + bound) // 4, -((bound - a) // 4) - 1, -1):
             b = a - 4 * q
             if pair_failure(a, b) is not None:
@@ -70,7 +63,32 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
                         g = gcd(m, d)
                     if m in (1, -1):
                         hits[i].append((a, b))
-    return {n: tuple(pairs) for n, pairs in hits.items()}
+    return hits
+
+
+def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The n-defective pairs of the search box, found by scanning all of it.
+
+    Every (a, b) with 0 < a <= bound, |b| <= bound and a == b mod 4 is
+    checked with the pair rules (pair_failure).  Each valid pair's elements
+    u_1..u_max(ns) are walked once by the parity recurrence, keeping the
+    running product a*b*u_1*...*u_{i-1}; at each n in ns, u_n is stripped by
+    gcd with that product until coprime, and the pair is n-defective when +-1
+    is left.
+    Neither primdiv nor a cyclotomic form is used.  Pairs come in (a, b)-lex
+    order, like search_defective.  Every a costs about the same (bound / 2
+    values of q), so from bound 200 on the box is cut into 16 contiguous
+    a-ranges, scanned by 2 spawned worker processes and merged in a order;
+    below it, starting the workers would cost more than the scan.
+    """
+    if bound < 200:
+        parts = [_definitional_range(1, bound, bound, ns)]
+    else:
+        cuts = [1 + bound * i // 16 for i in range(17)]
+        los, his = cuts[:-1], [c - 1 for c in cuts[1:]]
+        with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as ex:
+            parts = list(ex.map(_definitional_range, los, his, repeat(bound), repeat(ns)))
+    return {n: tuple(pair for part in parts for pair in part[n]) for n in ns}
 
 
 def uncapped_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:

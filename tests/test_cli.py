@@ -217,11 +217,25 @@ _KEPT = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=1), (3, -5), (3
 _SHADOW = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), (-3, 5), (3, -5))
 
 
+def _as_records(entries):
+    """families.table_records' (records, shadows, anomalies) holding these
+    entries, each entry's provenance as its shadows."""
+
+    def record(e):
+        sign = 1 if e.raw_ab == e.canonical_ab else -1
+        p = e.params
+        return (families._ROW_IDS.index(e.row), sign, p.k, p.l, p.q, p.eps)
+
+    records = {e.canonical_ab: record(e) for e in entries}
+    shadows = {e.canonical_ab: [record(s) for s in e.provenance] for e in entries if e.provenance}
+    return records, shadows, []
+
+
 class TestRenderings:
     """Report shapes the shipped table never produces, in every format.
 
-    verify_table and enumerate_families are replaced by fixed results so the
-    missing-pair, failure, duplicate and provenance renderings stay pinned.
+    verify_table and families.table_records are replaced by fixed results so
+    the missing-pair, failure, duplicate and provenance renderings stay pinned.
     """
 
     REPORT = harness.DiscrepancyReport(
@@ -314,7 +328,7 @@ class TestRenderings:
         ],
     )
     def test_family_provenance(self, run_cli, monkeypatch, fmt, want):
-        monkeypatch.setattr(families, "enumerate_families", lambda n, bound: self.ENTRIES)
+        monkeypatch.setattr(families, "table_records", lambda n, bound: _as_records(self.ENTRIES))
         assert run_cli("family", "5", "--bound", "9", "--format", fmt) == (0, want, "")
 
     @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])

@@ -1,16 +1,20 @@
+import json
 from dataclasses import replace
 
 import pytest
 
 from conftest import definitional_search, per_a_search, uncapped_search
-from lehmerdefect import harness
+from lehmerdefect import families, harness
 from lehmerdefect.families import (
     SUPPORTED_N,
     DuplicateOf,
+    FamilyEntry,
     FamilyParams,
     FamilyRowId,
     UnsupportedNError,
     enumerate_families,
+    enumerate_with_anomalies,
+    table_records,
 )
 from lehmerdefect.harness import (
     CheckpointMismatchError,
@@ -20,7 +24,7 @@ from lehmerdefect.harness import (
     verify_table,
     _chunks,
 )
-from lehmerdefect.pairs import DEGENERATE_PQ, FailureKind, LehmerPair, validate_ab
+from lehmerdefect.pairs import DEGENERATE_PQ, FailureKind, LehmerPair, ValidationFailure, validate_ab
 from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, defect_witness, residual_after_stripping
 
 
@@ -218,19 +222,93 @@ class TestVerify:
             assert got == want[n], n
 
     def test_unmatched_entry_is_still_decided(self, monkeypatch):
-        # An injected table entry with the non-defective pair (5, 1) for
+        # An injected table record with the non-defective pair (5, 1) for
         # n = 5: the search does not find it, so verify_table must strip it.
-        entries, anomalies = harness.enumerate_with_anomalies(5, 10)
-        bogus = replace(entries[0], raw_ab=(5, 1), canonical_ab=(5, 1))
+        records, shadows, anomalies = table_records(5, 10)
+        first = next(iter(records.values()))
+        bogus = (first[0], 1, *first[2:])  # sign 1: its raw pair is its key, (5, 1)
         assert (5, 1) not in search_defective(5, 10).pairs
         monkeypatch.setattr(
-            harness, "enumerate_with_anomalies", lambda n, bound: (entries + [bogus], anomalies)
+            harness, "table_records", lambda n, bound: ({**records, (5, 1): bogus}, shadows, anomalies)
         )
         report = verify_table(5, 10)
         assert [f.reason for f in report.table_failures] == [
             f"not_defective:residual={residual_after_stripping(5, 1, 5)}"
         ]
         assert report.table_failures[0].raw_ab == (5, 1)
+
+    def test_duplicate_and_invalid_tuple_end_to_end(self, monkeypatch, run_cli):
+        # N5_PSI with its exclusions lifted: (k=0, eps=-1) gives (3, -5)
+        # again, a duplicate of (k=0, eps=1), and (k=1, eps=-1) gives (4, 0),
+        # which breaks a pair rule.  verify_table must report both exactly as
+        # the public enumeration yields them.
+        lifted = replace(families._ROWS[FamilyRowId.N5_PSI], excluded=())
+        monkeypatch.setitem(families._ROWS, FamilyRowId.N5_PSI, lifted)
+        entries, anomalies = enumerate_with_anomalies(5, 10)
+        kept = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=1), (3, -5), (3, -5))
+        shadow = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), (3, -5), (3, -5))
+        assert anomalies == [
+            (FamilyRowId.N5_PSI, FamilyParams(k=1, eps=-1), (4, 0), ValidationFailure(FailureKind.ZERO_B))
+        ]
+        assert [(e, e.provenance) for e in entries if e.provenance] == [(kept, (shadow,))]
+
+        report = verify_table(5, 10)
+        assert [(f.row, f.params, f.raw_ab, f.reason) for f in report.table_failures] == [
+            (row, params, raw, f"invalid:{failure.describe()}") for row, params, raw, failure in anomalies
+        ]
+        assert report.table_failures[0].reason == "invalid:ZeroB"
+        assert report.equivalent_duplicates == tuple((e, s) for e in entries for s in e.provenance)
+        assert report.equivalent_duplicates == ((kept, shadow),)
+        assert report.equivalent_duplicates[0][0].provenance == (shadow,)
+        assert report.missing_from_table == () and not report.exact_agreement
+        assert report.matched_count == len(entries)
+
+        want = {
+            "text": "row=N5_PSI params=k=0,eps=1 raw=(3, -5) canonical=(3, -5)\n",
+            "tsv": "5\tN5_PSI\t0\t-\t-\t1\t3\t-5\t3\t-5\tN5_PSI(k=0,eps=-1)\n",
+            "json": '{"row": "N5_PSI", "params": {"k": 0, "eps": 1}, "raw_a": "3", "raw_b": "-5", '
+            '"canonical_a": "3", "canonical_b": "-5", '
+            '"provenance": [{"row": "N5_PSI", "params": {"k": 0, "eps": -1}}]}',
+        }
+        for fmt, line in want.items():
+            code, out, err = run_cli("family", "5", "--bound", "10", "--format", fmt)
+            assert (code, err) == (0, ""), fmt
+            assert line in out, fmt
+        code, out, _ = run_cli("family", "5", "--bound", "10", "--format", "json")
+        assert json.loads(out)["count"] == len(entries)
+        code, out, _ = run_cli("verify", "5", "--bound", "10", "--format", "tsv")
+        assert code == 2
+        assert "table_failure\t4\t0\tN5_PSI(k=1,eps=-1) invalid:ZeroB\n" in out
+        assert "equivalent_duplicate\t3\t-5\tkept=N5_PSI(k=0,eps=1) shadow=N5_PSI(k=0,eps=-1)\n" in out
+
+    def test_verify_and_family_build_no_table_objects(self, monkeypatch, run_cli):
+        # verify_table and the family command match and render the table as
+        # records: with FamilyEntry and FamilyParams unconstructible they
+        # return what they return normally (n = 4 reports only the missing
+        # (6, 2), so no entry has to be built).
+        bound = 300
+        argvs = [
+            ("family", str(n), "--bound", str(bound), "--format", fmt)
+            for n in SUPPORTED_N
+            for fmt in ("text", "tsv", "json")
+        ]
+        want = (
+            {n: verify_table(n, bound) for n in SUPPORTED_N},
+            {argv: run_cli(*argv) for argv in argvs},
+        )
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table object was built")
+
+        monkeypatch.setattr(FamilyEntry, "__init__", refuse)
+        monkeypatch.setattr(FamilyParams, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            FamilyParams(q=1)
+        got = (
+            {n: verify_table(n, bound) for n in SUPPORTED_N},
+            {argv: run_cli(*argv) for argv in argvs},
+        )
+        assert got == want
 
     def test_search_miss_is_reported(self, monkeypatch, run_cli):
         # A search that loses a defective pair the table holds must not leave
