@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Print the line count and the code-line count of each package module.
+"""Print the line count and the code-line count of each package module,
+and the number of names in the package's __all__.
 
 A code line is a non-blank line that lies outside every docstring (module,
 class and function docstrings, located with ast) and holds at least one
 token other than a comment (located with tokenize).  So blank lines,
 docstrings and comment-only lines are not code; a line that ends in a
-comment after code is.
+comment after code is.  __all__ is read from __init__.py with ast too.
 
 It reads the modules of src/lehmerdefect next to this script, or the
 directory given as the only argument.
@@ -52,6 +53,14 @@ def counts(source: str) -> tuple[int, int]:
     return len(text), sum(1 for i in code if text[i - 1].strip())
 
 
+def public_names(source: str) -> int:
+    """Length of the module's top-level __all__ list or tuple (0 when it has none)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(node.value.elts)
+    return 0
+
+
 def main(argv: list[str]) -> None:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "lehmerdefect"
     rows = [(path.name, *counts(path.read_text())) for path in sorted(root.glob("*.py"))]
@@ -60,6 +69,9 @@ def main(argv: list[str]) -> None:
     print(f"{'module':<{width}}  {'lines':>5}  {'code':>5}")
     for name, lines, code in rows:
         print(f"{name:<{width}}  {lines:>5}  {code:>5}")
+    init = root / "__init__.py"
+    if init.exists():
+        print(f"__all__: {public_names(init.read_text())} names")
 
 
 if __name__ == "__main__":

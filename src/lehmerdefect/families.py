@@ -25,7 +25,9 @@ The n=12 rows are sequence rows with s = qs = zeta_i: every zeta sequence
 satisfies zeta(k-1) + zeta(k+1) = 4 zeta(k), so zeta(k-e) - 4 zeta(k) =
 -zeta(k+e).  Each row also lists a finite set of explicitly excluded
 parameter tuples whose pairs would be invalid or would duplicate another
-row instance; audit_exclusion re-derives the reason for each.
+row instance; audit_exclusion re-derives the reason for each: the pair
+rule's own ValidationFailure (as pair_failure returns it) for an invalid
+pair, DuplicateOf for a duplicate, and Unexplained for neither.
 
 For every row, q(pair) = (a-b)/4 equals a fixed sequence value or the free
 parameter q, so max(|a|, |b|) >= 2|q| bounds the enumeration: sequence rows
@@ -149,13 +151,6 @@ class ConstraintViolation:
 
 
 @dataclass(frozen=True)
-class InvalidPair:
-    """Exclusion audit outcome: the tuple's pair fails validation."""
-
-    failure: ValidationFailure
-
-
-@dataclass(frozen=True)
 class DuplicateOf:
     """Exclusion audit outcome: the tuple's pair duplicates a kept entry."""
 
@@ -173,7 +168,9 @@ class Unexplained:
     canonical_ab: tuple[int, int]
 
 
-AuditReason = InvalidPair | DuplicateOf | Unexplained
+# Exclusion audit outcome: the pair rule's own ValidationFailure when the
+# tuple's pair breaks one, else DuplicateOf or Unexplained.
+AuditReason = ValidationFailure | DuplicateOf | Unexplained
 
 
 def _q_range(t: int, m_a: int, m_b: int, bound: int) -> range:
@@ -336,14 +333,10 @@ def _check_shape(row: FamilyRowId, params: FamilyParams) -> None:
         )
 
 
-def _build_entry(
-    n: int, row: FamilyRowId, params: FamilyParams, raw: tuple[int, int]
-) -> FamilyEntry | ValidationFailure:
-    failure = pair_failure(*raw)
-    if failure is not None:
-        return failure
+def _entry(row: FamilyRowId, params: FamilyParams, raw: Pair, provenance: tuple = ()) -> FamilyEntry:
+    """The entry of a row instance whose raw pair passed the pair rules."""
     a, b = raw  # canonical: the a > 0 one of (a, b), (-a, -b), as in pairs.canonicalize
-    return FamilyEntry(n, row, params, raw, raw if a > 0 else (-a, -b))
+    return FamilyEntry(_ROWS[row].n, row, params, raw, raw if a > 0 else (-a, -b), provenance)
 
 
 def instantiate(
@@ -363,7 +356,8 @@ def instantiate(
         reason = f"({params.compact()}) is explicitly excluded"
     if reason is not None:
         return ConstraintViolation(row, params, reason)
-    return _build_entry(d.n, row, params, d.formula(values))
+    raw = d.formula(values)
+    return pair_failure(*raw) or _entry(row, params, raw)
 
 
 # A record is a flat tuple (row position, sign, k, l, q, eps), None for the
@@ -418,11 +412,11 @@ def record_view(key: Pair, rec: Record) -> tuple[FamilyRowId, Record, Pair]:
     return _ROW_IDS[rec[0]], rec[2:], key if rec[1] == 1 else (-key[0], -key[1])
 
 
-def record_entry(n: int, key: Pair, rec: Record, shadows: Sequence[Record] = ()) -> FamilyEntry:
+def record_entry(key: Pair, rec: Record, shadows: Sequence[Record] = ()) -> FamilyEntry:
     """The FamilyEntry of a record, with the given shadow records as its provenance."""
     row, values, raw = record_view(key, rec)
-    provenance = tuple([record_entry(n, key, s) for s in shadows]) if shadows else ()
-    return FamilyEntry(n, row, FamilyParams(*values), raw, key, provenance)
+    provenance = tuple([record_entry(key, s) for s in shadows]) if shadows else ()
+    return _entry(row, FamilyParams(*values), raw, provenance)
 
 
 def enumerate_with_anomalies(
@@ -444,7 +438,7 @@ def enumerate_with_anomalies(
     entries = []
     while records:
         key, rec = records.popitem()
-        entries.append(record_entry(n, key, rec, shadows.get(key, ())))
+        entries.append(record_entry(key, rec, shadows.get(key, ())))
     entries.reverse()
     return entries, anomalies
 
@@ -465,10 +459,11 @@ def raw_ab(row: FamilyRowId, params: FamilyParams) -> tuple[int, int]:
 def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReason:
     """Machine-check why an explicitly excluded tuple is excluded.
 
-    InvalidPair when the tuple's pair fails validation, DuplicateOf when it
-    validates but coincides (up to equivalence) with a kept entry of the same
-    n, and Unexplained otherwise.  Unexplained is a discrepancy report, not a
-    judgment; verify_table is the arbiter of whether such a pair is missing.
+    The pair rule's own ValidationFailure (as pair_failure returns it) when
+    the tuple's pair breaks one, DuplicateOf when it validates but coincides
+    (up to equivalence) with a kept entry of the same n, and Unexplained
+    otherwise.  Unexplained is a discrepancy report, not a judgment;
+    verify_table is the arbiter of whether such a pair is missing.
     """
     d = _ROWS[row]
     values = d.values(params)
@@ -477,10 +472,10 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
             f"({params.compact()}) is not an explicit exclusion of {row.value} at n={n}"
         )
     raw = d.formula(values)
-    built = _build_entry(n, row, params, raw)
-    if isinstance(built, ValidationFailure):
-        return InvalidPair(built)
-    key = built.canonical_ab
+    failure = pair_failure(*raw)
+    if failure is not None:
+        return failure
+    key = _entry(row, params, raw).canonical_ab
     rec = table_records(n, max(abs(raw[0]), abs(raw[1])))[0].get(key)
     if rec is None:
         return Unexplained(raw, key)

@@ -84,7 +84,6 @@ from .families import (
     FamilyEntry,
     FamilyParams,
     FamilyRowId,
-    InvalidPair,
     audit_exclusion,
     enumerate_with_anomalies,
     family_rows,
@@ -349,9 +348,12 @@ def search_with_checkpoint(
 
     Completed chunks found in the files are not recomputed.  With
     stop_after_chunks set, at most that many new chunks are processed and
-    None is returned if work remains (used to exercise interruption).
+    None is returned if work remains (used to exercise interruption); a
+    negative value raises ValueError before either file is touched.
     """
     _check_args(n, bound)
+    if stop_after_chunks is not None and stop_after_chunks < 0:
+        raise ValueError(f"stop_after_chunks must be nonnegative, got {stop_after_chunks}")
     chunks = _chunks(bound)
     state_path = Path(path)
     hits_path = Path(str(path) + ".hits")
@@ -411,7 +413,7 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     if shadows:  # in the order of the kept records
         for key, rec in records.items():
             if key in shadows:
-                kept = record_entry(n, key, rec, shadows[key])
+                kept = record_entry(key, rec, shadows[key])
                 duplicates.extend((kept, shadow) for shadow in kept.provenance)
     return DiscrepancyReport(
         n=n,
@@ -431,8 +433,8 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
 def _expect_excluded(n, row, params, want) -> tuple[bool, str]:
     """audit_exclusion re-derives exactly want for this excluded tuple."""
     got = audit_exclusion(n, row, params)
-    if isinstance(got, InvalidPair):
-        detail = got.failure.describe()
+    if isinstance(got, ValidationFailure):
+        detail = got.describe()
     elif isinstance(got, DuplicateOf):
         detail = f"duplicate of {got.row.label(got.params)} at {got.canonical_ab}"
     else:
@@ -440,22 +442,19 @@ def _expect_excluded(n, row, params, want) -> tuple[bool, str]:
     return got == want, f"{row.label(params)} -> (a,b)={raw_ab(row, params)}: {detail}"
 
 
-def _invalid(kind: FailureKind, pq: tuple[int, int] | None = None) -> InvalidPair:
-    return InvalidPair(ValidationFailure(kind, pq))
-
-
 def _expect_boundary_invalid(n, row, ks) -> tuple[bool, str]:
     notes = []
     ok = True
     for k in ks:
         for eps in (1, -1):
-            ab = raw_ab(row, FamilyParams(k=k, eps=eps))
+            params = FamilyParams(k=k, eps=eps)
+            ab = raw_ab(row, params)
             failure = pair_failure(*ab)
             if failure is None:
                 ok = False
-                notes.append(f"k={k},eps={eps}:{ab} UNEXPECTEDLY VALID")
+                notes.append(f"{params.compact()}:{ab} UNEXPECTEDLY VALID")
             else:
-                notes.append(f"k={k},eps={eps}:{ab}={failure.describe()}")
+                notes.append(f"{params.compact()}:{ab}={failure.describe()}")
     return ok, f"{row.value}: " + " ".join(notes)
 
 
@@ -486,19 +485,19 @@ _R, _P, _K, _X = FamilyRowId, FamilyParams, FailureKind, _expect_excluded
 # a check is (function, *args) and is called as function(n, *args).  The
 # item passes when every check does; its evidence joins theirs with "; ".
 _CHANGES = (
-    ("n=3(1)", 3, [(_X, _R.N3_Q, _P(q=-1), _invalid(_K.ZERO_A))]),
-    ("n=4(1)", 4, [(_X, _R.N4_Q, _P(q=-1), _invalid(_K.DEGENERATE_RATIO, (-1, -1)))]),
-    ("n=4(2)", 4, [(_X, _R.N4_POW2, _P(k=1, q=-1), _invalid(_K.ZERO_A))]),
+    ("n=3(1)", 3, [(_X, _R.N3_Q, _P(q=-1), ValidationFailure(_K.ZERO_A))]),
+    ("n=4(1)", 4, [(_X, _R.N4_Q, _P(q=-1), ValidationFailure(_K.DEGENERATE_RATIO, (-1, -1)))]),
+    ("n=4(2)", 4, [(_X, _R.N4_POW2, _P(k=1, q=-1), ValidationFailure(_K.ZERO_A))]),
     ("n=5(1)", 5, [(
         _expect_added, _R.N5_PSI, _P(k=1, eps=1), (-1, -5), (1, 5),
         "N5_PSI(k=1,eps=1) -> (a,b)=(-1,-5): valid, u_0..u_5=[0,1,1,-2,-3,5], 5-defective",
         (0, 1, 1, -2, -3, 5),
     )]),
     ("n=5(2)", 5, [(_X, _R.N5_PSI, _P(k=0, eps=-1), DuplicateOf(_R.N5_PSI, _P(k=0, eps=1), (3, -5)))]),
-    ("n=6(1)", 6, [(_X, _R.N6_Q, _P(q=-1), _invalid(_K.DEGENERATE_RATIO, (-2, -1)))]),
+    ("n=6(1)", 6, [(_X, _R.N6_Q, _P(q=-1), ValidationFailure(_K.DEGENERATE_RATIO, (-2, -1)))]),
     ("n=6(2)", 6, [
-        (_X, _R.N6_POW3, _P(l=1, q=-1), _invalid(_K.ZERO_A)),
-        (_X, _R.N6_POW2, _P(k=1, q=-1), _invalid(_K.DEGENERATE_RATIO, (-1, -1))),
+        (_X, _R.N6_POW3, _P(l=1, q=-1), ValidationFailure(_K.ZERO_A)),
+        (_X, _R.N6_POW2, _P(k=1, q=-1), ValidationFailure(_K.DEGENERATE_RATIO, (-1, -1))),
     ]),
     ("n=8", 8, [
         (_note, "no changes"),
@@ -511,14 +510,14 @@ _CHANGES = (
     )]),
     ("n=10(2)", 10, [(_X, _R.N10_PSI, _P(k=0, eps=-1), DuplicateOf(_R.N10_PSI, _P(k=0, eps=1), (5, -3)))]),
     ("n=12(2)", 12, [
-        (_X, _R.N12_ZETA0, _P(k=0, eps=1), _invalid(_K.ZERO_Q)),
-        (_X, _R.N12_ZETA0, _P(k=0, eps=-1), _invalid(_K.ZERO_Q)),
-        (_X, _R.N12_ZETA0, _P(k=1, eps=1), _invalid(_K.ZERO_A)),
-        (_X, _R.N12_ZETA0, _P(k=1, eps=-1), _invalid(_K.ZERO_B)),
-        (_X, _R.N12_ZETA1, _P(k=0, eps=1), _invalid(_K.DEGENERATE_RATIO, (2, 1))),
-        (_X, _R.N12_ZETA1, _P(k=0, eps=-1), _invalid(_K.DEGENERATE_RATIO, (2, 1))),
-        (_X, _R.N12_ZETA2, _P(k=0, eps=1), _invalid(_K.DEGENERATE_RATIO, (1, 1))),
-        (_X, _R.N12_ZETA2, _P(k=0, eps=-1), _invalid(_K.DEGENERATE_RATIO, (3, 1))),
+        (_X, _R.N12_ZETA0, _P(k=0, eps=1), ValidationFailure(_K.ZERO_Q)),
+        (_X, _R.N12_ZETA0, _P(k=0, eps=-1), ValidationFailure(_K.ZERO_Q)),
+        (_X, _R.N12_ZETA0, _P(k=1, eps=1), ValidationFailure(_K.ZERO_A)),
+        (_X, _R.N12_ZETA0, _P(k=1, eps=-1), ValidationFailure(_K.ZERO_B)),
+        (_X, _R.N12_ZETA1, _P(k=0, eps=1), ValidationFailure(_K.DEGENERATE_RATIO, (2, 1))),
+        (_X, _R.N12_ZETA1, _P(k=0, eps=-1), ValidationFailure(_K.DEGENERATE_RATIO, (2, 1))),
+        (_X, _R.N12_ZETA2, _P(k=0, eps=1), ValidationFailure(_K.DEGENERATE_RATIO, (1, 1))),
+        (_X, _R.N12_ZETA2, _P(k=0, eps=-1), ValidationFailure(_K.DEGENERATE_RATIO, (3, 1))),
     ]),
     ("n=12(3)", 12, [(
         _expect_added, _R.N12_ZETA3, _P(k=0, eps=1), (-1, -5), (1, 5),

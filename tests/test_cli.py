@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -389,3 +390,35 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         monkeypatch.delenv("LEHMERDEFECT_JOBS")
         assert run_cli("search", "5", "--bound", "10", "--jobs", "1") == (0, out, "")
+
+
+@pytest.fixture
+def perfbench_layers(monkeypatch):
+    """perfbench/layers.py imported from this checkout; sys.path and the
+    perfbench modules' entries in sys.modules are put back afterwards."""
+    names = ("layers", "oracle", "run", "workloads")
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        yield importlib.import_module("layers")
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def test_benchmark_trace_mode_finds_its_names(perfbench_layers, run_cli):
+    # The untraced benchmark never touches the names that perfbench/run.py
+    # --trace 1 wraps and probes, so only this catches a rename of one.
+    tracer = perfbench_layers.Tracer()
+    try:
+        tracer.install()
+        for argv in (["verify", "5", "--bound", "30"], ["family", "6", "--bound", "30"],
+                     ["audit"], ["check", "5", "1", "5"]):
+            assert run_cli(*argv)[0] == 0, argv
+    finally:
+        with contextlib.suppress(ValueError):  # an install cut short adds no gc callback
+            tracer.uninstall()
+    assert {"cli.run", "harness.verify_table", "harness.search_defective",
+            "harness.audit_changes", "primdiv.defect_witness"} <= {s["name"] for s in tracer.spans}
+    assert perfbench_layers.per_candidate_probes(12)["pairs.valid"] > 0

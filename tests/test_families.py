@@ -9,7 +9,6 @@ from lehmerdefect.families import (
     FamilyEntry,
     FamilyParams,
     FamilyRowId,
-    InvalidPair,
     NotAnExclusionError,
     Unexplained,
     UnsupportedNError,
@@ -21,7 +20,7 @@ from lehmerdefect.families import (
     instantiate,
     raw_ab,
 )
-from lehmerdefect.pairs import FailureKind, canonicalize, validate_ab
+from lehmerdefect.pairs import FailureKind, ValidationFailure, canonicalize, pair_failure, validate_ab
 from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, defect_witness
 from lehmerdefect.sequences import SequenceId, seq_eval
 
@@ -299,10 +298,11 @@ class TestAuditExclusion:
     @pytest.mark.parametrize("n,row,params,kind,pq", EXPECTED_EXCLUSIONS)
     def test_invalid_exclusions(self, n, row, params, kind, pq):
         reason = audit_exclusion(n, row, params)
-        assert isinstance(reason, InvalidPair)
-        assert reason.failure.kind is kind
+        assert isinstance(reason, ValidationFailure)
+        assert reason.kind is kind
         if pq is not None:
-            assert reason.failure.pq == pq
+            assert reason.pq == pq
+        assert reason == pair_failure(*raw_ab(row, params))
 
     @pytest.mark.parametrize(
         "n,row,params,of_params",
@@ -315,7 +315,7 @@ class TestAuditExclusion:
     def test_duplicates(self, n, row, params, of_params):
         reason = audit_exclusion(n, row, params)
         if of_params is None:
-            assert isinstance(reason, InvalidPair)
+            assert isinstance(reason, ValidationFailure)
         else:
             assert isinstance(reason, DuplicateOf)
             assert reason.params == of_params
@@ -339,8 +339,10 @@ class TestAuditExclusion:
                 reason = audit_exclusion(d.n, row, params)
                 if (row, values) == (R.N4_POW2, (2, 1)):
                     assert reason == Unexplained((6, 2), (6, 2))
+                elif isinstance(reason, ValidationFailure):
+                    assert reason == pair_failure(*raw_ab(row, params)), (row, values)
                 else:
-                    assert isinstance(reason, (InvalidPair, DuplicateOf)), (row, values, reason)
+                    assert isinstance(reason, DuplicateOf), (row, values, reason)
                 checked += 1
         assert checked == 27
 

@@ -434,6 +434,12 @@ class TestCheckpoint:
         assert search_with_checkpoint(3, 200, path, stop_after_chunks=0) is None
         assert [(f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes()) for f in files] == before
 
+    def test_negative_stop_after_chunks_rejected_before_any_file(self, tmp_path):
+        # todo[:-1] would run all chunks but the last; refuse it, touching no file.
+        with pytest.raises(ValueError, match="stop_after_chunks"):
+            search_with_checkpoint(5, 200, tmp_path / "neg.ckpt", stop_after_chunks=-1)
+        assert not list(tmp_path.iterdir())
+
     def test_torn_resume_cuts_files_in_place(self, tmp_path):
         path = tmp_path / "cut.ckpt"
         files = (path, tmp_path / "cut.ckpt.hits")
@@ -556,9 +562,9 @@ class TestAuditChanges:
             (5, psi, excl, DuplicateOf(psi, kept, (3, -5))),  # the true outcome
             (5, psi, excl, DuplicateOf(psi, kept, (5, -3))),
             (5, psi, excl, DuplicateOf(FamilyRowId.N5_PHI, kept, (3, -5))),
-            (5, psi, excl, harness._invalid(FailureKind.ZERO_A)),
-            (4, n4_q, q, harness._invalid(FailureKind.ZERO_A)),
-            (4, n4_q, q, harness._invalid(FailureKind.DEGENERATE_RATIO, (1, 1))),
+            (5, psi, excl, ValidationFailure(FailureKind.ZERO_A)),
+            (4, n4_q, q, ValidationFailure(FailureKind.ZERO_A)),
+            (4, n4_q, q, ValidationFailure(FailureKind.DEGENERATE_RATIO, (1, 1))),
         ]
         changes = tuple(
             (str(i), n, [(harness._expect_excluded, *check)]) for i, (n, *check) in enumerate(checks)
