@@ -107,7 +107,12 @@ def _row_doc(row: families.FamilyRowId, params: dict[str, int], **rest) -> dict:
 
 
 def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
-    primes = w.primitive_primes
+    # The composite part of the residual that factorize's budget left
+    # unsplit is printed, as "unfactored", only when there is one.
+    try:
+        primes, extra = w.primitive_primes, {}
+    except primdiv.FactorBudgetError as e:
+        primes, extra = tuple(e.primes), {"unfactored": e.cofactor}
     if fmt == "json":
         doc = {
             "a": str(w.pair.a),
@@ -118,6 +123,7 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
             "residual": str(w.residual),
             "defective": w.defective,
             "primitive_primes": [str(p) for p in primes],
+            **{name: str(v) for name, v in extra.items()},
         }
         out.write(json.dumps(doc) + "\n")
         return
@@ -129,13 +135,14 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
         "defective": str(w.defective).lower(),
     }
     if fmt == "tsv":
-        out.write("# a\tb\t" + "\t".join(fields) + "\tprimitive_primes\n")
-        cells = (w.pair.a, w.pair.b, *fields.values(), ",".join(map(str, primes)))
+        out.write("# a\tb\t" + "\t".join([*fields, "primitive_primes", *extra]) + "\n")
+        cells = (w.pair.a, w.pair.b, *fields.values(), ",".join(map(str, primes)), *extra.values())
         out.write("\t".join(map(str, cells)) + "\n")
     else:
         out.write(f"pair: ({w.pair.a}, {w.pair.b})\n")
         out.write("".join(f"{name}: {v}\n" for name, v in fields.items()))
         out.write(f"primitive_primes: {list(primes)}\n")
+        out.write("".join(f"{name}: {v}\n" for name, v in extra.items()))
 
 
 def _emit_family(n: int, bound: int, table, fmt: str, out: IO[str]) -> None:

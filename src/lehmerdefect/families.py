@@ -38,9 +38,14 @@ One enumeration core, table_records, walks each row as plain ints, checks
 every tuple with the pair rules and files the valid ones under their
 canonical pair as records: flat tuples (row position, sign, k, l, q, eps)
 that hold nothing the cyclic GC tracks.  enumerate_with_anomalies builds its
-FamilyEntry list from the records; verify_table (harness) and the family
-command (cli) match and render the records themselves, and build FamilyEntry
-and FamilyParams objects only for what they report.
+FamilyEntry list from the records; the enumerated verify (harness) and the
+family command (cli) match and render the records themselves, and build
+FamilyEntry and FamilyParams objects only for what they report.
+
+The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
+the n-defective pairs other than the gaps their exclusions name, with no
+invalid tuple and no duplicate (linear_certificate).  So linear_table gives
+verify_table their size and gaps at any bound by counting, with no walk.
 """
 
 from __future__ import annotations
@@ -48,10 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from math import gcd, prod
 from typing import Iterator, Sequence
 
-from .pairs import LehmerPair, ValidationFailure, pair_failure
+from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, pair_failure
+from .primdiv import CYCLOTOMIC_FORMS
 from .sequences import SequenceId, seq_eval
 
 SUPPORTED_N = (3, 4, 5, 6, 8, 10, 12)
@@ -481,3 +488,166 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
         return Unexplained(raw, key)
     kept_row, kept_values, _ = record_view(key, rec)
     return DuplicateOf(kept_row, FamilyParams(*kept_values), key)
+
+
+def _coprime_count(qs: range, bases: tuple[int, ...]) -> int:
+    """How many q in qs no base divides, the bases being distinct primes
+    (inclusion-exclusion over the sets of bases)."""
+    if not qs:
+        return 0
+    total = 0
+    for k in range(len(bases) + 1):
+        for sub in combinations(bases, k):
+            d = prod(sub)
+            total += (-1) ** k * ((qs.stop - 1) // d - (qs.start - 1) // d)
+    return total
+
+
+def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
+    """(size, gaps) of the table of a linear n at the bound, counted.
+
+    size is the number of instances table_records walks: for each row and
+    power term t, the q of one interval (which holds the roots of t and,
+    negated, those of -t) that are coprime to the row's bases, counted by
+    inclusion-exclusion over the bases, less the row's exclusions there.
+    gaps are the canonical pairs, ascending, of the in-bound exclusions
+    whose pair passes the pair rules.  Where linear_certificate(n) is
+    proved, every instance walked is a record (no anomaly, no shadow), and
+    the n-defective pairs of the box are the records' pairs and the gaps.
+    """
+    rows = [_ROWS[row] for row in family_rows(n)]
+    if any(d.seq is not None for d in rows):
+        raise ValueError(f"n={n} has sequence rows; linear_table covers n = 3, 4, 6")
+    size, gaps = 0, []
+    for d in rows:
+        bases = tuple(base for _, base in d.powers)
+        for exps, t in _power_terms(bases, 2 * bound):  # as walk does
+            qs = _q_range(t, *d.m, bound)
+            skip = {
+                v[-1] for v in d.excluded
+                if v[:-1] == exps and v[-1] in qs and gcd(d.coprime_to, v[-1]) == 1
+            }
+            size += _coprime_count(qs, bases) - len(skip)
+            for q in skip:
+                a, b = d.formula((*exps, q))
+                if pair_failure(a, b) is None:
+                    gaps.append((a, b) if a > 0 else (-a, -b))
+    return size, tuple(sorted(gaps))
+
+
+@dataclass(frozen=True)
+class LinearCertificate:
+    """What linear_certificate found for one linear n.
+
+    gaps      canonical pairs, ascending, of the exclusions audit_exclusion
+              finds Unexplained: n-defective pairs that no row instance gives
+    failures  the checks that did not hold, as text; none when proved
+    """
+
+    n: int
+    gaps: tuple[Pair, ...]
+    failures: tuple[str, ...]
+
+    @property
+    def proved(self) -> bool:
+        return not self.failures
+
+
+# A linear root with gcd(t, q) = 1 that breaks a pair rule has |q| <= _Q_WINDOW
+# (see linear_certificate).
+_Q_WINDOW = 2
+
+
+def linear_certificate(n: int) -> LinearCertificate:
+    """Prove, for every bound, that the rows of a linear n and their gaps
+    hold exactly the n-defective pairs, each once up to equivalence.
+
+    Phi_n(p, q) = p - m q for n = 3, 4, 6 (primdiv.CYCLOTOMIC_FORMS), and an
+    n-defective pair has Phi_n = +-T with T a product of primes of n
+    (Lehmer 1930; see primdiv).  So the n-defective pairs are among the
+    roots (t + m q, t + (m - 4) q) of the targets t = +-T.  Three finite
+    checks:
+
+    1. The rows are those progressions.  Every row has (m_a, m_b) =
+       (m, m - 4), so its q is the pair's q and Phi_n of its pair is its
+       power term t > 0.  Its bases are distinct primes of n, and the rows'
+       sets of bases are the sets of primes of n, each once.  So each T is
+       the power term of one row instance (every exponent >= 1), and a
+       row's instances at t are the roots of t and, negated, those of -t.
+       A pair and its negation have Phi_n of opposite signs, so no two row
+       instances give equivalent pairs.  A row admits the q coprime to its
+       bases, gcd(t, q) = 1, which every valid root has, since
+       gcd(a, q) = gcd(t, q).
+    2. The rule breakers are the exclusions.  For a root with
+       gcd(t, q) = 1: a - b = 4q and gcd(a, q) = 1; a = 0 or b = 0 puts q
+       in t, so |q| = 1; q = 0 forces t = 1; a degenerate ratio has |q| at
+       most the largest |q| in DEGENERATE_PQ.  So a rule breaker has
+       |q| <= _Q_WINDOW, and then |a| <= 4 or a b = 0, so t is at most the
+       largest |p| in DEGENERATE_PQ plus 4 _Q_WINDOW.  The row instances in
+       that window that break a rule must be exactly the exclusions whose
+       audit_exclusion is a ValidationFailure; every other exclusion must
+       lie in the window and audit Unexplained (a gap).
+    3. Every valid root is defective.  u_n is the product of Phi_d over the
+       divisors d > 1 of odd n and d >= 3 of even n (primdiv), and Phi_d
+       with d < n divides u_d, a factor of D = a b u_1 ... u_{n-1}.  So it
+       is enough that each prime r of n dividing Phi_n divides D.  Both
+       depend on (p, q) mod r alone, so every residue pair other than
+       (0, 0) is checked.
+
+    So, at every bound, the n-defective pairs of the box are the table's
+    pairs there and the gaps there, and the table has no invalid tuple and
+    no duplicate: linear_table counts on this.
+    """
+    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
+    if len(coeffs) != 2:
+        raise ValueError(f"n={n} has a quadratic form; linear_certificate covers n = 3, 4, 6")
+    m = -coeffs[1]
+    primes = [p for p, _ in prime_caps]
+    rows = {row: _ROWS[row] for row in family_rows(n)}
+    failures = []
+
+    for row, d in rows.items():
+        if d.m != (m, m - 4):
+            failures.append(f"{row.value}: not the progression (t + {m} q, t - {4 - m} q)")
+    base_sets = sorted(tuple(sorted(base for _, base in d.powers)) for d in rows.values())
+    if base_sets != sorted(s for k in range(len(primes) + 1) for s in combinations(primes, k)):
+        failures.append(f"the rows' bases are not each set of primes of {n} once")
+
+    if any(abs(q) > _Q_WINDOW for _, q in DEGENERATE_PQ):
+        failures.append(f"DEGENERATE_PQ has a pair with |q| > {_Q_WINDOW}")
+    t_window = max(abs(p) for p, _ in DEGENERATE_PQ) + 4 * _Q_WINDOW
+    window = set()
+    for row, d in rows.items():
+        for exps, _ in _power_terms(tuple(base for _, base in d.powers), t_window):
+            for q in range(-_Q_WINDOW, _Q_WINDOW + 1):
+                values = (*exps, q)
+                if d.constraint(values) is None:
+                    window.add((row, values))
+                    failure = pair_failure(*d.formula(values))
+                    if failure is not None and values not in d.excluded:
+                        label = row.label(FamilyParams(**dict(zip(d.fields, values))))
+                        failures.append(f"{label} breaks {failure.describe()}, not excluded")
+    gaps = []
+    for row, d in rows.items():
+        for values in d.excluded:
+            params = FamilyParams(**dict(zip(d.fields, values)))
+            if (row, values) not in window:
+                failures.append(f"{row.label(params)}: excluded outside the window")
+                continue
+            reason = audit_exclusion(n, row, params)
+            if isinstance(reason, Unexplained):
+                gaps.append(reason.canonical_ab)
+            elif not isinstance(reason, ValidationFailure):
+                failures.append(f"{row.label(params)}: exclusion audits {reason!r}")
+
+    for r in primes:
+        for p in range(r):
+            for q in range(r):
+                if (p or q) and (coeffs[0] * p + coeffs[1] * q) % r == 0:
+                    nonprim, prev, cur = p * (p - 4 * q), 0, 1  # a b, then u_1 ... u_{n-1}
+                    for i in range(2, n + 1):
+                        nonprim *= cur
+                        prev, cur = cur, (p * cur if i & 1 else cur) - q * prev
+                    if nonprim % r:
+                        failures.append(f"(p, q) = ({p}, {q}) mod {r}: {r} divides Phi_{n}, not D")
+    return LinearCertificate(n, tuple(sorted(gaps)), tuple(failures))

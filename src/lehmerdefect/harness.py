@@ -25,20 +25,29 @@ prime^(cap + 1)), so their targets are a fixed set whatever the bound:
 +-1, +-5 for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3, +-6 for
 n = 12.  T = 0 is never a target: Phi_n vanishes only when alpha / beta is
 a root of unity.  Each root is checked with the pair rules
-(pairs.pair_failure, which builds no pair) and kept only if
-primdiv.residual_after_stripping is 1, so the definition decides every
-reported pair and the theorem is needed only for completeness.  The tests
-hold the search equal to a scan of the whole box by the definition (the
-pair rules plus the gcd strip) for every n at every bound up to 64, at
-1000 and at 5000, the linear steps equal to a root search per a at bound
-10000, and the capped solve equal to the uncapped one at bound 20000.
+(pairs.pair_failure, which builds no pair).  For the quadratic forms it is
+kept only if primdiv.residual_after_stripping is 1, so the definition
+decides every reported pair and the theorem is needed only for
+completeness.  For the linear forms every valid root is defective, which
+families.linear_certificate proves for every bound, so their roots are not
+stripped.  The tests hold the search equal to a scan of the whole box by
+the definition (the pair rules plus the gcd strip) for every n at every
+bound up to 64, at 1000 and at 5000, the linear steps equal to a root
+search per a, with the strip, at bound 10000, and the capped solve equal to
+the uncapped one at bound 20000.
 
-verify_table compares the search with the family table as records
-(families.table_records): every search pair is looked up by canonical pair,
-and the records are checked against the search's pairs only when some record
-is left unmatched.  FamilyParams, FamilyEntry and TableFailure objects are
-built only for what the report lists: invalid tuples, unmatched records and
-the table's internal duplicates.
+verify_table counts for the linear forms: the same certificate proves that
+the search finds exactly the table's pairs and the gaps the row exclusions
+name, with no invalid tuple or duplicate in the table, so the report is
+read from families.linear_table, which counts the table's q by
+inclusion-exclusion and enumerates nothing.  For the quadratic forms,
+_compare_with_search runs the search and matches it against the family
+table as records (families.table_records): every search pair is looked up
+by canonical pair, and the records are checked against the search's pairs
+only when some record is left unmatched.  FamilyParams, FamilyEntry and
+TableFailure objects are built only for what the report lists: invalid
+tuples, unmatched records and the table's internal duplicates.  The tests
+hold the counted report equal to the enumerated one for n = 3, 4, 6.
 
 Searches fan out over contiguous a-chunks, one worker at most per chunk.
 Chunk boundaries depend only on the bound, not on the worker count, and
@@ -88,6 +97,7 @@ from .families import (
     enumerate_with_anomalies,
     family_rows,
     instantiate,
+    linear_table,
     raw_ab,
     record_entry,
     record_view,
@@ -221,15 +231,17 @@ def _roots(n: int, a_from: int, a_to: int, bound: int):
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
     """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
     1 <= a_from <= a_to <= bound, as _chunks makes them.  A root is kept when
-    it passes the pair rules (pair_failure; no LehmerPair is built) and the
-    gcd strip leaves 1."""
+    it passes the pair rules (pair_failure; no LehmerPair is built) and, for
+    the quadratic forms, the gcd strip leaves 1: for the linear forms every
+    valid root is defective (families.linear_certificate)."""
+    strip = len(CYCLOTOMIC_FORMS[n][0]) > 2
     # Hits are kept per a, so the hits of one a share one int object (_roots
     # builds a afresh for each root: 28 bytes a hit otherwise) and only each
     # a's b values are sorted.
     hit_bs: dict[int, list[int]] = {}
     for a, q in _roots(n, a_from, a_to, bound):
         b = a - 4 * q
-        if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1:
+        if pair_failure(a, b) is None and (not strip or residual_after_stripping(a, b, n) == 1):
             hit_bs.setdefault(a, []).append(b)
     return [(a, b) for a in sorted(hit_bs) for b in sorted(hit_bs[a])]
 
@@ -380,14 +392,32 @@ def _table_failure(key: tuple[int, int], rec: tuple, reason: str) -> TableFailur
 
 
 def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
-    """Compare search_defective against the family table up to equivalence.
+    """Compare the n-defective pairs with the family table up to equivalence.
 
-    Mismatches are classified, never raised: pairs the search found with no
+    Mismatches are classified, never raised: pairs the search finds with no
     table entry, table failures (in-bound tuples that fail validation as
     "invalid:<kind>", entries that are not defective as
     "not_defective:residual=<r>", defective entries the search did not find
-    as "missed_by_search") and equivalent duplicates within the table.  The
-    table is matched as records (see the module docstring).
+    as "missed_by_search") and equivalent duplicates within the table.
+
+    For the linear forms (n = 3, 4, 6) nothing is enumerated: the table is
+    counted and its gaps read from the row exclusions (families.linear_table),
+    and families.linear_certificate proves, for every bound, that these are
+    what the search would find, with no table failure or duplicate.  For the
+    quadratic forms the search is run and matched against the table records
+    (_compare_with_search; see the module docstring).
+    """
+    _check_args(n, bound)
+    if len(CYCLOTOMIC_FORMS[n][0]) == 2:
+        matched, gaps = linear_table(n, bound)
+        return DiscrepancyReport(n, bound, gaps, (), (), matched)
+    return _compare_with_search(n, bound, jobs)
+
+
+def _compare_with_search(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
+    """verify_table by enumeration: search_defective against table_records.
+
+    The quadratic forms' path, and the tests' oracle for the linear ones.
     """
     result = search_defective(n, bound, jobs)
     records, shadows, anomalies = table_records(n, bound)

@@ -10,8 +10,9 @@ when the pair is n-defective.  defect_witness(pair, n) returns the whole
 record (.defective, .primitive_primes); residual_after_stripping(a, b, n)
 returns the residual alone, for the search loop.  Full factorization (trial
 division, then Brent's cycle variant of the rho method with a deterministic
-parameter sequence, behind a deterministic primality test) is used only for
-reporting primitive primes and as an independent oracle in tests.
+parameter sequence and a fixed budget of iterations, behind a deterministic
+primality test) is used only for reporting primitive primes and as an
+independent oracle in tests.
 
 Indices 1 and 2 are excluded: u_1 = u_2 = 1, so every pair is trivially
 1- and 2-defective.
@@ -58,7 +59,8 @@ class DefectWitness:
 
     @property
     def primitive_primes(self) -> tuple[int, ...]:
-        """The primitive prime divisors of u_n, ascending; factors the residual."""
+        """The primitive prime divisors of u_n, ascending; factors the residual
+        (FactorBudgetError past factorize's budget)."""
         return tuple(factorize(self.residual))
 
 
@@ -226,50 +228,87 @@ def is_prime(n: int) -> bool:
     return _strong_lucas(n)
 
 
-def _brent_rho(n: int, c: int) -> int:
-    """One Brent rho round on odd composite n; may return n (caller retries)."""
+# Rho iterations one factorize call may spend over all its splits.  The
+# count is kept once per block of steps (a round's advance, and each batch
+# of at most 128 steps between two gcds), so the inner loops pay nothing
+# for it; a call can pass it by one batch and the backtrack over that batch.
+# The budget is a count, not a time, so where a factorization stops depends
+# on the input alone.
+RHO_BUDGET = 1 << 18
+
+
+class FactorBudgetError(ArithmeticError):
+    """factorize spent RHO_BUDGET rho iterations and left a composite unsplit.
+
+    primes holds the prime factors found, as factorize returns them;
+    cofactor is the product of the parts left unsplit.  Each of those parts
+    failed the primality test, so cofactor is composite, never a prime.
+    """
+
+    def __init__(self, primes: dict[int, int], cofactor: int):
+        super().__init__(f"composite cofactor left unsplit after {RHO_BUDGET} rho iterations")
+        self.primes = primes
+        self.cofactor = cofactor
+
+
+def _brent_rho(n: int, c: int, budget: int) -> tuple[int, int]:
+    """One Brent rho round on odd composite n, within budget iterations:
+    (g, budget left).  g may be n (caller retries), or 1 when the budget ran
+    out first."""
     y, r, q = 2, 1, 1
     g = 1
     x = ys = y
     while g == 1:
+        if budget < r:
+            return 1, budget
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        budget -= r
         k = 0
-        while k < r and g == 1:
+        while k < r and g == 1 and budget > 0:
             ys = y
-            for _ in range(min(128, r - k)):
+            steps = min(128, r - k)
+            for _ in range(steps):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             g = gcd(q, n)
             k += 128
+            budget -= steps
         r <<= 1
     if g == n:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = gcd(x - ys, n)
-    return g
+    return g, budget
 
 
-def _split(n: int) -> int:
-    """A nontrivial factor of the odd composite n with no factor <= _TRIAL_LIMIT.
+def _split(n: int, budget: int) -> tuple[int | None, int]:
+    """A nontrivial factor of the odd composite n with no factor <= _TRIAL_LIMIT,
+    or None once the budget of rho iterations is spent; and the budget left.
 
     The polynomial offset c walks a sequence determined by n alone, so the
     factorization of a given input is reproducible in any schedule.
     """
     root = isqrt(n)
     if root * root == n:
-        return root
+        return root, budget
     for c in range(1, 200):
-        g = _brent_rho(n, c)
+        if budget <= 0:
+            return None, budget
+        g, budget = _brent_rho(n, c, budget)
         if 1 < g < n:
-            return g
+            return g, budget
     raise ArithmeticError(f"rho failed to split {n}")
 
 
 def factorize(m: int) -> dict[int, int]:
-    """Exact prime factorization of m >= 1 as {prime: exponent}, primes ascending."""
+    """Exact prime factorization of m >= 1 as {prime: exponent}, primes ascending.
+
+    Raises FactorBudgetError, with the primes found and the composite part
+    left, when the rho splits would take more than RHO_BUDGET iterations.
+    """
     if m < 1:
         raise ValueError(f"factorize needs m >= 1, got {m}")
     out: dict[int, int] = {}
@@ -280,14 +319,19 @@ def factorize(m: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             m //= p
     stack = [m] if m > 1 else []
+    budget, unsplit = RHO_BUDGET, 1
     while stack:
         x = stack.pop()
-        if x == 1:
-            continue
         if is_prime(x):
             out[x] = out.get(x, 0) + 1
             continue
-        d = _split(x)
-        stack.append(d)
-        stack.append(x // d)
-    return dict(sorted(out.items()))
+        d, budget = _split(x, budget)
+        if d is None:
+            unsplit *= x
+        else:
+            stack.append(d)
+            stack.append(x // d)
+    primes = dict(sorted(out.items()))
+    if unsplit > 1:
+        raise FactorBudgetError(primes, unsplit)
+    return primes

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lehmerdefect
-from lehmerdefect import cli, families, harness
+from lehmerdefect import cli, families, harness, primdiv
 from lehmerdefect.families import FamilyEntry, FamilyParams, FamilyRowId
 from lehmerdefect.pairs import lehmer_number, require_pair
 from lehmerdefect.sequences import SequenceId, seq_eval
@@ -137,6 +137,24 @@ class TestGoldenOutputs:
             "pair: (-1, -5)\nn: 5\nu_n: 5\nnonprim_product: 30\n"
             "residual: 1\ndefective: true\nprimitive_primes: []\n"
         )
+
+    def test_check_unfactored_only_past_the_budget(self, run_cli, monkeypatch):
+        # The residual of (1001, -999) at n = 97 has 130 digits and no prime
+        # factor below 4096; with no rho step allowed it is left whole.
+        r = primdiv.defect_witness(require_pair(1001, -999), 97).residual
+        monkeypatch.setattr(primdiv, "RHO_BUDGET", 0)
+        argv = ("check", "1001", "-999", "97", "--format")
+        code, out, err = run_cli(*argv, "json")
+        assert (code, err) == (0, "")
+        assert out.endswith('"defective": false, "primitive_primes": [], "unfactored": "%d"}\n' % r)
+        code, out, err = run_cli(*argv, "tsv")
+        head, row = out.splitlines()
+        assert (code, err) == (0, "")
+        assert head == "# a\tb\tn\tu_n\tnonprim_product\tresidual\tdefective\tprimitive_primes\tunfactored"
+        assert row.endswith("\tfalse\t\t%d" % r)
+        code, out, err = run_cli(*argv, "text")
+        assert (code, err) == (0, "")
+        assert out.endswith("defective: false\nprimitive_primes: []\nunfactored: %d\n" % r)
 
     def test_search_tsv(self, run_cli):
         code, out, _ = run_cli("search", "5", "--bound", "7", "--format", "tsv")

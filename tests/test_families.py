@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from conftest import definitional_search
+from lehmerdefect import families
 from lehmerdefect.families import (
     SUPPORTED_N,
     ConstraintViolation,
@@ -18,7 +21,10 @@ from lehmerdefect.families import (
     enumerate_with_anomalies,
     family_rows,
     instantiate,
+    linear_certificate,
+    linear_table,
     raw_ab,
+    table_records,
 )
 from lehmerdefect.pairs import FailureKind, ValidationFailure, canonicalize, pair_failure, validate_ab
 from lehmerdefect.primdiv import CYCLOTOMIC_FORMS, defect_witness
@@ -351,3 +357,67 @@ class TestAuditExclusion:
             audit_exclusion(3, R.N3_Q, FamilyParams(q=2))
         with pytest.raises(NotAnExclusionError):
             audit_exclusion(8, R.N8_RHO, FamilyParams(k=0, eps=1))
+
+
+class TestLinearCertificate:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_proved_for_every_bound(self, n):
+        cert = linear_certificate(n)
+        assert cert.proved, cert.failures
+        # (6, 2) is the one gap: valid, 4-defective and in no row instance.
+        assert cert.gaps == (((6, 2),) if n == 4 else ())
+
+    def test_quadratic_n_is_not_covered(self):
+        for n in (5, 8, 10, 12):
+            with pytest.raises(ValueError):
+                linear_certificate(n)
+            with pytest.raises(ValueError):
+                linear_table(n, 10)
+
+    @pytest.mark.parametrize(
+        "row,edit,failure",
+        [
+            # N3_Q's q = 0 gives (1, 1), which breaks ZeroQ.
+            (R.N3_Q, lambda d: replace(d, excluded=((-1,), (1,))), "N3_Q(q=0) breaks ZeroQ"),
+            # q = 5 gives the valid (6, -14): no exclusion lies that far out.
+            (R.N3_Q, lambda d: replace(d, excluded=d.excluded + ((5,),)), "N3_Q(q=5): excluded"),
+            (R.N6_POW6, None, "the rows' bases are not each set of primes of 6 once"),
+            (R.N6_POW2, lambda d: replace(d, m=(1, -3)), "N6_POW2: not the progression"),
+            (R.N4_Q, lambda d: replace(d, m=(3, -1)), "N4_Q: not the progression"),
+        ],
+    )
+    def test_planted_faults_fail(self, monkeypatch, row, edit, failure):
+        n = _ROWS[row].n
+        if edit is None:  # a copy: deleting and restoring the key would reorder _ROWS
+            monkeypatch.setattr(families, "_ROWS", {k: d for k, d in _ROWS.items() if k != row})
+        else:
+            monkeypatch.setitem(families._ROWS, row, edit(_ROWS[row]))
+        cert = linear_certificate(n)
+        assert not cert.proved
+        assert any(f.startswith(failure) for f in cert.failures), cert.failures
+
+    def test_form_without_the_defect_fails_the_residue_check(self, monkeypatch):
+        # Phi_3 taken as p - 2q, rows to match: the progressions and the
+        # exclusions still agree, but 3 | p - 2q leaves 3 out of a b u_1 u_2.
+        monkeypatch.setitem(CYCLOTOMIC_FORMS, 3, ((1, -2), ((3, None),)))
+        for row in (R.N3_Q, R.N3_POW3):
+            monkeypatch.setitem(families._ROWS, row, replace(_ROWS[row], m=(2, -2)))
+        cert = linear_certificate(3)
+        assert cert.failures and all(f.startswith("(p, q) = (") for f in cert.failures), cert.failures
+
+    def test_degenerate_ratio_outside_the_window_fails(self, monkeypatch):
+        # The window |q| <= 2 rests on every DEGENERATE_PQ pair having |q| <= 2.
+        monkeypatch.setattr(families, "DEGENERATE_PQ", families.DEGENERATE_PQ | {(7, 3)})
+        assert not linear_certificate(3).proved
+
+    def test_count_matches_walk_and_definition(self):
+        # The n-defective pairs come from the definitional scan: the pair
+        # rules plus the gcd strip, over the whole box.
+        for bound in [*range(65), 500, 1000]:
+            scanned = definitional_search(bound, (3, 4, 6)) if bound else {}
+            for n in (3, 4, 6):
+                size, gaps = linear_table(n, bound)
+                records, shadows, anomalies = table_records(n, bound)
+                assert (size, shadows, anomalies) == (len(records), {}, []), (n, bound)
+                if bound:
+                    assert sorted([*records, *gaps]) == list(scanned[n]), (n, bound)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import definitional_search, per_a_search, uncapped_search
-from lehmerdefect import families, harness
+from lehmerdefect import cli, families, harness
 from lehmerdefect.families import (
     SUPPORTED_N,
     DuplicateOf,
@@ -100,6 +100,20 @@ class TestSearch:
         assert any((a, q) in DEGENERATE_PQ for a, q, _ in linear)
         assert any(t < 0 for _, _, t in linear)
 
+    def test_linear_search_does_not_strip(self, monkeypatch):
+        # Every valid root of a linear form is defective
+        # (families.linear_certificate), so no root is stripped; the
+        # definitional scans above hold the result.
+        want = {n: search_defective(n, 300) for n in (3, 4, 6)}
+
+        def refuse(*args):
+            raise AssertionError("a linear root was stripped")
+
+        monkeypatch.setattr(harness, "residual_after_stripping", refuse)
+        assert {n: search_defective(n, 300) for n in (3, 4, 6)} == want
+        with pytest.raises(AssertionError):
+            search_defective(5, 300)
+
     def test_hits_of_one_a_share_its_int(self):
         # Each hit would otherwise hold its own a, 28 bytes (see _scan_range).
         first = {}
@@ -162,6 +176,49 @@ class TestSearch:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_counted_verify_equals_enumerated(self, monkeypatch, run_cli, n):
+        # The enumerated comparison (search against table records) is the
+        # oracle: same report, and the same exit code and bytes in every format.
+        for bound in [*range(1, 65), 1000, 20000]:
+            oracle = harness._compare_with_search(n, bound)
+            assert verify_table(n, bound) == oracle, bound
+            for fmt in cli.FORMATS:
+                argv = ("verify", str(n), "--bound", str(bound), "--format", fmt)
+                counted = run_cli(*argv)
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "verify_table", lambda n, bound, jobs=1: oracle)
+                    assert run_cli(*argv) == counted, (bound, fmt)
+
+    def test_counted_verify_does_no_hidden_work(self, monkeypatch, run_cli):
+        # No search, no table records and no process pool, whatever --jobs is.
+        argvs = [
+            ("verify", str(n), "--bound", "1000", "--jobs", "2", "--format", fmt)
+            for n in (3, 4, 6)
+            for fmt in cli.FORMATS
+        ]
+        want = {argv: run_cli(*argv) for argv in argvs}
+        assert {out[0] for out in want.values()} == {0, 2}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the counted verify enumerated")
+
+        for module, name in (
+            (harness, "ProcessPoolExecutor"),
+            (harness, "_scan_range"),
+            (harness, "table_records"),
+            (families, "table_records"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert {argv: run_cli(*argv) for argv in argvs} == want
+
+    def test_counted_verify_at_10_12(self, run_cli):
+        code, out, err = run_cli("verify", "6", "--bound", "1000000000000", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["matched_count"] == 126347742974457
+        assert doc["exact_agreement"] is True
+
     @pytest.mark.parametrize("n", [3, 5, 6, 8, 10, 12])
     def test_exact_agreement_at_200(self, n):
         report = verify_table(n, 200)

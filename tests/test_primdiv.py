@@ -1,3 +1,4 @@
+import math
 from math import gcd
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import valid_pairs
+from lehmerdefect import primdiv
 from lehmerdefect.pairs import lehmer_prefix, require_pair, validate_ab, LehmerPair
 from lehmerdefect.primdiv import (
     CYCLOTOMIC_FORMS,
+    FactorBudgetError,
     UnsupportedIndexError,
     _strong_lucas,
     defect_witness,
@@ -195,6 +198,30 @@ class TestFactorize:
             prod *= p**e
         assert prod == m
         assert list(out) == sorted(out)
+
+
+class TestFactorBudget:
+    def test_unsplit_cofactor_is_reported_composite(self, monkeypatch):
+        p, r = 1000003, 1000033  # both past trial division, so rho must split them
+        assert factorize(8 * p * r) == {2: 3, p: 1, r: 1}
+        monkeypatch.setattr(primdiv, "RHO_BUDGET", 16)
+        for _ in range(2):  # the budget is a count: the same stop every time
+            with pytest.raises(FactorBudgetError) as caught:
+                factorize(8 * p * r)
+            assert (caught.value.primes, caught.value.cofactor) == ({2: 3}, p * r)
+            assert not is_prime(caught.value.cofactor)
+        assert factorize(8 * 4099) == {2: 3, 4099: 1}  # no rho needed: within any budget
+
+    def test_large_residual_stops_within_the_budget(self):
+        # The residual of (1001, -999) at n = 97 has 130 digits; within the
+        # budget rho finds these three primes and leaves a 109-digit composite.
+        w = defect_witness(require_pair(1001, -999), 97)
+        with pytest.raises(FactorBudgetError) as caught:
+            w.primitive_primes
+        primes, cofactor = caught.value.primes, caught.value.cofactor
+        assert list(primes) == [50053, 80572663, 352174019]
+        assert not is_prime(cofactor) and len(str(cofactor)) == 109
+        assert w.residual == cofactor * math.prod(p**e for p, e in primes.items())
 
 
 class TestIsPrime:
