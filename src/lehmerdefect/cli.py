@@ -29,6 +29,8 @@ import functools
 import json
 import os
 import sys
+from itertools import groupby
+from operator import itemgetter
 from typing import IO, Sequence
 
 from . import families, harness, pairs, primdiv, sequences
@@ -145,9 +147,57 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
         out.write("".join(f"{name}: {v}\n" for name, v in extra.items()))
 
 
+_FAMILY_TSV_HEAD = "# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"
+
+
+def _emit_linear_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
+    """Render the table of a linear n straight from its rows' walks, as
+    _emit_family renders families.table_records(n, bound).
+
+    families.linear_certificate proves every walked instance a valid pair
+    equivalent to no other, so each is a record: its canonical pair is the
+    raw pair, negated when a <= 0, and it has no provenance.  Text and TSV
+    are written one (row, power term) segment at a time.
+    """
+    walks = families.row_walks(n, bound)
+    if fmt == "json":
+        entries = [
+            _row_doc(
+                row, families.params_dict((k, l, q, eps)), raw_a=str(a), raw_b=str(b),
+                canonical_a=str(abs(a)), canonical_b=str(b if a > 0 else -b), provenance=[],
+            )
+            for row, walk in walks
+            for k, l, q, eps, a, b in walk
+        ]
+        doc = {"n": n, "bound": bound, "count": len(entries), "entries": entries}
+        out.write(json.dumps(doc) + "\n")
+        return
+    if fmt == "tsv":
+        out.write(_FAMILY_TSV_HEAD)
+    else:
+        out.write(f"n={n} bound={bound} entries={families.linear_table(n, bound)[0]}\n")
+    for row, walk in walks:
+        for (k, l), segment in groupby(walk, itemgetter(0, 1)):
+            if fmt == "tsv":
+                head = f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
+                lines = [
+                    f"{head}{q}\t-\t{a}\t{b}\t{abs(a)}\t{b if a > 0 else -b}\t-\n"
+                    for _, _, q, _, a, b in segment
+                ]
+            else:
+                powers = families.params_text((k, l, None, None))
+                head = f"row={row.value} params={powers + ',' if powers else ''}q="
+                lines = [
+                    f"{head}{q} raw=({a}, {b}) canonical=({abs(a)}, {b if a > 0 else -b})\n"
+                    for _, _, q, _, a, b in segment
+                ]
+            out.write("".join(lines))
+
+
 def _emit_family(n: int, bound: int, table, fmt: str, out: IO[str]) -> None:
     """Render families.table_records(n, bound): each record, with the row and
-    (k, l, q, eps) of its shadows as its provenance."""
+    (k, l, q, eps) of its shadows as its provenance.  The family command's
+    path for n = 5, 8, 10, 12, and the tests' oracle for the linear n."""
     records, shadows, _ = table
     view = families.record_view
     provenance = {key: [view(key, s)[:2] for s in recs] for key, recs in shadows.items()}
@@ -164,7 +214,7 @@ def _emit_family(n: int, bound: int, table, fmt: str, out: IO[str]) -> None:
         doc = {"n": n, "bound": bound, "count": len(records), "entries": entries}
         out.write(json.dumps(doc) + "\n")
     elif fmt == "tsv":
-        lines = ["# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"]
+        lines = [_FAMILY_TSV_HEAD]
         for key, rec in records.items():
             row, (k, l, q, eps), (ra, rb) = view(key, rec)
             labels = "-"
@@ -318,8 +368,11 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
             pair = pairs.require_pair(ns.a, ns.b)
             _emit_check(primdiv.defect_witness(pair, ns.n), ns.format, out)
         elif ns.command == "family":
-            table = families.table_records(ns.n, ns.bound)
-            _emit_family(ns.n, ns.bound, table, ns.format, out)
+            if families._linear(ns.n):
+                _emit_linear_family(ns.n, ns.bound, ns.format, out)
+            else:
+                table = families.table_records(ns.n, ns.bound)
+                _emit_family(ns.n, ns.bound, table, ns.format, out)
         elif ns.command == "search":
             if ns.checkpoint is not None:
                 result = harness.search_with_checkpoint(

@@ -38,14 +38,17 @@ One enumeration core, table_records, walks each row as plain ints, checks
 every tuple with the pair rules and files the valid ones under their
 canonical pair as records: flat tuples (row position, sign, k, l, q, eps)
 that hold nothing the cyclic GC tracks.  enumerate_with_anomalies builds its
-FamilyEntry list from the records; the enumerated verify (harness) and the
-family command (cli) match and render the records themselves, and build
-FamilyEntry and FamilyParams objects only for what they report.
+FamilyEntry list from the records; the enumerated verify (harness) and, for
+n = 5, 8, 10, 12, the family command (cli) match and render the records
+themselves, and build FamilyEntry and FamilyParams objects only for what
+they report.
 
 The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
 the n-defective pairs other than the gaps their exclusions name, with no
 invalid tuple and no duplicate (linear_certificate).  So linear_table gives
-verify_table their size and gaps at any bound by counting, with no walk.
+verify_table their size and gaps at any bound by counting, with no walk,
+and the family command renders their walks (row_walks) as they come, with
+no pair rule and no record.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ from .primdiv import CYCLOTOMIC_FORMS
 from .sequences import SequenceId, seq_eval
 
 SUPPORTED_N = (3, 4, 5, 6, 8, 10, 12)
+
+
+def _linear(n: int) -> bool:
+    """Whether Phi_n is linear in (p, q) (primdiv.CYCLOTOMIC_FORMS): n = 3, 4,
+    6, whose rows are all progressions.  False for an n with no form."""
+    return n in CYCLOTOMIC_FORMS and len(CYCLOTOMIC_FORMS[n][0]) == 2
 
 
 class UnsupportedNError(ValueError):
@@ -377,6 +386,16 @@ Record = tuple[int | None, ...]
 Pair = tuple[int, int]
 
 
+def row_walks(n: int, bound: int) -> list[tuple[FamilyRowId, Iterator[tuple[int | None, ...]]]]:
+    """(row, walk) for each row of n in table order, the walk being _Row.walk:
+    (k, l, q, eps, a, b) of every admissible tuple with max(|a|, |b|) <= bound.
+    n and the bound are checked before any walk starts."""
+    rows = family_rows(n)  # raises UnsupportedNError for an n with no classified families
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    return [(row, _ROWS[row].walk(bound)) for row in rows]
+
+
 def table_records(n: int, bound: int) -> tuple[
     dict[Pair, Record], dict[Pair, list[Record]], list[tuple[Pair, Record, ValidationFailure]]
 ]:
@@ -391,16 +410,12 @@ def table_records(n: int, bound: int) -> tuple[
         anomalies   (raw pair, record with sign 1, failure) for each tuple
                     whose pair breaks a pair rule, in order
     """
-    family_rows(n)  # raises UnsupportedNError for an n with no classified families
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
     records: dict[Pair, Record] = {}
     shadows: dict[Pair, list[Record]] = {}
     anomalies: list[tuple[Pair, Record, ValidationFailure]] = []
-    for pos, row in enumerate(_ROWS.values()):
-        if row.n != n:
-            continue
-        for k, l, q, eps, a, b in row.walk(bound):
+    for row, walk in row_walks(n, bound):
+        pos = _ROW_IDS.index(row)
+        for k, l, q, eps, a, b in walk:
             failure = pair_failure(a, b)
             if failure is not None:
                 anomalies.append(((a, b), (pos, 1, k, l, q, eps), failure))
@@ -516,8 +531,8 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     the n-defective pairs of the box are the records' pairs and the gaps.
     """
     rows = [_ROWS[row] for row in family_rows(n)]
-    if any(d.seq is not None for d in rows):
-        raise ValueError(f"n={n} has sequence rows; linear_table covers n = 3, 4, 6")
+    if not _linear(n):
+        raise ValueError(f"n={n} has a quadratic form; linear_table covers n = 3, 4, 6")
     size, gaps = 0, []
     for d in rows:
         bases = tuple(base for _, base in d.powers)
@@ -598,12 +613,12 @@ def linear_certificate(n: int) -> LinearCertificate:
     pairs there and the gaps there, and the table has no invalid tuple and
     no duplicate: linear_table counts on this.
     """
-    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
-    if len(coeffs) != 2:
+    rows = {row: _ROWS[row] for row in family_rows(n)}
+    if not _linear(n):
         raise ValueError(f"n={n} has a quadratic form; linear_certificate covers n = 3, 4, 6")
+    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
     m = -coeffs[1]
     primes = [p for p, _ in prime_caps]
-    rows = {row: _ROWS[row] for row in family_rows(n)}
     failures = []
 
     for row, d in rows.items():

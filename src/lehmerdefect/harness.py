@@ -93,6 +93,7 @@ from .families import (
     FamilyEntry,
     FamilyParams,
     FamilyRowId,
+    _linear,
     audit_exclusion,
     enumerate_with_anomalies,
     family_rows,
@@ -234,7 +235,7 @@ def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, i
     it passes the pair rules (pair_failure; no LehmerPair is built) and, for
     the quadratic forms, the gcd strip leaves 1: for the linear forms every
     valid root is defective (families.linear_certificate)."""
-    strip = len(CYCLOTOMIC_FORMS[n][0]) > 2
+    strip = not _linear(n)
     # Hits are kept per a, so the hits of one a share one int object (_roots
     # builds a afresh for each root: 28 bytes a hit otherwise) and only each
     # a's b values are sorted.
@@ -408,7 +409,7 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     (_compare_with_search; see the module docstring).
     """
     _check_args(n, bound)
-    if len(CYCLOTOMIC_FORMS[n][0]) == 2:
+    if _linear(n):
         matched, gaps = linear_table(n, bound)
         return DiscrepancyReport(n, bound, gaps, (), (), matched)
     return _compare_with_search(n, bound, jobs)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lehmerdefect
-from lehmerdefect import cli, families, harness, primdiv
+from lehmerdefect import cli, families, harness, pairs, primdiv
 from lehmerdefect.families import FamilyEntry, FamilyParams, FamilyRowId
 from lehmerdefect.pairs import lehmer_number, require_pair
 from lehmerdefect.sequences import SequenceId, seq_eval
@@ -351,10 +351,63 @@ class TestRenderings:
         assert run_cli("family", "5", "--bound", "9", "--format", fmt) == (0, want, "")
 
     @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
-    def test_family_negative_bound(self, run_cli, fmt):
-        assert run_cli("family", "3", "--bound", "-1", "--format", fmt) == (
+    @pytest.mark.parametrize("n", ["3", "4", "6", "5"])
+    def test_family_negative_bound(self, run_cli, n, fmt):
+        # n = 3, 4, 6 take the streamed path, n = 5 the records one.
+        assert run_cli("family", n, "--bound", "-1", "--format", fmt) == (
             1, "", "error: bound must be nonnegative, got -1\n"
         )
+
+
+class TestLinearFamily:
+    """family 3|4|6 renders straight from the rows' walks; the records
+    renderer on families.table_records is its oracle."""
+
+    @staticmethod
+    def _oracle(n, bound, fmt):
+        out = io.StringIO()
+        cli._emit_family(n, bound, families.table_records(n, bound), fmt, out)
+        return 0, out.getvalue(), ""
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_streamed_equals_records(self, run_cli, n):
+        for bound in [*range(65), 700, 3000]:
+            size = families.linear_table(n, bound)[0]
+            for fmt in cli.FORMATS:
+                got = run_cli("family", str(n), "--bound", str(bound), "--format", fmt)
+                assert got == self._oracle(n, bound, fmt), (bound, fmt)
+                if fmt == "tsv":
+                    assert len(got[1].splitlines()) - 1 == size, bound
+                elif fmt == "text":
+                    assert got[1].startswith(f"n={n} bound={bound} entries={size}\n"), bound
+
+    def test_skips_the_record_machinery(self, monkeypatch, run_cli):
+        # No pair rule per tuple, no records and no record views.  The text
+        # header's count (linear_table) checks only the in-bound exclusions.
+        argvs = [
+            ("family", str(n), "--bound", "700", "--format", fmt)
+            for n in (3, 4, 6)
+            for fmt in cli.FORMATS
+        ]
+        want = {argv: run_cli(*argv) for argv in argvs}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the streamed family used the record machinery")
+
+        for module, name in (
+            (pairs, "pair_failure"),
+            (families, "table_records"),
+            (families, "record_view"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        checked = []
+        rule = families.pair_failure
+        monkeypatch.setattr(families, "pair_failure", lambda a, b: checked.append((a, b)) or rule(a, b))
+        for argv in argvs:
+            checked.clear()
+            assert run_cli(*argv) == want[argv], argv
+            rows = families.family_rows(int(argv[1]))
+            assert len(checked) <= sum(len(families._ROWS[row].excluded) for row in rows), argv
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
