@@ -6,6 +6,8 @@ stderr.  The runs cover:
 
   * family, search and verify for every supported n at bounds 300 and 1000,
     in all three formats, search and verify with --jobs 1 and 2;
+  * family for every supported n at bound 3000 (the bound the benchmark's
+    tables workload times), in all three formats;
   * audit in all three formats;
   * 60 seeded (a, b, n) triples through check, in all three formats;
   * seq, u, --help and usage errors;
@@ -16,7 +18,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts at most two workers and writes only to a
-temporary directory.  About 400 records in under ten seconds on two cores.
+temporary directory.  About 440 records in under ten seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -63,6 +65,7 @@ def cli_records() -> dict[str, str]:
                 for cmd in ("search", "verify"):
                     for jobs in ("1", "2"):
                         argvs.append((cmd, str(n), "--bound", bound, "--format", fmt, "--jobs", jobs))
+        argvs += [("family", str(n), "--bound", "3000", "--format", fmt) for fmt in FORMATS]
     rng = random.Random(20241112)
     for _ in range(60):
         a = rng.randint(-40, 40)

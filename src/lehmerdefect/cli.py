@@ -15,6 +15,9 @@ line), json (a single document per invocation).  Values that can exceed 64
 bits (a, b, sequence elements, products, residuals, primes) are serialized as
 decimal strings in json and as plain decimal in text/tsv.
 
+One renderer, _emit_family, writes every family table in every format as
+families.table_walks, which alone picks its source, hands it over.
+
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
 
@@ -147,94 +150,63 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
         out.write("".join(f"{name}: {v}\n" for name, v in extra.items()))
 
 
-_FAMILY_TSV_HEAD = "# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n"
-
-
-def _emit_linear_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
-    """Render the table of a linear n straight from its rows' walks, as
-    _emit_family renders families.table_records(n, bound).
-
-    families.linear_certificate proves every walked instance a valid pair
-    equivalent to no other, so each is a record: its canonical pair is the
-    raw pair, negated when a <= 0, and it has no provenance.  Text and TSV
-    are written one (row, power term) segment at a time.
-    """
-    walks = families.row_walks(n, bound)
+def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
+    """Render the table of n (families.table_walks) as it is walked: text and
+    TSV one (row, power term) segment at a time, JSON one entry at a time,
+    with the bytes json.dumps gives for the whole document.  The canonical
+    pair of a raw pair (a, b) is the a > 0 one of (a, b) and (-a, -b)."""
+    count, walks, provenance = families.table_walks(n, bound)
     if fmt == "json":
-        entries = [
-            _row_doc(
-                row, families.params_dict((k, l, q, eps)), raw_a=str(a), raw_b=str(b),
-                canonical_a=str(abs(a)), canonical_b=str(b if a > 0 else -b), provenance=[],
-            )
-            for row, walk in walks
-            for k, l, q, eps, a, b in walk
-        ]
-        doc = {"n": n, "bound": bound, "count": len(entries), "entries": entries}
-        out.write(json.dumps(doc) + "\n")
+        out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "entries": [')
+        sep = ""
+        for row, walk in walks:
+            for k, l, q, eps, a, b in walk:
+                key = (abs(a), b if a > 0 else -b)
+                entry = _row_doc(
+                    row, families.params_dict((k, l, q, eps)), raw_a=str(a), raw_b=str(b),
+                    canonical_a=str(key[0]), canonical_b=str(key[1]),
+                    provenance=[_row_doc(r, families.params_dict(v)) for r, v in provenance.get(key, ())],
+                )
+                out.write(sep + json.dumps(entry))
+                sep = ", "
+        out.write("]}\n")
         return
     if fmt == "tsv":
-        out.write(_FAMILY_TSV_HEAD)
+        out.write("# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n")
+        labels = {
+            key: ";".join([f"{r.value}({families.params_text(v)})" for r, v in shadows])
+            for key, shadows in provenance.items()
+        }
     else:
-        out.write(f"n={n} bound={bound} entries={families.linear_table(n, bound)[0]}\n")
+        out.write(f"n={n} bound={bound} entries={count}\n")
+    # A segment is one power term of a linear row, its q varying and eps None,
+    # or one (k, eps) of a sequence row, its q None.
     for row, walk in walks:
-        for (k, l), segment in groupby(walk, itemgetter(0, 1)):
+        for (k, l, eps), segment in groupby(walk, itemgetter(0, 1, 3)):
             if fmt == "tsv":
+                entries = list(segment) if labels else segment  # labels zips them below
                 head = f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
+                tail = f"\t{'-' if eps is None else eps}\t"
                 lines = [
-                    f"{head}{q}\t-\t{a}\t{b}\t{abs(a)}\t{b if a > 0 else -b}\t-\n"
-                    for _, _, q, _, a, b in segment
+                    f"{head}{'-' if q is None else q}{tail}{a}\t{b}\t{abs(a)}\t{b if a > 0 else -b}\t-\n"
+                    for _, _, q, _, a, b in entries
                 ]
+                if labels:  # a pair with shadows names them in place of "-"
+                    lines = [
+                        line[:-2] + labels.get((abs(a), b if a > 0 else -b), "-") + "\n"
+                        for line, (*_, a, b) in zip(lines, entries)
+                    ]
             else:
-                powers = families.params_text((k, l, None, None))
-                head = f"row={row.value} params={powers + ',' if powers else ''}q="
+                fixed = families.params_text((k, l, None, eps))
+                if eps is None:
+                    fixed += ",q=" if fixed else "q="
+                head = f"row={row.value} params={fixed}"
                 lines = [
-                    f"{head}{q} raw=({a}, {b}) canonical=({abs(a)}, {b if a > 0 else -b})\n"
+                    f"{head}{'' if q is None else q} "
+                    f"raw=({a}, {b}) canonical=({abs(a)}, {b if a > 0 else -b})\n"
                     for _, _, q, _, a, b in segment
                 ]
             out.write("".join(lines))
-
-
-def _emit_family(n: int, bound: int, table, fmt: str, out: IO[str]) -> None:
-    """Render families.table_records(n, bound): each record, with the row and
-    (k, l, q, eps) of its shadows as its provenance.  The family command's
-    path for n = 5, 8, 10, 12, and the tests' oracle for the linear n."""
-    records, shadows, _ = table
-    view = families.record_view
-    provenance = {key: [view(key, s)[:2] for s in recs] for key, recs in shadows.items()}
-
-    if fmt == "json":
-        entries = []
-        for key, rec in records.items():
-            row, values, (ra, rb) = view(key, rec)
-            prov = [_row_doc(r, families.params_dict(v)) for r, v in provenance.get(key, ())]
-            entries.append(_row_doc(
-                row, families.params_dict(values), raw_a=str(ra), raw_b=str(rb),
-                canonical_a=str(key[0]), canonical_b=str(key[1]), provenance=prov,
-            ))
-        doc = {"n": n, "bound": bound, "count": len(records), "entries": entries}
-        out.write(json.dumps(doc) + "\n")
-    elif fmt == "tsv":
-        lines = [_FAMILY_TSV_HEAD]
-        for key, rec in records.items():
-            row, (k, l, q, eps), (ra, rb) = view(key, rec)
-            labels = "-"
-            if key in provenance:
-                labels = ";".join(
-                    [f"{r.value}({families.params_text(v)})" for r, v in provenance[key]]
-                )
-            lines.append(
-                f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
-                f"{'-' if q is None else q}\t{'-' if eps is None else eps}\t"
-                f"{ra}\t{rb}\t{key[0]}\t{key[1]}\t{labels}\n"
-            )
-        out.write("".join(lines))
-    else:
-        out.write(f"n={n} bound={bound} entries={len(records)}\n")
-        for key, rec in records.items():
-            row, values, raw = view(key, rec)
-            out.write(
-                f"row={row.value} params={families.params_text(values)} raw={raw} canonical={key}\n"
-            )
 
 
 def _emit_search(result: harness.SearchResult, fmt: str, out: IO[str]) -> None:
@@ -368,11 +340,7 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
             pair = pairs.require_pair(ns.a, ns.b)
             _emit_check(primdiv.defect_witness(pair, ns.n), ns.format, out)
         elif ns.command == "family":
-            if families._linear(ns.n):
-                _emit_linear_family(ns.n, ns.bound, ns.format, out)
-            else:
-                table = families.table_records(ns.n, ns.bound)
-                _emit_family(ns.n, ns.bound, table, ns.format, out)
+            _emit_family(ns.n, ns.bound, ns.format, out)
         elif ns.command == "search":
             if ns.checkpoint is not None:
                 result = harness.search_with_checkpoint(

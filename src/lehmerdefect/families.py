@@ -38,17 +38,19 @@ One enumeration core, table_records, walks each row as plain ints, checks
 every tuple with the pair rules and files the valid ones under their
 canonical pair as records: flat tuples (row position, sign, k, l, q, eps)
 that hold nothing the cyclic GC tracks.  enumerate_with_anomalies builds its
-FamilyEntry list from the records; the enumerated verify (harness) and, for
-n = 5, 8, 10, 12, the family command (cli) match and render the records
-themselves, and build FamilyEntry and FamilyParams objects only for what
-they report.
+FamilyEntry list from the records; the enumerated verify (harness) matches
+the records themselves, and builds FamilyEntry and FamilyParams objects
+only for what it reports.
 
 The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
 the n-defective pairs other than the gaps their exclusions name, with no
 invalid tuple and no duplicate (linear_certificate).  So linear_table gives
-verify_table their size and gaps at any bound by counting, with no walk,
-and the family command renders their walks (row_walks) as they come, with
-no pair rule and no record.
+verify_table their size and gaps at any bound by counting, with no walk.
+
+The family command (cli) renders table_walks, the one place that chooses
+between the two sources: for a linear n the rows' own walks (row_walks),
+with no pair rule and no record, and for the others the records of
+table_records, regrouped by row.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, prod
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, pair_failure
 from .primdiv import CYCLOTOMIC_FORMS
@@ -254,9 +257,9 @@ class _Row:
         return tuple(name for name, _ in self.powers) + ("q",)
 
     @cached_property
-    def coprime_to(self) -> int:
-        """Linear rows: q must be coprime to this product of the bases."""
-        return prod(base for _, base in self.powers)
+    def bases(self) -> tuple[int, ...]:
+        """Linear rows: the power bases, in field order; q must be coprime to each."""
+        return tuple(base for _, base in self.powers)
 
     def values(self, p: FamilyParams) -> tuple[int, ...]:
         return tuple(getattr(p, name) for name in self.fields)
@@ -278,7 +281,7 @@ class _Row:
         names = self.fields[:-1]
         if min(values[:-1], default=1) < 1:
             return " and ".join(f"{name} > 0" for name in names) + " required"
-        c = self.coprime_to
+        c = prod(self.bases)
         if gcd(c, values[-1]) != 1:
             return f"{c} must not divide q" if len(names) == 1 else f"q must be coprime to {c}"
         return None
@@ -294,15 +297,21 @@ class _Row:
                         if abs(a) <= bound and abs(b) <= bound:
                             yield k, None, None, eps, a, b
             return
-        c = self.coprime_to
+        c = prod(self.bases)
         m_a, m_b = self.m
-        for exps, t in _power_terms(tuple(base for _, base in self.powers), 2 * bound):
+        for exps, t, qs, skip in self.terms(bound):
             powers = dict(zip(self.fields, exps))
             k, l = powers.get("k"), powers.get("l")
-            skip = {v[-1] for v in self.excluded if v[:-1] == exps}
-            for q in _q_range(t, m_a, m_b, bound):
+            for q in qs:
                 if gcd(c, q) == 1 and q not in skip:
                     yield k, l, q, None, t + m_a * q, t + m_b * q
+
+    def terms(self, bound: int) -> Iterator[tuple[tuple[int, ...], int, range, set[int]]]:
+        """Linear rows: (exponents, t, qs, skip) for each power term t <= 2 bound,
+        qs the q with max(|a|, |b|) <= bound (one interval, which holds the
+        roots of t and, negated, those of -t) and skip the excluded q of t."""
+        for exps, t in _power_terms(self.bases, 2 * bound):
+            yield exps, t, _q_range(t, *self.m, bound), {v[-1] for v in self.excluded if v[:-1] == exps}
 
 
 _N5_PHI = _Row(5, seq=SequenceId.PHI, stride=2, k_min=3)
@@ -391,9 +400,13 @@ def row_walks(n: int, bound: int) -> list[tuple[FamilyRowId, Iterator[tuple[int 
     (k, l, q, eps, a, b) of every admissible tuple with max(|a|, |b|) <= bound.
     n and the bound are checked before any walk starts."""
     rows = family_rows(n)  # raises UnsupportedNError for an n with no classified families
+    _check_bound(bound)
+    return [(row, _ROWS[row].walk(bound)) for row in rows]
+
+
+def _check_bound(bound: int) -> None:
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    return [(row, _ROWS[row].walk(bound)) for row in rows]
 
 
 def table_records(n: int, bound: int) -> tuple[
@@ -432,6 +445,26 @@ def table_records(n: int, bound: int) -> tuple[
 def record_view(key: Pair, rec: Record) -> tuple[FamilyRowId, Record, Pair]:
     """(row, (k, l, q, eps), raw pair) of the record filed under key."""
     return _ROW_IDS[rec[0]], rec[2:], key if rec[1] == 1 else (-key[0], -key[1])
+
+
+def table_walks(n: int, bound: int) -> tuple[int, list[tuple[FamilyRowId, Iterable]], dict[Pair, list]]:
+    """(count, walks, provenance) of the table for n at the bound: (row, walk)
+    per row in table order, each walk yielding (k, l, q, eps, a, b) per entry,
+    (a, b) its raw pair, and the (row, (k, l, q, eps)) of the later tuples
+    with each canonical pair.  A linear n gives its rows' own walks, counted
+    by linear_table, with no provenance (linear_certificate proves it); the
+    others the records of table_records, by row, their shadows as provenance.
+    """
+    if _linear(n):
+        return linear_table(n, bound)[0], row_walks(n, bound), {}
+    records, shadows, _ = table_records(n, bound)
+    provenance = {key: [record_view(key, s)[:2] for s in recs] for key, recs in shadows.items()}
+    views = (record_view(key, rec) for key, rec in records.items())
+    walks = [
+        (row, [(*values, *raw) for _, values, raw in group])
+        for row, group in groupby(views, itemgetter(0))
+    ]
+    return len(records), walks, provenance
 
 
 def record_entry(key: Pair, rec: Record, shadows: Sequence[Record] = ()) -> FamilyEntry:
@@ -533,16 +566,12 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     rows = [_ROWS[row] for row in family_rows(n)]
     if not _linear(n):
         raise ValueError(f"n={n} has a quadratic form; linear_table covers n = 3, 4, 6")
+    _check_bound(bound)
     size, gaps = 0, []
     for d in rows:
-        bases = tuple(base for _, base in d.powers)
-        for exps, t in _power_terms(bases, 2 * bound):  # as walk does
-            qs = _q_range(t, *d.m, bound)
-            skip = {
-                v[-1] for v in d.excluded
-                if v[:-1] == exps and v[-1] in qs and gcd(d.coprime_to, v[-1]) == 1
-            }
-            size += _coprime_count(qs, bases) - len(skip)
+        for exps, _, qs, skip in d.terms(bound):
+            skip = {q for q in skip if q in qs and gcd(prod(d.bases), q) == 1}
+            size += _coprime_count(qs, d.bases) - len(skip)
             for q in skip:
                 a, b = d.formula((*exps, q))
                 if pair_failure(a, b) is None:
@@ -624,7 +653,7 @@ def linear_certificate(n: int) -> LinearCertificate:
     for row, d in rows.items():
         if d.m != (m, m - 4):
             failures.append(f"{row.value}: not the progression (t + {m} q, t - {4 - m} q)")
-    base_sets = sorted(tuple(sorted(base for _, base in d.powers)) for d in rows.values())
+    base_sets = sorted(tuple(sorted(d.bases)) for d in rows.values())
     if base_sets != sorted(s for k in range(len(primes) + 1) for s in combinations(primes, k)):
         failures.append(f"the rows' bases are not each set of primes of {n} once")
 
@@ -633,7 +662,7 @@ def linear_certificate(n: int) -> LinearCertificate:
     t_window = max(abs(p) for p, _ in DEGENERATE_PQ) + 4 * _Q_WINDOW
     window = set()
     for row, d in rows.items():
-        for exps, _ in _power_terms(tuple(base for _, base in d.powers), t_window):
+        for exps, _ in _power_terms(d.bases, t_window):
             for q in range(-_Q_WINDOW, _Q_WINDOW + 1):
                 values = (*exps, q)
                 if d.constraint(values) is None:

@@ -360,26 +360,33 @@ class TestRenderings:
 
 
 class TestLinearFamily:
-    """family 3|4|6 renders straight from the rows' walks; the records
-    renderer on families.table_records is its oracle."""
-
-    @staticmethod
-    def _oracle(n, bound, fmt):
-        out = io.StringIO()
-        cli._emit_family(n, bound, families.table_records(n, bound), fmt, out)
-        return 0, out.getvalue(), ""
+    """family 3|4|6 renders the rows' own walks (families.table_walks); the
+    same renderer on the checked records of table_records is its oracle."""
 
     @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_streamed_equals_records(self, run_cli, n):
-        for bound in [*range(65), 700, 3000]:
-            size = families.linear_table(n, bound)[0]
-            for fmt in cli.FORMATS:
-                got = run_cli("family", str(n), "--bound", str(bound), "--format", fmt)
-                assert got == self._oracle(n, bound, fmt), (bound, fmt)
-                if fmt == "tsv":
-                    assert len(got[1].splitlines()) - 1 == size, bound
-                elif fmt == "text":
-                    assert got[1].startswith(f"n={n} bound={bound} entries={size}\n"), bound
+    def test_streamed_equals_records(self, monkeypatch, run_cli, n):
+        argvs = [
+            ("family", str(n), "--bound", str(bound), "--format", fmt)
+            for bound in [*range(65), 700, 3000]
+            for fmt in cli.FORMATS
+        ]
+        got = {argv: run_cli(*argv) for argv in argvs}
+        for argv, (code, out, _) in got.items():
+            size, fmt = families.linear_table(n, int(argv[3]))[0], argv[5]
+            if fmt == "tsv":
+                assert len(out.splitlines()) - 1 == size, argv
+            elif fmt == "text":
+                assert out.startswith(f"n={n} bound={argv[3]} entries={size}\n"), argv
+            else:
+                assert json.loads(out)["count"] == size, argv
+        # The oracle: the records source, through the same renderer.
+        records = families.table_records
+        calls = []
+        monkeypatch.setattr(families, "_linear", lambda n: False)
+        monkeypatch.setattr(families, "table_records", lambda n, b: calls.append(b) or records(n, b))
+        for argv in argvs:
+            assert run_cli(*argv) == got[argv], argv
+        assert len(calls) == len(argvs)
 
     def test_skips_the_record_machinery(self, monkeypatch, run_cli):
         # No pair rule per tuple, no records and no record views.  The text
@@ -408,6 +415,35 @@ class TestLinearFamily:
             assert run_cli(*argv) == want[argv], argv
             rows = families.family_rows(int(argv[1]))
             assert len(checked) <= sum(len(families._ROWS[row].excluded) for row in rows), argv
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+class TestStreamedJson:
+    """family --format json is written piecewise, with json.dumps' bytes."""
+
+    @pytest.mark.parametrize("n", families.SUPPORTED_N)
+    def test_bytes_of_one_dumps(self, run_cli, n):
+        for bound in [*range(65), 700]:
+            code, out, _ = run_cli("family", str(n), "--bound", str(bound), "--format", "json")
+            assert code == 0 and out == json.dumps(json.loads(out)) + "\n", bound
+
+    @pytest.mark.parametrize("n", [6, 5])
+    def test_written_piecewise(self, n):
+        out = _Writes()
+        assert cli.run(["family", str(n), "--bound", "3000", "--format", "json"], stdout=out) == 0
+        assert json.loads(out.getvalue())["count"] > 1
+        assert len(out.sizes) > 1 and max(out.sizes) <= 512
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

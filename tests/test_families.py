@@ -374,6 +374,13 @@ class TestLinearCertificate:
             with pytest.raises(ValueError):
                 linear_table(n, 10)
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_negative_bound_rejected(self, n):
+        # The same check and message as row_walks and table_records.
+        for table in (linear_table, families.row_walks, table_records):
+            with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+                table(n, -1)
+
     @pytest.mark.parametrize(
         "row,edit,failure",
         [
