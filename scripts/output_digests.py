@@ -13,12 +13,18 @@ stderr.  The runs cover:
   * seq, u, --help and usage errors;
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
-    torn after the fourth slice (both files cut) and finished by the CLI.
+    torn after the fourth slice (both files cut) and finished by the CLI;
+  * runs on planted tables, in all three formats, which reach the report
+    paths the shipped table never does: family 5 and verify 5 at bounds 10
+    and 200 with N5_PSI's exclusions lifted (a shadow, so provenance and an
+    equivalent duplicate, and a tuple that breaks a pair rule), and verify 5
+    at bound 200 with (7, -5) dropped from the search (missed_by_search).
+    Every patched name is restored afterwards.
 
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts at most two workers and writes only to a
-temporary directory.  About 440 records in under ten seconds on two cores.
+temporary directory.  About 460 records in under ten seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -31,12 +37,13 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lehmerdefect import cli, harness  # noqa: E402
-from lehmerdefect.families import SUPPORTED_N  # noqa: E402
+from lehmerdefect import cli, families, harness  # noqa: E402
+from lehmerdefect.families import SUPPORTED_N, FamilyRowId  # noqa: E402
 
 FORMATS = ("text", "tsv", "json")
 
@@ -108,10 +115,37 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
     return records
 
 
+def planted_records() -> dict[str, str]:
+    psi = families._ROWS[FamilyRowId.N5_PSI]
+    search = harness.search_defective
+
+    def dropping(n, bound, jobs=1):
+        result = search(n, bound, jobs)
+        return replace(result, pairs=tuple(p for p in result.pairs if p != (7, -5)))
+
+    records = {}
+    try:
+        families._ROWS[FamilyRowId.N5_PSI] = replace(psi, excluded=())
+        for bound in ("10", "200"):
+            for cmd in ("family", "verify"):
+                for fmt in FORMATS:
+                    argv = (cmd, "5", "--bound", bound, "--format", fmt)
+                    records["N5_PSI unexcluded: " + " ".join(argv)] = run(*argv)
+        families._ROWS[FamilyRowId.N5_PSI] = psi
+        harness.search_defective = dropping
+        for fmt in FORMATS:
+            argv = ("verify", "5", "--bound", "200", "--format", fmt)
+            records["search without (7, -5): " + " ".join(argv)] = run(*argv)
+    finally:
+        families._ROWS[FamilyRowId.N5_PSI] = psi
+        harness.search_defective = search
+    return records
+
+
 def main() -> int:
     os.environ.pop("LEHMERDEFECT_JOBS", None)
     with tempfile.TemporaryDirectory() as tmp:
-        records = {**cli_records(), **checkpoint_records(Path(tmp))}
+        records = {**cli_records(), **checkpoint_records(Path(tmp)), **planted_records()}
     print(json.dumps(records, indent=1, sort_keys=True))
     return 0
 

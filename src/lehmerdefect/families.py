@@ -35,12 +35,14 @@ stop at the first index whose value exceeds bound/2, and linear rows stop
 once the power term alone exceeds twice the bound.
 
 One enumeration core, table_records, walks each row as plain ints, checks
-every tuple with the pair rules and files the valid ones under their
-canonical pair as records: flat tuples (row position, sign, k, l, q, eps)
-that hold nothing the cyclic GC tracks.  enumerate_with_anomalies builds its
-FamilyEntry list from the records; the enumerated verify (harness) matches
-the records themselves, and builds FamilyEntry and FamilyParams objects
-only for what it reports.
+every tuple with the pair rules and files each valid one under its canonical
+pair as a view (row, (k, l, q, eps), raw pair).  A record is the list of
+views with one canonical pair: the first is the entry, any later ones its
+shadows.  The tables that commands file this way, those of n = 5, 8, 10, 12,
+hold at most 54 records at bound 3000 and 103 at 10^6.
+enumerate_with_anomalies builds its FamilyEntry list from the records; the
+enumerated verify (harness) matches the records themselves, and builds
+FamilyEntry and FamilyParams objects only for what it reports.
 
 The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
 the n-defective pairs other than the gaps their exclusions name, with no
@@ -385,14 +387,9 @@ def instantiate(
     return pair_failure(*raw) or _entry(row, params, raw)
 
 
-# A record is a flat tuple (row position, sign, k, l, q, eps), None for the
-# fields its row lacks: the row is _ROW_IDS[position], and the raw pair is
-# sign times the canonical pair the record is filed under.  Holding nothing
-# the cyclic GC tracks, a record and its key are untracked at the first
-# collection that sees them, so a large table costs later collections nothing.
-_ROW_IDS = tuple(_ROWS)
-Record = tuple[int | None, ...]
+# A view is (row, (k, l, q, eps), raw pair), None for the fields its row lacks.
 Pair = tuple[int, int]
+View = tuple[FamilyRowId, tuple[int | None, ...], Pair]
 
 
 def row_walks(n: int, bound: int) -> list[tuple[FamilyRowId, Iterator[tuple[int | None, ...]]]]:
@@ -410,41 +407,31 @@ def _check_bound(bound: int) -> None:
 
 
 def table_records(n: int, bound: int) -> tuple[
-    dict[Pair, Record], dict[Pair, list[Record]], list[tuple[Pair, Record, ValidationFailure]]
+    dict[Pair, list[View]], list[tuple[FamilyRowId, tuple[int | None, ...], Pair, ValidationFailure]]
 ]:
     """The table for n with max(|a|, |b|) <= bound on the raw pair, as records.
 
     Every in-bound tuple is checked with the pair rules (pair_failure), in
     deterministic (row, k/l, q, eps) order.  Returns
 
-        records     canonical pair -> the first record with that pair, in order
-        shadows     canonical pair -> the later records with that pair (the
-                    table's internal duplicates; empty for the shipped table)
-        anomalies   (raw pair, record with sign 1, failure) for each tuple
+        records     canonical pair -> the views (row, (k, l, q, eps), raw pair)
+                    of the valid tuples with that pair, in order: the first is
+                    the entry, any later ones its shadows (the table's internal
+                    duplicates; there are none in the shipped table)
+        anomalies   (row, (k, l, q, eps), raw pair, failure) for each tuple
                     whose pair breaks a pair rule, in order
     """
-    records: dict[Pair, Record] = {}
-    shadows: dict[Pair, list[Record]] = {}
-    anomalies: list[tuple[Pair, Record, ValidationFailure]] = []
+    records: dict[Pair, list[View]] = {}
+    anomalies = []
     for row, walk in row_walks(n, bound):
-        pos = _ROW_IDS.index(row)
         for k, l, q, eps, a, b in walk:
             failure = pair_failure(a, b)
             if failure is not None:
-                anomalies.append(((a, b), (pos, 1, k, l, q, eps), failure))
-                continue
-            if a > 0:
-                key, rec = (a, b), (pos, 1, k, l, q, eps)
+                anomalies.append((row, (k, l, q, eps), (a, b), failure))
             else:
-                key, rec = (-a, -b), (pos, -1, k, l, q, eps)
-            if records.setdefault(key, rec) is not rec:
-                shadows.setdefault(key, []).append(rec)
-    return records, shadows, anomalies
-
-
-def record_view(key: Pair, rec: Record) -> tuple[FamilyRowId, Record, Pair]:
-    """(row, (k, l, q, eps), raw pair) of the record filed under key."""
-    return _ROW_IDS[rec[0]], rec[2:], key if rec[1] == 1 else (-key[0], -key[1])
+                key = (a, b) if a > 0 else (-a, -b)
+                records.setdefault(key, []).append((row, (k, l, q, eps), (a, b)))
+    return records, anomalies
 
 
 def table_walks(n: int, bound: int) -> tuple[int, list[tuple[FamilyRowId, Iterable]], dict[Pair, list]]:
@@ -457,21 +444,20 @@ def table_walks(n: int, bound: int) -> tuple[int, list[tuple[FamilyRowId, Iterab
     """
     if _linear(n):
         return linear_table(n, bound)[0], row_walks(n, bound), {}
-    records, shadows, _ = table_records(n, bound)
-    provenance = {key: [record_view(key, s)[:2] for s in recs] for key, recs in shadows.items()}
-    views = (record_view(key, rec) for key, rec in records.items())
+    records, _ = table_records(n, bound)
+    provenance = {key: [v[:2] for v in views[1:]] for key, views in records.items() if len(views) > 1}
     walks = [
         (row, [(*values, *raw) for _, values, raw in group])
-        for row, group in groupby(views, itemgetter(0))
+        for row, group in groupby((views[0] for views in records.values()), itemgetter(0))
     ]
     return len(records), walks, provenance
 
 
-def record_entry(key: Pair, rec: Record, shadows: Sequence[Record] = ()) -> FamilyEntry:
-    """The FamilyEntry of a record, with the given shadow records as its provenance."""
-    row, values, raw = record_view(key, rec)
-    provenance = tuple([record_entry(key, s) for s in shadows]) if shadows else ()
-    return _entry(row, FamilyParams(*values), raw, provenance)
+def record_entry(views: Sequence[View]) -> FamilyEntry:
+    """The FamilyEntry of a record's first view, its later views (the shadows)
+    as its provenance."""
+    first, *shadows = [_entry(row, FamilyParams(*values), raw) for row, values, raw in views]
+    return replace(first, provenance=tuple(shadows)) if shadows else first
 
 
 def enumerate_with_anomalies(
@@ -483,17 +469,13 @@ def enumerate_with_anomalies(
     order plus any in-bound tuples that failed pair validation.  Duplicate
     canonical pairs keep the first entry; later hits land in its provenance.
     """
-    records, shadows, bad = table_records(n, bound)
-    anomalies = []
-    for raw, rec, failure in bad:
-        row, values, _ = record_view(raw, rec)
-        anomalies.append((row, FamilyParams(*values), raw, failure))
+    records, bad = table_records(n, bound)
+    anomalies = [(row, FamilyParams(*values), raw, failure) for row, values, raw, failure in bad]
     # Records are popped as their entries are built, last first, so the
     # records and the entries do not both stay whole.
     entries = []
     while records:
-        key, rec = records.popitem()
-        entries.append(record_entry(key, rec, shadows.get(key, ())))
+        entries.append(record_entry(records.popitem()[1]))
     entries.reverse()
     return entries, anomalies
 
@@ -531,10 +513,10 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
     if failure is not None:
         return failure
     key = _entry(row, params, raw).canonical_ab
-    rec = table_records(n, max(abs(raw[0]), abs(raw[1])))[0].get(key)
-    if rec is None:
+    views = table_records(n, max(abs(raw[0]), abs(raw[1])))[0].get(key)
+    if views is None:
         return Unexplained(raw, key)
-    kept_row, kept_values, _ = record_view(key, rec)
+    kept_row, kept_values, _ = views[0]
     return DuplicateOf(kept_row, FamilyParams(*kept_values), key)
 
 

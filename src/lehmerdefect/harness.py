@@ -42,12 +42,14 @@ name, with no invalid tuple or duplicate in the table, so the report is
 read from families.linear_table, which counts the table's q by
 inclusion-exclusion and enumerates nothing.  For the quadratic forms,
 _compare_with_search runs the search and matches it against the family
-table as records (families.table_records): every search pair is looked up
-by canonical pair, and the records are checked against the search's pairs
-only when some record is left unmatched.  FamilyParams, FamilyEntry and
-TableFailure objects are built only for what the report lists: invalid
-tuples, unmatched records and the table's internal duplicates.  The tests
-hold the counted report equal to the enumerated one for n = 3, 4, 6.
+table as records (families.table_records: canonical pair -> its (row,
+(k, l, q, eps), raw pair) views, the first the entry, the later ones its
+shadows): every search pair is looked up by canonical pair, and the records
+are checked against the search's pairs only when some record is left
+unmatched.  FamilyParams, FamilyEntry and TableFailure objects are built
+only for what the report lists: invalid tuples, unmatched records and the
+table's internal duplicates.  The tests hold the counted report equal to the
+enumerated one for n = 3, 4, 6.
 
 Searches fan out over contiguous a-chunks, one worker at most per chunk.
 Chunk boundaries depend only on the bound, not on the worker count, and
@@ -101,7 +103,6 @@ from .families import (
     linear_table,
     raw_ab,
     record_entry,
-    record_view,
     table_records,
 )
 from .pairs import FailureKind, ValidationFailure, lehmer_prefix, pair_failure
@@ -387,11 +388,6 @@ def search_with_checkpoint(
     return SearchResult(n, bound, tuple(hits))
 
 
-def _table_failure(key: tuple[int, int], rec: tuple, reason: str) -> TableFailure:
-    row, values, raw = record_view(key, rec)
-    return TableFailure(row, FamilyParams(*values), raw, reason)
-
-
 def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     """Compare the n-defective pairs with the family table up to equivalence.
 
@@ -421,9 +417,10 @@ def _compare_with_search(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport
     The quadratic forms' path, and the tests' oracle for the linear ones.
     """
     result = search_defective(n, bound, jobs)
-    records, shadows, anomalies = table_records(n, bound)
+    records, anomalies = table_records(n, bound)
     failures = [
-        _table_failure(raw, rec, f"invalid:{fail.describe()}") for raw, rec, fail in anomalies
+        TableFailure(row, FamilyParams(*values), raw, f"invalid:{fail.describe()}")
+        for row, values, raw, fail in anomalies
     ]
     missing = tuple(p for p in result.pairs if p not in records)
     matched = len(result.pairs) - len(missing)
@@ -431,21 +428,20 @@ def _compare_with_search(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport
     # records, every record matched and the search set is not needed.
     if matched < len(records):
         found = set(result.pairs)
-        for key, rec in records.items():
+        for key, views in records.items():
             if key in found:
                 # The search found residual 1 for this class; |u_n| and |ab|
                 # are unchanged by (a, b) -> (-a, -b), so the strip would agree.
                 continue
-            raw = record_view(key, rec)[2]
+            row, values, raw = views[0]
             residual = residual_after_stripping(raw[0], raw[1], n)
             reason = "missed_by_search" if residual == 1 else f"not_defective:residual={residual}"
-            failures.append(_table_failure(key, rec, reason))
-    duplicates = []
-    if shadows:  # in the order of the kept records
-        for key, rec in records.items():
-            if key in shadows:
-                kept = record_entry(key, rec, shadows[key])
-                duplicates.extend((kept, shadow) for shadow in kept.provenance)
+            failures.append(TableFailure(row, FamilyParams(*values), raw, reason))
+    duplicates = []  # in the order of the kept records
+    for views in records.values():
+        if len(views) > 1:
+            kept = record_entry(views)
+            duplicates.extend((kept, shadow) for shadow in kept.provenance)
     return DiscrepancyReport(
         n=n,
         bound=bound,

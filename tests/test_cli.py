@@ -237,17 +237,13 @@ _SHADOW = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), (-3, 5),
 
 
 def _as_records(entries):
-    """families.table_records' (records, shadows, anomalies) holding these
-    entries, each entry's provenance as its shadows."""
+    """families.table_records' (records, anomalies) holding these entries,
+    each entry's provenance as its later views."""
 
-    def record(e):
-        sign = 1 if e.raw_ab == e.canonical_ab else -1
-        p = e.params
-        return (families._ROW_IDS.index(e.row), sign, p.k, p.l, p.q, p.eps)
+    def view(e):
+        return e.row, (e.params.k, e.params.l, e.params.q, e.params.eps), e.raw_ab
 
-    records = {e.canonical_ab: record(e) for e in entries}
-    shadows = {e.canonical_ab: [record(s) for s in e.provenance] for e in entries if e.provenance}
-    return records, shadows, []
+    return {e.canonical_ab: [view(x) for x in (e, *e.provenance)] for e in entries}, []
 
 
 class TestRenderings:
@@ -389,8 +385,8 @@ class TestLinearFamily:
         assert len(calls) == len(argvs)
 
     def test_skips_the_record_machinery(self, monkeypatch, run_cli):
-        # No pair rule per tuple, no records and no record views.  The text
-        # header's count (linear_table) checks only the in-bound exclusions.
+        # No pair rule per tuple and no records.  The text header's count
+        # (linear_table) checks only the in-bound exclusions.
         argvs = [
             ("family", str(n), "--bound", "700", "--format", fmt)
             for n in (3, 4, 6)
@@ -404,7 +400,6 @@ class TestLinearFamily:
         for module, name in (
             (pairs, "pair_failure"),
             (families, "table_records"),
-            (families, "record_view"),
         ):
             monkeypatch.setattr(module, name, refuse)
         checked = []

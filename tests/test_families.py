@@ -424,7 +424,8 @@ class TestLinearCertificate:
             scanned = definitional_search(bound, (3, 4, 6)) if bound else {}
             for n in (3, 4, 6):
                 size, gaps = linear_table(n, bound)
-                records, shadows, anomalies = table_records(n, bound)
-                assert (size, shadows, anomalies) == (len(records), {}, []), (n, bound)
+                records, anomalies = table_records(n, bound)
+                assert (size, anomalies) == (len(records), []), (n, bound)
+                assert all(len(views) == 1 for views in records.values()), (n, bound)
                 if bound:
                     assert sorted([*records, *gaps]) == list(scanned[n]), (n, bound)

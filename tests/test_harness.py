@@ -281,13 +281,11 @@ class TestVerify:
     def test_unmatched_entry_is_still_decided(self, monkeypatch):
         # An injected table record with the non-defective pair (5, 1) for
         # n = 5: the search does not find it, so verify_table must strip it.
-        records, shadows, anomalies = table_records(5, 10)
-        first = next(iter(records.values()))
-        bogus = (first[0], 1, *first[2:])  # sign 1: its raw pair is its key, (5, 1)
+        records, anomalies = table_records(5, 10)
+        row, values, _ = next(iter(records.values()))[0]
         assert (5, 1) not in search_defective(5, 10).pairs
-        monkeypatch.setattr(
-            harness, "table_records", lambda n, bound: ({**records, (5, 1): bogus}, shadows, anomalies)
-        )
+        bogus = {**records, (5, 1): [(row, values, (5, 1))]}
+        monkeypatch.setattr(harness, "table_records", lambda n, bound: (bogus, anomalies))
         report = verify_table(5, 10)
         assert [f.reason for f in report.table_failures] == [
             f"not_defective:residual={residual_after_stripping(5, 1, 5)}"
@@ -301,6 +299,14 @@ class TestVerify:
         # the public enumeration yields them.
         lifted = replace(families._ROWS[FamilyRowId.N5_PSI], excluded=())
         monkeypatch.setitem(families._ROWS, FamilyRowId.N5_PSI, lifted)
+        records, bad = table_records(5, 10)
+        assert records[(3, -5)] == [
+            (FamilyRowId.N5_PSI, (0, None, None, 1), (3, -5)),
+            (FamilyRowId.N5_PSI, (0, None, None, -1), (3, -5)),
+        ]
+        assert bad == [
+            (FamilyRowId.N5_PSI, (1, None, None, -1), (4, 0), ValidationFailure(FailureKind.ZERO_B))
+        ]
         entries, anomalies = enumerate_with_anomalies(5, 10)
         kept = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=1), (3, -5), (3, -5))
         shadow = FamilyEntry(5, FamilyRowId.N5_PSI, FamilyParams(k=0, eps=-1), (3, -5), (3, -5))
