@@ -4,13 +4,16 @@
 First prints the result of the linear certificate (families.
 linear_certificate): for n = 3, 4, 6, at every bound, the n-defective pairs
 are the family table's pairs plus the gaps the row exclusions name, with no
-invalid tuple or duplicate in the table.  Then, for each supported index n,
-prints one summary line of verify_table at the bound, with the wall time and
-the process's peak resident set size so far.  For n = 3, 4, 6 that report
-is counted from the table, on the strength of the certificate.  For
-n = 5, 8, 10, 12 the search solves Phi_n(a, q) = +-T for the products T of
-primes of n, confirms each solution by the definition, and is compared with
-the enumerated family table up to equivalence.  Finishes with the
+invalid tuple or duplicate in the table.  Next to it, for n = 5, 8, 10, 12,
+the matrix M of the unit and the orbit representatives the search walks
+from (harness._orbits): every root of Phi_n(a, q) = +-T, for the capped
+products T of primes of n, lies on the orbit of one of them at every bound.
+Then, for each supported index n, prints one summary line of verify_table at
+the bound, with the wall time and the process's peak resident set size so
+far.  For n = 3, 4, 6 that report is counted from the table, on the strength
+of the certificate.  For n = 5, 8, 10, 12 the search walks those orbits,
+confirms each root by the definition, and is compared with the enumerated
+family table up to equivalence.  Finishes with the
 corrections audit.  Table entries that are defective but that the search did
 not find are counted as "missed by search", apart from the other table
 failures.  Exit code 2 if the certificate fails or any discrepancy or audit
@@ -32,7 +35,7 @@ import sys
 import time
 
 from lehmerdefect.families import SUPPORTED_N, linear_certificate
-from lehmerdefect.harness import audit_changes, verify_table
+from lehmerdefect.harness import _orbits, audit_changes, verify_table
 
 
 def main() -> int:
@@ -48,6 +51,10 @@ def main() -> int:
     for c in certs:
         for failure in c.failures:
             print(f"  n={c.n}: {failure}")
+    print("quadratic orbits, every bound:")
+    for n in (5, 8, 10, 12):
+        (m11, m12, m21, m22), reps = _orbits(n)
+        print(f"  n={n:>2}: M=[[{m11},{m12}],[{m21},{m22}]] representatives {reps}")
     print(f"table-vs-search cross-validation, bound {args.bound}")
     for n in SUPPORTED_N:
         t0 = time.perf_counter()

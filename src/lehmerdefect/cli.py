@@ -151,27 +151,20 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
 
 
 def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
-    """Render the table of n (families.table_walks) as it is walked: text and
-    TSV one (row, power term) segment at a time, JSON one entry at a time,
-    with the bytes json.dumps gives for the whole document.  The canonical
-    pair of a raw pair (a, b) is the a > 0 one of (a, b) and (-a, -b)."""
+    """Render the table of n (families.table_walks) as it is walked, each
+    entry from a template built once per (row, power term) segment: text and
+    TSV one segment at a time, JSON one entry at a time, with the bytes
+    json.dumps gives for the whole document.  The canonical pair of a raw
+    pair (a, b) is the a > 0 one of (a, b) and (-a, -b)."""
     count, walks, provenance = families.table_walks(n, bound)
     if fmt == "json":
         out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "entries": [')
+        labels = {
+            key: json.dumps([_row_doc(r, families.params_dict(v)) for r, v in shadows])
+            for key, shadows in provenance.items()
+        }
         sep = ""
-        for row, walk in walks:
-            for k, l, q, eps, a, b in walk:
-                key = (abs(a), b if a > 0 else -b)
-                entry = _row_doc(
-                    row, families.params_dict((k, l, q, eps)), raw_a=str(a), raw_b=str(b),
-                    canonical_a=str(key[0]), canonical_b=str(key[1]),
-                    provenance=[_row_doc(r, families.params_dict(v)) for r, v in provenance.get(key, ())],
-                )
-                out.write(sep + json.dumps(entry))
-                sep = ", "
-        out.write("]}\n")
-        return
-    if fmt == "tsv":
+    elif fmt == "tsv":
         out.write("# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n")
         labels = {
             key: ";".join([f"{r.value}({families.params_text(v)})" for r, v in shadows])
@@ -183,6 +176,21 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
     # or one (k, eps) of a sequence row, its q None.
     for row, walk in walks:
         for (k, l, eps), segment in groupby(walk, itemgetter(0, 1, 3)):
+            if fmt == "json":
+                # The params object up to q's value: q is the last key when it varies.
+                fixed = json.dumps(families.params_dict((k, l, None, eps)))[:-1]
+                if eps is None:
+                    fixed += ', "q": ' if len(fixed) > 1 else '"q": '
+                head = f'{{"row": {json.dumps(row.value)}, "params": {fixed}'
+                for _, _, q, _, a, b in segment:
+                    shadows = labels.get((abs(a), b if a > 0 else -b), "[]") if labels else "[]"
+                    out.write(
+                        f'{sep}{head}{"" if q is None else q}}}, "raw_a": "{a}", "raw_b": "{b}", '
+                        f'"canonical_a": "{abs(a)}", "canonical_b": "{b if a > 0 else -b}", '
+                        f'"provenance": {shadows}}}'
+                    )
+                    sep = ", "
+                continue
             if fmt == "tsv":
                 entries = list(segment) if labels else segment  # labels zips them below
                 head = f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
@@ -207,6 +215,8 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
                     for _, _, q, _, a, b in segment
                 ]
             out.write("".join(lines))
+    if fmt == "json":
+        out.write("]}\n")
 
 
 def _emit_search(result: harness.SearchResult, fmt: str, out: IO[str]) -> None:

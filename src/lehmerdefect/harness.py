@@ -8,33 +8,71 @@ The search solves for defective pairs instead of scanning the box.  Every
 primitive divisor of u_n divides Phi_n(alpha, beta), and a prime of
 Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
 (primdiv.CYCLOTOMIC_FORMS).  So a pair is n-defective only if
-Phi_n(a, q) = +-T with T a product of primes of n; the targets are those
-+-T up to the largest |Phi_n| in the chunk's box.  For n = 3, 4, 6 the
+Phi_n(a, q) = +-T with T a product of primes of n.  For n = 3, 4, 6 the
+targets are those +-T up to the largest |Phi_n| in the chunk's box, and the
 form is linear, Phi_n(a, q) = a - m*q with m = 1, 2, 3, so the roots of a
 target t are a = t + m*q, b = t - (4 - m)*q.  The search steps q through
 the one interval that puts a in the chunk and |b| <= bound, and only
 through the residues coprime to the primes of n that divide t: a valid
 pair has gcd(a, q) = 1, and gcd(a, q) = gcd(t, q).  So every in-box root
 with gcd(a, q) = 1 is visited once, with no per-a division, and each
-chunk's hits are sorted into (a, b) order.  For n = 5, 8, 10, 12 the form
-is quadratic in q, and the roots are solved for each a and target with
-isqrt and a perfect-square test.  For the quadratic forms a valid pair
-(gcd(a, b) = 1, so gcd(a, q) = 1) caps the exponent of each prime in T
-(primdiv.CYCLOTOMIC_FORMS; each cap is proved by enumerating residues mod
-prime^(cap + 1)), so their targets are a fixed set whatever the bound:
-+-1, +-5 for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3, +-6 for
-n = 12.  T = 0 is never a target: Phi_n vanishes only when alpha / beta is
-a root of unity.  Each root is checked with the pair rules
-(pairs.pair_failure, which builds no pair).  For the quadratic forms it is
-kept only if primdiv.residual_after_stripping is 1, so the definition
-decides every reported pair and the theorem is needed only for
-completeness.  For the linear forms every valid root is defective, which
+chunk's hits are sorted into (a, b) order.
+
+For n = 5, 8, 10, 12 the form is quadratic, Phi_n(p, q) = p^2 + c1 p q +
+c2 q^2 with D = c1^2 - 4 c2 = 5, 8, 5, 12.  A valid pair (gcd(a, b) = 1, so
+gcd(a, q) = 1) caps the exponent of each prime in T (primdiv.
+CYCLOTOMIC_FORMS; each cap is proved by enumerating residues mod
+prime^(cap + 1)), so the targets are a fixed set whatever the bound: +-1, +-5
+for n = 5 and 10, +-1, +-2 for n = 8 and +-1, +-2, +-3, +-6 for n = 12.  T = 0
+is never a target: Phi_n vanishes only when alpha / beta is a root of unity.
+The roots of each target are walked along orbits, which is complete at every
+bound:
+
+  * With X = 2p + c1 q and Y = q, X^2 - D Y^2 = 4t, so a root of
+    Phi_n = t is xi = X + Y sqrt(D) with xi xi' = 4t, xi' = X - Y sqrt(D).
+  * (T0, U0), the least positive solution of T^2 - D U^2 = 4, is (3, 1),
+    (6, 2), (3, 1), (4, 1).  eps = (T0 + U0 sqrt(D)) / 2 has norm 1 and
+    1 < eps < T0, and xi -> eps xi is (p, q) -> M (p, q), with the
+    integral matrix M = [[(T0 - c1 U0) / 2, -c2 U0], [U0, (T0 + c1 U0) / 2]]
+    of determinant 1: [[3, -1], [1, 0]], [[7, -4], [2, -1]], [[4, -5],
+    [1, -1]] and [[4, -1], [1, 0]].
+  * Along an orbit xi_k = eps^k xi_0, |xi_k / xi'_k| grows by eps^2 a step,
+    so |xi_k| >= |xi'_k|, which is X Y >= 0, holds from one k0 on and fails
+    before it.  The representative xi_k0 is the one point with X Y >= 0
+    whose M^-1 image has X Y < 0, and it has sqrt|4t| <= |xi| < eps
+    sqrt|4t|.  So |Y| <= (|xi| + |xi'|) / (2 sqrt(D)) < (eps + 1)
+    sqrt(|t| / D): every orbit has its representative in the box
+    D Y^2 < |t| (T0 + 1)^2, where |Y| <= 3 for every capped target, and
+    _orbits solves X^2 = 4t + D Y^2 there.  (X == c1 Y mod 2 holds by
+    itself, as X^2 == D Y^2 == c1^2 Y^2 mod 4, so p is an integer.)  It
+    finds 8 representatives for each n.
+  * For k >= k0, |Y| sqrt(D) = |xi_k - xi'_k| / 2 is (|xi_k| -+ |xi'_k|) / 2
+    (- for t > 0, + for t < 0), and a step to k + 1 changes it by
+    ((eps - 1) |xi_k| +- (1 - 1 / eps) |xi'_k|) / 2 >= 0.  So |q| does not
+    decrease along the walk by M from xi_k0, nor, with xi and xi' swapped,
+    along the walk by M^-1 from xi_(k0-1).  Each walk stops at the first
+    point with 2|q| > bound: no later point has |q| <= bound / 2, as every
+    pair in the search box has (4|q| = |a - b| <= 2 bound).
+  * A root with p > 0 lies on one orbit (its negation, on the orbit of
+    -xi, has p < 0 and is not canonical), so it is found once.
+
+The walk runs once per search, in this process whatever jobs is (under 2 ms
+at bound 10^6), and each chunk gets its slice of the (a, b)-ordered hits.  The
+per-a solve it replaced (isqrt and a perfect-square test for each a and
+target) is the tests' oracle, conftest.per_a_search.
+
+Each root is checked with the pair rules (pairs.pair_failure, which builds
+no pair).  For the quadratic forms it is kept only if
+primdiv.residual_after_stripping is 1, so the definition decides every
+reported pair and the theorem is needed only for completeness.  For the
+linear forms every valid root is defective, which
 families.linear_certificate proves for every bound, so their roots are not
-stripped.  The tests hold the search equal to a scan of the whole box by
-the definition (the pair rules plus the gcd strip) for every n at every
-bound up to 64, at 1000 and at 5000, the linear steps equal to a root
-search per a, with the strip, at bound 10000, and the capped solve equal to
-the uncapped one at bound 20000.
+stripped.  The tests hold the search equal to a scan of the whole box by the
+definition (the pair rules plus the gcd strip) for every n at every bound up
+to 64, at 1000 and at 5000; the linear steps equal to a root search per a,
+with the strip, at bound 10000; the orbit walk equal to the per-a solve at
+every bound up to 64, at 1000, 5000 and 20000; and the capped per-a solve
+equal to the uncapped one at bound 20000.
 
 verify_table counts for the linear forms: the same certificate proves that
 the search finds exactly the table's pairs and the gaps the row exclusions
@@ -51,10 +89,11 @@ only for what the report lists: invalid tuples, unmatched records and the
 table's internal duplicates.  The tests hold the counted report equal to the
 enumerated one for n = 3, 4, 6.
 
-Searches fan out over contiguous a-chunks, one worker at most per chunk.
-Chunk boundaries depend only on the bound, not on the worker count, and
-results are merged in chunk order, so output is byte-identical for any --jobs
-value and the checkpoint files of interrupted runs line up with any resume.
+Searches of the linear forms fan out over contiguous a-chunks, one worker at
+most per chunk.  Chunk boundaries depend only on the bound, not on the worker
+count, and results are merged in chunk order, so output is byte-identical
+for any --jobs value and the checkpoint files of interrupted runs line up
+with any resume.
 
 Checkpoint format: the state file opens with a "# n <tab> bound" header
 (chunk boundaries for different bounds can coincide, so the header is what
@@ -67,24 +106,26 @@ lines count.  Loading drops a torn last line, every state line whose hits are
 not all present and every hit past the committed chunks, so those chunks are
 recomputed; a complete line outside the grammar of b"%d" (_INT: ASCII digits,
 no "+", no sign on 0, no leading zero; no spaces, "_" or carriage returns)
-raises CheckpointMismatchError.  What is kept is a prefix of each file (the
-header and the first committed state lines, the first hit lines), so a
-repair cuts the file in place to that prefix with os.truncate, which writes
-no data; otherwise new chunks are appended.  (Writing a temporary file and
-renaming it over the old one is slower: on ext4 that rename waits for the
-new file's data to reach the disk, which made a torn resume of search 6
---bound 1000 take about 110 ms against 15 ms for the cuts on a 2-core ext4
-host.)  The load is idempotent on prefixes, so a crash between the two cuts
-still resumes.
+raises CheckpointMismatchError.  The kept hit lines are parsed only by a
+call that returns them, not by a slice that stops early.  What is kept is a
+prefix of each file (the header and the first committed state lines, the
+first hit lines), so a repair cuts the file in place to that prefix with
+os.truncate, which writes no data; otherwise new chunks are appended.
+(Writing a temporary file and renaming it over the old one is slower: on
+ext4 that rename waits for the new file's data to reach the disk, which made
+a torn resume of search 6 --bound 1000 take about 110 ms against 15 ms for
+the cuts on a 2-core ext4 host.)  The load is idempotent on prefixes, so a
+crash between the two cuts still resumes.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, prod
 from pathlib import Path
 
@@ -184,50 +225,78 @@ def _products_up_to(prime_caps: tuple[tuple[int, int | None], ...], limit: int) 
 
 def _roots(n: int, a_from: int, a_to: int, bound: int):
     """(a, q) in the chunk's box with Phi_n(a, q) = +-T, each once; for the
-    linear forms only those with gcd(a, q) = 1.
+    linear forms only those with gcd(a, q) = 1 (see the module docstring).
 
-    T runs over the products of primes of n, within the primes' caps, up to
-    the largest |Phi_n| in the chunk's box (see the module docstring).
+    T runs over the products of primes of n: for the linear forms up to the
+    largest |Phi_n| in the chunk's box, for the quadratic ones within the
+    primes' caps.
     """
     coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
-    q_max = (a_to + bound) // 4  # largest |q| in the chunk's box
-    deg = len(coeffs) - 1
-    # t_max >= |Phi_n(a, q)| anywhere in the chunk's box (triangle inequality).
-    t_max = sum(abs(c) * a_to ** (deg - i) * q_max**i for i, c in enumerate(coeffs))
-    targets = [s * t for t in _products_up_to(prime_caps, t_max) for s in (1, -1)]
-    if deg == 1:  # a - m q = t, so a = t + m q and b = t - (4 - m) q
-        m = -coeffs[1]
-        k = 4 - m
-        for t in targets:
-            # a_from <= a <= a_to and -bound <= b <= bound, as bounds on q.
-            q_from = max(-((t - a_from) // m), -((bound - t) // k))
-            q_to = min((a_to - t) // m, (t + bound) // k)
-            # gcd(a, q) = gcd(t, q): step q through the residues coprime to
-            # the primes of n that divide t.
-            rad = prod(p for p, _ in prime_caps if t % p == 0)
-            for r in range(rad):
-                if gcd(r, rad) == 1:
-                    for q in range(q_from + (r - q_from) % rad, q_to + 1, rad):
-                        yield t + m * q, q
+    if len(coeffs) == 3:
+        m, reps = _orbits(n)
+        back = (m[3], -m[1], -m[2], m[0])  # M^-1
+        for r, s in reps:
+            for a, q in chain(_walk(m, r, s, bound), _walk(back, *_apply(back, r, s), bound)):
+                if a_from <= a <= a_to and abs(a - 4 * q) <= bound:
+                    yield a, q
         return
-    c0, c1, c2 = coeffs  # c2 q^2 + c1 a q + c0 a^2 - t = 0
-    for a in range(a_from, a_to + 1):
-        q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
-        disc_a = (c1 * c1 - 4 * c0 * c2) * a * a
-        qs = set()
-        for t in targets:
-            disc = disc_a + 4 * c2 * t
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for num in (r - c1 * a, -r - c1 * a):
-                q, rem = divmod(num, 2 * c2)
-                if not rem and q_lo <= q <= q_hi:
-                    qs.add(q)
-        for q in qs:
-            yield a, q
+    m = -coeffs[1]  # a - m q = t, so a = t + m q and b = t - (4 - m) q
+    k = 4 - m
+    t_max = a_to + m * ((a_to + bound) // 4)  # >= |Phi_n(a, q)| in the chunk's box
+    targets = [s * t for t in _products_up_to(prime_caps, t_max) for s in (1, -1)]
+    for t in targets:
+        # a_from <= a <= a_to and -bound <= b <= bound, as bounds on q.
+        q_from = max(-((t - a_from) // m), -((bound - t) // k))
+        q_to = min((a_to - t) // m, (t + bound) // k)
+        # gcd(a, q) = gcd(t, q): step q through the residues coprime to
+        # the primes of n that divide t.
+        rad = prod(p for p, _ in prime_caps if t % p == 0)
+        for r in range(rad):
+            if gcd(r, rad) == 1:
+                for q in range(q_from + (r - q_from) % rad, q_to + 1, rad):
+                    yield t + m * q, q
+
+
+def _apply(m, p, q):
+    return m[0] * p + m[1] * q, m[2] * p + m[3] * q
+
+
+def _walk(m, p, q, bound):
+    """(p, q), M(p, q), M^2(p, q), ... up to the first point with 2|q| > bound."""
+    while 2 * abs(q) <= bound:
+        yield p, q
+        p, q = _apply(m, p, q)
+
+
+def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
+    """(M, representatives) of the quadratic form of n: M = (m11, m12, m21,
+    m22) multiplies xi = X + Y sqrt(D) by eps, and the representatives are
+    one root (p, q) of Phi_n(p, q) = t per orbit of M, for every capped
+    target t (see the module docstring)."""
+    (_, c1, c2), prime_caps = CYCLOTOMIC_FORMS[n]
+    d = c1 * c1 - 4 * c2
+    u0 = 1  # the least positive solution (T0, U0) of T^2 - D U^2 = 4
+    while isqrt(4 + d * u0 * u0) ** 2 != 4 + d * u0 * u0:
+        u0 += 1
+    t0 = isqrt(4 + d * u0 * u0)
+    m = ((t0 - c1 * u0) // 2, -c2 * u0, u0, (t0 + c1 * u0) // 2)
+    back = (m[3], -m[1], -m[2], m[0])
+    reps = []
+    for size in _products_up_to(prime_caps, prod(p**cap for p, cap in prime_caps)):
+        for t in (size, -size):
+            # D Y^2 < |t| (T0 + 1)^2, so Y^2 <= (|t| (T0 + 1)^2 - 1) // D.
+            y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d)
+            for q in range(-y_max, y_max + 1):
+                x_sq = 4 * t + d * q * q
+                x = isqrt(max(x_sq, 0))
+                if x * x != x_sq:
+                    continue
+                for x in {x, -x}:  # X == c1 Y mod 2, as X^2 == D Y^2 mod 4
+                    p = (x - c1 * q) // 2
+                    p_back, q_back = _apply(back, p, q)
+                    if x * q >= 0 and (2 * p_back + c1 * q_back) * q_back < 0:
+                        reps.append((p, q))
+    return m, reps
 
 
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
@@ -261,6 +330,14 @@ def _chunks(bound: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(n, chunks, bound, jobs):
+    """The hits of each of the contiguous chunks, in chunk order."""
+    if not _linear(n):
+        # One orbit walk over the chunks' span, in this process whatever
+        # jobs is (under 2 ms even at bound 10^6), cut at the chunk ends.
+        hits = _scan_range(n, chunks[0][0], chunks[-1][1], bound)
+        for lo, hi in chunks:
+            yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
+        return
     # A fork-started pool starts all max_workers processes at its first
     # submit, so ask for no more than there are chunks.
     workers = min(jobs, len(chunks))
@@ -301,14 +378,17 @@ _BAD_HIT_LINE = re.compile(rb"^(?!%s\t%s\n|\Z)" % (_INT, _INT), re.M)
 
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
-) -> tuple[int, list[tuple[int, int]]]:
+) -> tuple[int, bytes]:
+    """(committed chunks, their hit lines' bytes), after checking every
+    committed line and cutting the files to what is kept; the hits are
+    parsed only by a call that returns them."""
     header = b"# %d\t%d\n" % (n, bound)
     state, state_tail = _committed(state_path)
     if not state and header.startswith(state_tail):
         # No checkpoint yet, or one torn before its header was committed.
         hits_path.write_bytes(b"")
         state_path.write_bytes(header)
-        return 0, []
+        return 0, b""
     if not state.startswith(header):
         first = state[: state.find(b"\n")] if state else state_tail
         raise CheckpointMismatchError(
@@ -342,13 +422,11 @@ def _load_checkpoint(
     if bad:
         line = hit_data[bad.start() : hit_data.find(b"\n", bad.start())]
         raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
-    fields = map(int, hit_data[:hits_end].split())
-    hits = list(zip(fields, fields))
     if state_end < len(state) + len(state_tail):
         os.truncate(state_path, state_end)
     if hits_end < len(hit_data) + len(hits_tail):
         os.truncate(hits_path, hits_end)
-    return done, hits
+    return done, hit_data[:hits_end]
 
 
 def search_with_checkpoint(
@@ -371,10 +449,11 @@ def search_with_checkpoint(
     chunks = _chunks(bound)
     state_path = Path(path)
     hits_path = Path(str(path) + ".hits")
-    done, hits = _load_checkpoint(state_path, hits_path, n, bound, chunks)
+    done, committed = _load_checkpoint(state_path, hits_path, n, bound, chunks)
     todo = chunks[done:]
     if stop_after_chunks is not None:
         todo = todo[:stop_after_chunks]
+    new_hits = []
     if todo:
         with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
             for (lo, hi), chunk_hits in zip(todo, _run_chunks(n, todo, bound, jobs)):
@@ -382,10 +461,11 @@ def search_with_checkpoint(
                 hf.flush()
                 sf.write(b"%d\t%d\t%d\t%d\n" % (n, lo, hi, len(chunk_hits)))
                 sf.flush()
-                hits.extend(chunk_hits)
+                new_hits.extend(chunk_hits)
     if done + len(todo) < len(chunks):
         return None
-    return SearchResult(n, bound, tuple(hits))
+    fields = map(int, committed.split())
+    return SearchResult(n, bound, (*zip(fields, fields), *new_hits))
 
 
 def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:

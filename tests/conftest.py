@@ -3,7 +3,8 @@ from __future__ import annotations
 import io
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from math import gcd
+from bisect import bisect_right
+from math import gcd, isqrt
 from multiprocessing import get_context
 
 import pytest
@@ -92,46 +93,61 @@ def definitional_search(bound: int, ns) -> dict[int, tuple[tuple[int, int], ...]
 
 
 def uncapped_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """search_defective(n, bound).pairs with the valuation caps lifted.
+    """per_a_search with the valuation caps lifted: every product of primes
+    of n up to the largest |Phi_n(a, q)| of each a is tried as a target, as
+    if no cap in CYCLOTOMIC_FORMS had been proved."""
+    return per_a_search(n, bound, capped=False)
 
-    Every product of primes of n up to the largest |Phi_n| of each chunk is
-    tried as a target, as if no cap in CYCLOTOMIC_FORMS had been proved.
+
+def per_a_search(n: int, bound: int, capped: bool = True) -> tuple[tuple[int, int], ...]:
+    """search_defective(n, bound).pairs, by a root search per a.
+
+    For each a and each target t = +-T, T a product of primes of n up to
+    the largest |Phi_n(a, q)| in the box (within the primes' caps in
+    CYCLOTOMIC_FORMS unless capped is False), the roots q of
+    Phi_n(a, q) = t in the box are solved for: by exact division for a
+    linear form p + c1*q, by isqrt and a perfect-square test for a quadratic
+    form p^2 + c1*p*q + c2*q^2.  The roots are checked with the pair rules
+    (pair_failure) and the gcd strip.
     """
-    form = CYCLOTOMIC_FORMS[n]
-    coeffs, prime_caps = form
-    CYCLOTOMIC_FORMS[n] = (coeffs, tuple((p, None) for p, _ in prime_caps))
-    try:
-        return search_defective(n, bound).pairs
-    finally:
-        CYCLOTOMIC_FORMS[n] = form
+    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
+    deg, c1, c2 = len(coeffs) - 1, coeffs[1], coeffs[-1]  # c2: a quadratic form's q^2 coefficient
 
+    def phi_max(a: int) -> int:  # >= |Phi_n(a, q)| for every q of a in the box
+        q_abs = (a + bound) // 4
+        return sum(abs(c) * a ** (deg - i) * q_abs**i for i, c in enumerate(coeffs))
 
-def per_a_search(n: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """search_defective(n, bound).pairs for a linear n, by a root search per a.
-
-    Phi_n(p, q) = p + c1*q (CYCLOTOMIC_FORMS).  For each a and each target
-    t = +-T, T a product of primes of n up to the largest |Phi_n| in the
-    box, the root q = (t - a) / c1 is kept when it divides exactly and lies
-    in the box; the roots are checked with the pair rules (pair_failure) and
-    the gcd strip.
-    """
-    (c0, c1), prime_caps = CYCLOTOMIC_FORMS[n]
-    t_max = c0 * bound + abs(c1) * (2 * bound // 4)
+    t_max = phi_max(bound)
     products = [1]
-    for p, _ in prime_caps:
+    for p, cap in prime_caps:
         for m in list(products):
-            while m * p <= t_max:
+            e = 0
+            while (cap is None or not capped or e < cap) and m * p <= t_max:
                 m *= p
+                e += 1
                 products.append(m)
-    targets = [s * t for t in products for s in (1, -1)]
+    products.sort()
+    targets = [s * size for size in products for s in (1, -1)]
     hits = []
     for a in range(1, bound + 1):
         q_lo, q_hi = -((bound - a) // 4), (a + bound) // 4
+        disc_a = (c1 * c1 - 4 * c2) * a * a
         roots = set()
-        for t in targets:
-            q, rem = divmod(t - c0 * a, c1)
-            if not rem and q_lo <= q <= q_hi:
-                roots.add(q)
+        for t in targets[: 2 * bisect_right(products, phi_max(a))]:
+            if deg == 1:
+                nums = (t - a,)
+            else:  # c2 q^2 + c1 a q + a^2 - t = 0
+                disc = disc_a + 4 * c2 * t
+                if disc < 0:
+                    continue
+                r = isqrt(disc)
+                if r * r != disc:
+                    continue
+                nums = (r - c1 * a, -r - c1 * a)
+            for num in nums:
+                q, rem = divmod(num, c1 if deg == 1 else 2 * c2)
+                if not rem and q_lo <= q <= q_hi:
+                    roots.add(q)
         for q in sorted(roots, reverse=True):  # descending q = ascending b
             b = a - 4 * q
             if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1:

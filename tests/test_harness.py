@@ -1,5 +1,9 @@
 import json
+import sys
+import types
 from dataclasses import replace
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -72,9 +76,10 @@ class TestSearch:
 
     @pytest.mark.parametrize("n", [5, 8, 10, 12])
     def test_capped_solve_matches_uncapped_bound_20000(self, n):
-        # A bounded check of the valuation caps, at four times the bound of
-        # the extended definitional-scan comparison.
-        assert search_defective(n, 20000).pairs == uncapped_search(n, 20000)
+        # A bounded check of the valuation caps, on the per-a oracle solve,
+        # at four times the bound of the extended definitional-scan
+        # comparison; TestOrbitWalk holds the walk equal to the capped solve.
+        assert per_a_search(n, 20000) == uncapped_search(n, 20000)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_linear_steps_match_per_a_solve_bound_10000(self, n):
@@ -137,9 +142,25 @@ class TestSearch:
             assert max(abs(a), abs(b)) > 60
 
     def test_jobs_do_not_change_output(self):
-        serial = search_defective(5, 150, jobs=1)
-        parallel = search_defective(5, 150, jobs=3)
-        assert serial == parallel
+        # n = 6 runs its chunks in a process pool, n = 5 in this process.
+        for n in (5, 6):
+            assert search_defective(n, 150, jobs=3) == search_defective(n, 150, jobs=1), n
+
+    def test_quadratic_search_starts_no_pool(self, monkeypatch, run_cli):
+        # The orbit walk runs in this process whatever --jobs is.
+        argvs = [
+            (cmd, str(n), "--bound", "1000", "--jobs", "2", "--format", fmt)
+            for cmd in ("search", "verify")
+            for n in (5, 8, 10, 12)
+            for fmt in cli.FORMATS
+        ]
+        want = {argv: run_cli(*argv) for argv in argvs}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        assert {argv: run_cli(*argv) for argv in argvs} == want
 
     def test_pool_is_sized_by_the_chunks(self, monkeypatch):
         # A stand-in pool that records its size and maps in this process, so
@@ -159,13 +180,13 @@ class TestSearch:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        serial = search_defective(5, 100, jobs=1)
+        serial = search_defective(6, 100, jobs=1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         assert len(_chunks(100)) == 4
-        assert search_defective(5, 100, jobs=64) == serial
+        assert search_defective(6, 100, jobs=64) == serial
         assert sizes == [4]
         assert len(_chunks(20)) == 1
-        search_defective(5, 20, jobs=8)
+        search_defective(6, 20, jobs=8)
         assert sizes == [4]
 
     def test_bad_args(self):
@@ -173,6 +194,132 @@ class TestSearch:
             search_defective(7, 10)
         with pytest.raises(ValueError):
             search_defective(5, 0)
+
+
+QUADRATIC_N = (5, 8, 10, 12)
+WALK_BOUNDS = (*range(1, 65), 1000, 5000, 20000)
+
+
+@pytest.fixture(scope="module")
+def per_a_pairs():
+    return {(n, bound): per_a_search(n, bound) for n in QUADRATIC_N for bound in WALK_BOUNDS}
+
+
+def _walk_mismatch(module, per_a_pairs):
+    """The first (n, bound) where module.search_defective differs from the
+    per-a oracle solve, or None."""
+    for (n, bound), want in per_a_pairs.items():
+        if module.search_defective(n, bound).pairs != want:
+            return n, bound
+    return None
+
+
+def _mutant(monkeypatch, old, new):
+    """A copy of harness, loaded under its own name, with the one occurrence
+    of old in its source replaced by new."""
+    source = Path(harness.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("lehmerdefect._harness_mutant")
+    module.__package__ = "lehmerdefect"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), harness.__file__, "exec"), module.__dict__)
+    return module
+
+
+def _phi(n, p, q):
+    c0, c1, c2 = CYCLOTOMIC_FORMS[n][0]
+    return c0 * p * p + c1 * p * q + c2 * q * q
+
+
+def _capped_targets(n):
+    """+-T for every product T of primes of n within their caps."""
+    sizes = {1}
+    for prime, cap in CYCLOTOMIC_FORMS[n][1]:
+        sizes |= {size * prime**e for size in sizes for e in range(1, cap + 1)}
+    return {s * size for size in sizes for s in (1, -1)}
+
+
+class TestOrbitWalk:
+    """The quadratic search walks the orbits of M from one representative
+    each (harness._orbits; the proof is in the harness module docstring)."""
+
+    def test_walk_matches_per_a_solve(self, per_a_pairs):
+        assert _walk_mismatch(harness, per_a_pairs) is None
+
+    @pytest.mark.parametrize("n", QUADRATIC_N)
+    def test_unit_and_representatives(self, n):
+        # M multiplies X + Y sqrt(D) by the least unit (T0 + U0 sqrt(D)) / 2
+        # of norm 1, with T0 its trace and U0 its lower-left entry.
+        _, c1, c2 = CYCLOTOMIC_FORMS[n][0]
+        d = c1 * c1 - 4 * c2
+        m, reps = harness._orbits(n)
+        t0, u0 = m[0] + m[3], m[2]
+        assert t0 * t0 - d * u0 * u0 == 4 and m[0] * m[3] - m[1] * m[2] == 1
+        assert all(isqrt(4 + d * u * u) ** 2 != 4 + d * u * u for u in range(1, u0))
+        assert (d, t0, u0) == {5: (5, 3, 1), 8: (8, 6, 2), 10: (5, 3, 1), 12: (12, 4, 1)}[n]
+        for p, q in [(1, 0), (0, 1), (3, -2), (-7, 5)]:
+            assert _phi(n, *harness._apply(m, p, q)) == _phi(n, p, q)
+        # Eight representatives, each in the box D Y^2 < |t| (T0 + 1)^2 of
+        # its target, which the caps bound.
+        assert len(set(reps)) == len(reps) == 8
+        for p, q in reps:
+            t = _phi(n, p, q)
+            assert t in _capped_targets(n) and d * q * q < abs(t) * (t0 + 1) ** 2 and abs(q) <= 3
+
+    @pytest.mark.parametrize("n", QUADRATIC_N)
+    def test_every_root_reduces_to_a_representative(self, n):
+        # Every root with |q| <= 300, moved along its orbit to the first
+        # point with X Y >= 0 (X = 2p + c1 q, Y = q), is a representative.
+        _, c1, c2 = CYCLOTOMIC_FORMS[n][0]
+        d = c1 * c1 - 4 * c2
+        m, reps = harness._orbits(n)
+        back = (m[3], -m[1], -m[2], m[0])
+        seen = set()
+        for t in _capped_targets(n):
+            for q in range(-300, 301):
+                x_sq = 4 * t + d * q * q
+                x = isqrt(max(x_sq, 0))
+                for x in {x, -x} if x * x == x_sq else ():
+                    p, y = (x - c1 * q) // 2, q
+                    while (2 * p + c1 * y) * y < 0:
+                        p, y = harness._apply(m, p, y)
+                    while True:
+                        p_back, y_back = harness._apply(back, p, y)
+                        if (2 * p_back + c1 * y_back) * y_back < 0:
+                            break
+                        p, y = p_back, y_back
+                    assert (p, y) in reps, (t, x, q)
+                    seen.add((p, y))
+        assert seen == set(reps)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # M^2 in place of M: the walk skips every other point of an orbit.
+            ("        p, q = _apply(m, p, q)\n", "        p, q = _apply(m, *_apply(m, p, q))\n"),
+            # The Y box halved: the representatives with |q| = 2 or 3 are lost.
+            (
+                "y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d)",
+                "y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d) // 2",
+            ),
+            # One target dropped.  (Dropping 3 or -6 for n = 12 changes
+            # nothing: p^2 - 4pq + q^2 = 3 or -6 has no root mod 3.)
+            ("for t in (size, -size):", "for t in [t for t in (size, -size) if t != -1]:"),
+            ("for t in (size, -size):", "for t in [t for t in (size, -size) if t != 5]:"),
+        ],
+        ids=["M-squared", "half-box", "drop-minus-1", "drop-5"],
+    )
+    def test_planted_faults_are_caught(self, monkeypatch, per_a_pairs, old, new):
+        assert _walk_mismatch(_mutant(monkeypatch, old, new), per_a_pairs) is not None
+
+    def test_search_at_10_12(self, run_cli):
+        # Each orbit is walked in about 30 steps a side at this bound.
+        for n in QUADRATIC_N:
+            code, out, err = run_cli("search", str(n), "--bound", "1000000000000", "--format", "tsv")
+            assert (code, err) == (0, "")
+            pairs = [tuple(map(int, line.split("\t"))) for line in out.splitlines()[1:]]
+            assert pairs == sorted(pairs) and len(pairs) > 100
+            assert all(residual_after_stripping(a, b, n) == 1 for a, b in pairs[-5:])
 
 
 class TestVerify:
@@ -555,6 +702,18 @@ class TestCheckpoint:
         path.write_bytes(b"\n".join([header, first, edit(values), b""]))
         with pytest.raises(CheckpointMismatchError):
             search_with_checkpoint(3, 200, path)
+
+    @pytest.mark.parametrize("stop", [0, 1])
+    def test_malformed_hit_line_refused_by_a_slice(self, tmp_path, stop):
+        # A slice that returns None parses no hit, but still checks every
+        # committed hit line.
+        path = tmp_path / "slice.ckpt"
+        assert search_with_checkpoint(3, 200, path, stop_after_chunks=2) is None
+        hits_path = tmp_path / "slice.ckpt.hits"
+        lines = hits_path.read_bytes().splitlines(keepends=True)
+        hits_path.write_bytes(b"".join(lines[:-1]) + b"0" + lines[-1])
+        with pytest.raises(CheckpointMismatchError):
+            search_with_checkpoint(3, 200, path, stop_after_chunks=stop)
 
     @pytest.mark.parametrize(
         "edit",
