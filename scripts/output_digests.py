@@ -10,14 +10,16 @@ stderr.  The runs cover:
     tables workload times), in all three formats;
   * search and verify for n = 5, 8, 10, 12 at bound 20000, in all three
     formats, so that the orbit walk's bytes are covered past bound 1000;
+  * search for n = 3, 4, 6 at bound 20000, in TSV and JSON, with --jobs 1
+    and 2, so that the linear search's bytes are covered past bound 1000;
   * audit in all three formats;
   * 60 seeded (a, b, n) triples through check, in all three formats;
   * seq, u, --help and usage errors;
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
     torn after the fourth slice (both files cut) and finished by the CLI;
-  * for n = 5, 8, 10, 12 at bound 20000, the checkpoint files of a run made
-    in 40-chunk --jobs 2 slices and finished by the CLI;
+  * for every n at bound 20000, the checkpoint files of a run made in
+    40-chunk --jobs 2 slices and finished by the CLI;
   * runs on planted tables, in all three formats, which reach the report
     paths the shipped table never does: family 5 and verify 5 at bounds 10
     and 200 with N5_PSI's exclusions lifted (a shadow, so provenance and an
@@ -28,7 +30,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts at most two workers and writes only to a
-temporary directory.  About 480 records in under ten seconds on two cores.
+temporary directory.  About 500 records in about ten seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -50,6 +52,7 @@ from lehmerdefect import cli, families, harness  # noqa: E402
 from lehmerdefect.families import SUPPORTED_N, FamilyRowId  # noqa: E402
 
 FORMATS = ("text", "tsv", "json")
+LINEAR_N = (3, 4, 6)
 QUADRATIC_N = (5, 8, 10, 12)
 
 
@@ -81,6 +84,9 @@ def cli_records() -> dict[str, str]:
     for n in QUADRATIC_N:
         for cmd in ("search", "verify"):
             argvs += [(cmd, str(n), "--bound", "20000", "--format", fmt) for fmt in FORMATS]
+    for n in LINEAR_N:
+        for fmt in ("tsv", "json"):
+            argvs += [("search", str(n), "--bound", "20000", "--format", fmt, "--jobs", j) for j in "12"]
     rng = random.Random(20241112)
     for _ in range(60):
         a = rng.randint(-40, 40)
@@ -120,7 +126,7 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
             os.truncate(path, path.stat().st_size - cut)
         ran = run("search", str(n), "--bound", "1000", "--checkpoint", str(sliced), "--jobs", "1")
         records[f"checkpoint sliced-torn n={n}"] = " ".join([*steps, ran, files(sliced)])
-    for n in QUADRATIC_N:
+    for n in SUPPORTED_N:
         sliced = tmp / f"sliced{n}-20000.ckpt"
         steps = []
         for _ in range(3):

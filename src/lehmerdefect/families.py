@@ -47,7 +47,9 @@ FamilyEntry and FamilyParams objects only for what it reports.
 The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
 the n-defective pairs other than the gaps their exclusions name, with no
 invalid tuple and no duplicate (linear_certificate).  So linear_table gives
-verify_table their size and gaps at any bound by counting, with no walk.
+verify_table their size and gaps at any bound by counting, with no walk, and
+linear_pairs gives the search its pairs a-chunk by a-chunk.  _Row.terms is
+the one source of their progressions, for these and for the family walks.
 
 The family command (cli) renders table_walks, the one place that chooses
 between the two sources: for a linear n the rows' own walks (row_walks),
@@ -60,12 +62,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, pair_failure
+from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, lehmer_elements, pair_failure
 from .primdiv import CYCLOTOMIC_FORMS
 from .sequences import SequenceId, seq_eval
 
@@ -561,6 +563,29 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     return size, tuple(sorted(gaps))
 
 
+def linear_pairs(n: int, a_from: int, a_to: int, bound: int) -> Iterator[Pair]:
+    """The canonical pairs with a_from <= a <= a_to and |b| <= bound of the
+    table of a linear n, and of its in-box exclusions whose pair passes the
+    pair rules (n = 4's gap (6, 2)), unordered; 1 <= a_from <= a_to <= bound.
+
+    Each row instance at power term t is found in one of two q intervals:
+    t + m_a q in the chunk, or in the chunk negated.  Where
+    linear_certificate(n) is proved, these are the n-defective pairs there,
+    each once, and only an exclusion can break a pair rule, so no other tuple
+    is checked.
+    """
+    for row in family_rows(n):
+        d = _ROWS[row]
+        c = prod(d.bases)
+        m_a, m_b = d.m
+        for _, t, qs, skip in d.terms(bound):
+            for s, lo, hi in ((1, a_from, a_to), (-1, -a_to, -a_from)):
+                # lo <= t + m_a q <= hi, with m_a > 0.
+                for q in range(max(qs.start, (lo - t - 1) // m_a + 1), min(qs.stop, (hi - t) // m_a + 1)):
+                    if gcd(c, q) == 1 and (q not in skip or pair_failure(t + m_a * q, t + m_b * q) is None):
+                        yield s * (t + m_a * q), s * (t + m_b * q)
+
+
 @dataclass(frozen=True)
 class LinearCertificate:
     """What linear_certificate found for one linear n.
@@ -670,10 +695,8 @@ def linear_certificate(n: int) -> LinearCertificate:
         for p in range(r):
             for q in range(r):
                 if (p or q) and (coeffs[0] * p + coeffs[1] * q) % r == 0:
-                    nonprim, prev, cur = p * (p - 4 * q), 0, 1  # a b, then u_1 ... u_{n-1}
-                    for i in range(2, n + 1):
-                        nonprim *= cur
-                        prev, cur = cur, (p * cur if i & 1 else cur) - q * prev
+                    # a b u_1 ... u_{n-1}
+                    nonprim = p * (p - 4 * q) * prod(islice(lehmer_elements(p, q), 1, n))
                     if nonprim % r:
                         failures.append(f"(p, q) = ({p}, {q}) mod {r}: {r} divides Phi_{n}, not D")
     return LinearCertificate(n, tuple(sorted(gaps)), tuple(failures))

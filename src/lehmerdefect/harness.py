@@ -9,14 +9,11 @@ primitive divisor of u_n divides Phi_n(alpha, beta), and a prime of
 Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
 (primdiv.CYCLOTOMIC_FORMS).  So a pair is n-defective only if
 Phi_n(a, q) = +-T with T a product of primes of n.  For n = 3, 4, 6 the
-targets are those +-T up to the largest |Phi_n| in the chunk's box, and the
-form is linear, Phi_n(a, q) = a - m*q with m = 1, 2, 3, so the roots of a
-target t are a = t + m*q, b = t - (4 - m)*q.  The search steps q through
-the one interval that puts a in the chunk and |b| <= bound, and only
-through the residues coprime to the primes of n that divide t: a valid
-pair has gcd(a, q) = 1, and gcd(a, q) = gcd(t, q).  So every in-box root
-with gcd(a, q) = 1 is visited once, with no per-a division, and each
-chunk's hits are sorted into (a, b) order.
+form is linear, and families.linear_certificate proves, for every bound,
+that these pairs are exactly the family table's and the gaps its row
+exclusions name.  So the search lists the rows' own instances with a in the
+chunk (families.linear_pairs): the same progressions that family and
+verify count, checked with the pair rules only where an exclusion sits.
 
 For n = 5, 8, 10, 12 the form is quadratic, Phi_n(p, q) = p^2 + c1 p q +
 c2 q^2 with D = c1^2 - 4 c2 = 5, 8, 5, 12.  A valid pair (gcd(a, b) = 1, so
@@ -61,18 +58,15 @@ at bound 10^6), and each chunk gets its slice of the (a, b)-ordered hits.  The
 per-a solve it replaced (isqrt and a perfect-square test for each a and
 target) is the tests' oracle, conftest.per_a_search.
 
-Each root is checked with the pair rules (pairs.pair_failure, which builds
-no pair).  For the quadratic forms it is kept only if
-primdiv.residual_after_stripping is 1, so the definition decides every
-reported pair and the theorem is needed only for completeness.  For the
-linear forms every valid root is defective, which
-families.linear_certificate proves for every bound, so their roots are not
-stripped.  The tests hold the search equal to a scan of the whole box by the
-definition (the pair rules plus the gcd strip) for every n at every bound up
-to 64, at 1000 and at 5000; the linear steps equal to a root search per a,
-with the strip, at bound 10000; the orbit walk equal to the per-a solve at
-every bound up to 64, at 1000, 5000 and 20000; and the capped per-a solve
-equal to the uncapped one at bound 20000.
+Each orbit point is checked with the pair rules (pairs.pair_failure, which
+builds no pair) and kept only if primdiv.residual_after_stripping is 1, so
+the definition decides every reported quadratic pair and the theorem is
+needed only for completeness.  The tests hold the search equal to a scan of
+the whole box by the definition (the pair rules plus the gcd strip) for
+every n at every bound up to 64, at 1000 and at 5000; the linear search
+equal to a root search per a, with the strip, at bound 10000; the orbit
+walk equal to the per-a solve at every bound up to 64, at 1000, 5000 and
+20000; and the capped per-a solve equal to the uncapped one at bound 20000.
 
 verify_table counts for the linear forms: the same certificate proves that
 the search finds exactly the table's pairs and the gaps the row exclusions
@@ -126,7 +120,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import gcd, isqrt, prod
+from math import isqrt
 from pathlib import Path
 
 # enumerate_with_anomalies is not called here; it stays importable from
@@ -141,6 +135,7 @@ from .families import (
     enumerate_with_anomalies,
     family_rows,
     instantiate,
+    linear_pairs,
     linear_table,
     raw_ab,
     record_entry,
@@ -210,51 +205,15 @@ def _check_args(n: int, bound: int) -> None:
         raise ValueError(f"bound must be positive, got {bound}")
 
 
-def _products_up_to(prime_caps: tuple[tuple[int, int | None], ...], limit: int) -> list[int]:
-    """Every product of p^e up to limit, e <= cap (any e if cap is None), 1 included."""
-    out = [1]
-    for p, cap in prime_caps:
-        for m in list(out):
-            e = 0
-            while (cap is None or e < cap) and m * p <= limit:
-                m *= p
-                e += 1
-                out.append(m)
-    return out
-
-
 def _roots(n: int, a_from: int, a_to: int, bound: int):
-    """(a, q) in the chunk's box with Phi_n(a, q) = +-T, each once; for the
-    linear forms only those with gcd(a, q) = 1 (see the module docstring).
-
-    T runs over the products of primes of n: for the linear forms up to the
-    largest |Phi_n| in the chunk's box, for the quadratic ones within the
-    primes' caps.
-    """
-    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
-    if len(coeffs) == 3:
-        m, reps = _orbits(n)
-        back = (m[3], -m[1], -m[2], m[0])  # M^-1
-        for r, s in reps:
-            for a, q in chain(_walk(m, r, s, bound), _walk(back, *_apply(back, r, s), bound)):
-                if a_from <= a <= a_to and abs(a - 4 * q) <= bound:
-                    yield a, q
-        return
-    m = -coeffs[1]  # a - m q = t, so a = t + m q and b = t - (4 - m) q
-    k = 4 - m
-    t_max = a_to + m * ((a_to + bound) // 4)  # >= |Phi_n(a, q)| in the chunk's box
-    targets = [s * t for t in _products_up_to(prime_caps, t_max) for s in (1, -1)]
-    for t in targets:
-        # a_from <= a <= a_to and -bound <= b <= bound, as bounds on q.
-        q_from = max(-((t - a_from) // m), -((bound - t) // k))
-        q_to = min((a_to - t) // m, (t + bound) // k)
-        # gcd(a, q) = gcd(t, q): step q through the residues coprime to
-        # the primes of n that divide t.
-        rad = prod(p for p, _ in prime_caps if t % p == 0)
-        for r in range(rad):
-            if gcd(r, rad) == 1:
-                for q in range(q_from + (r - q_from) % rad, q_to + 1, rad):
-                    yield t + m * q, q
+    """(a, b) in the chunk's box on the orbits of the quadratic form of n,
+    each once (see the module docstring)."""
+    m, reps = _orbits(n)
+    back = (m[3], -m[1], -m[2], m[0])  # M^-1
+    for r, s in reps:
+        for a, q in chain(_walk(m, r, s, bound), _walk(back, *_apply(back, r, s), bound)):
+            if a_from <= a <= a_to and abs(a - 4 * q) <= bound:
+                yield a, a - 4 * q
 
 
 def _apply(m, p, q):
@@ -281,8 +240,11 @@ def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
     t0 = isqrt(4 + d * u0 * u0)
     m = ((t0 - c1 * u0) // 2, -c2 * u0, u0, (t0 + c1 * u0) // 2)
     back = (m[3], -m[1], -m[2], m[0])
+    sizes = [1]  # every product of primes of n within their caps
+    for prime, cap in prime_caps:
+        sizes += [size * prime**e for size in sizes for e in range(1, cap + 1)]
     reps = []
-    for size in _products_up_to(prime_caps, prod(p**cap for p, cap in prime_caps)):
+    for size in sizes:
         for t in (size, -size):
             # D Y^2 < |t| (T0 + 1)^2, so Y^2 <= (|t| (T0 + 1)^2 - 1) // D.
             y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d)
@@ -301,19 +263,22 @@ def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
 
 def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
     """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
-    1 <= a_from <= a_to <= bound, as _chunks makes them.  A root is kept when
-    it passes the pair rules (pair_failure; no LehmerPair is built) and, for
-    the quadratic forms, the gcd strip leaves 1: for the linear forms every
-    valid root is defective (families.linear_certificate)."""
-    strip = not _linear(n)
-    # Hits are kept per a, so the hits of one a share one int object (_roots
-    # builds a afresh for each root: 28 bytes a hit otherwise) and only each
+    1 <= a_from <= a_to <= bound, as _chunks makes them.  For a linear n these
+    are the table's pairs there and its gaps (families.linear_pairs), which
+    families.linear_certificate proves defective.  For a quadratic n an orbit
+    point is kept when it passes the pair rules (pair_failure; no LehmerPair
+    is built) and the gcd strip leaves 1."""
+    if _linear(n):
+        hits = linear_pairs(n, a_from, a_to, bound)
+    else:
+        roots = _roots(n, a_from, a_to, bound)
+        hits = (ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)
+    # Hits are kept per a, so the hits of one a share one int object (each
+    # hit is built with a fresh a: 28 bytes a hit otherwise) and only each
     # a's b values are sorted.
     hit_bs: dict[int, list[int]] = {}
-    for a, q in _roots(n, a_from, a_to, bound):
-        b = a - 4 * q
-        if pair_failure(a, b) is None and (not strip or residual_after_stripping(a, b, n) == 1):
-            hit_bs.setdefault(a, []).append(b)
+    for a, b in hits:
+        hit_bs.setdefault(a, []).append(b)
     return [(a, b) for a in sorted(hit_bs) for b in sorted(hit_bs[a])]
 
 

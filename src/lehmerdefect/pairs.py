@@ -129,9 +129,9 @@ def require_pair(a: int, b: int) -> LehmerPair:
     return LehmerPair(a, b)
 
 
-def lehmer_elements(pair: LehmerPair) -> Iterator[int]:
-    """u_0, u_1, u_2, ... of the pair's sequence, holding two terms at a time."""
-    p, q = pair.a, pair.q
+def lehmer_elements(p: int, q: int) -> Iterator[int]:
+    """u_0, u_1, u_2, ... of the sequence with companion coordinates (p, q),
+    holding two terms at a time.  No pair rule is checked."""
     prev, cur, i = 0, 1, 1
     yield prev
     while True:
@@ -148,13 +148,13 @@ def _check_index(n: int) -> None:
 def lehmer_number(pair: LehmerPair, n: int) -> int:
     """Exact n-th element u_n of the pair's sequence, n >= 0."""
     _check_index(n)
-    return next(islice(lehmer_elements(pair), n, None))
+    return next(islice(lehmer_elements(pair.a, pair.q), n, None))
 
 
 def lehmer_prefix(pair: LehmerPair, n: int) -> list[int]:
     """[u_0, ..., u_n]."""
     _check_index(n)
-    return list(islice(lehmer_elements(pair), n + 1))
+    return list(islice(lehmer_elements(pair.a, pair.q), n + 1))
 
 
 def discriminant_sq(pair: LehmerPair) -> int:

@@ -85,37 +85,52 @@ class TestSearch:
     def test_linear_steps_match_per_a_solve_bound_10000(self, n):
         assert search_defective(n, 10000).pairs == per_a_search(n, 10000)
 
-    def test_solve_matches_definitional_scan_small_bounds(self):
-        # Bounds 33..64 have two chunks.  The linear roots the solve gives
-        # are collected with their Phi_n, to show that these bounds reach
-        # q = 0, b = 0, DEGENERATE_PQ and negative targets.
-        linear = set()
+    def test_solve_matches_definitional_scan_small_bounds(self, monkeypatch):
+        # Bounds 33..64 have two chunks.  The linear search hands only the
+        # excluded tuples to the pair rules; they are collected as (p, q), to
+        # show that these bounds reach q = 0, b = 0 and DEGENERATE_PQ, and
+        # the linear hits with their Phi_n, to show that they reach the
+        # negated instances (Phi_n < 0).
+        checked = set()
+        rule = families.pair_failure
+        monkeypatch.setattr(families, "pair_failure", lambda a, b: checked.add((a, (a - b) // 4)) or rule(a, b))
+        phis = set()
         for bound in range(1, 65):
             scanned = definitional_search(bound, SUPPORTED_N)
             for n in SUPPORTED_N:
-                assert search_defective(n, bound).pairs == scanned[n], (n, bound)
+                pairs = search_defective(n, bound).pairs
+                assert pairs == scanned[n], (n, bound)
                 coeffs = CYCLOTOMIC_FORMS[n][0]
-                for lo, hi in _chunks(bound):
-                    for a, q in harness._roots(n, lo, hi, bound):
-                        assert lo <= a <= hi and abs(a - 4 * q) <= bound
-                        if len(coeffs) == 2:
-                            linear.add((a, q, a + coeffs[1] * q))
-        assert any(q == 0 for _, q, _ in linear)
-        assert any(a == 4 * q for a, q, _ in linear)
-        assert any((a, q) in DEGENERATE_PQ for a, q, _ in linear)
-        assert any(t < 0 for _, _, t in linear)
+                if len(coeffs) == 2:
+                    phis.update(a + coeffs[1] * ((a - b) // 4) for a, b in pairs)
+        assert any(q == 0 for _, q in checked)
+        assert any(a == 4 * q for a, q in checked)
+        assert any(pq in DEGENERATE_PQ for pq in checked)
+        assert any(t < 0 for t in phis)
 
     def test_linear_search_does_not_strip(self, monkeypatch):
-        # Every valid root of a linear form is defective
-        # (families.linear_certificate), so no root is stripped; the
-        # definitional scans above hold the result.
+        # Every valid root of a linear form is defective, and only an
+        # excluded tuple can break a pair rule (families.linear_certificate),
+        # so no root is stripped and only the excluded tuples are checked
+        # with the pair rules; the definitional scans above hold the result.
         want = {n: search_defective(n, 300) for n in (3, 4, 6)}
+        excluded = {d.formula(v) for d in families._ROWS.values() if d.seq is None for v in d.excluded}
+        rule = families.pair_failure
+        checked = []
 
         def refuse(*args):
             raise AssertionError("a linear root was stripped")
 
+        def excluded_only(a, b):
+            assert (a, b) in excluded, f"({a}, {b}) was checked but is not excluded"
+            checked.append((a, b))
+            return rule(a, b)
+
         monkeypatch.setattr(harness, "residual_after_stripping", refuse)
+        monkeypatch.setattr(families, "pair_failure", excluded_only)
         assert {n: search_defective(n, 300) for n in (3, 4, 6)} == want
+        # (0, 4) has a = 0, so no chunk holds it.
+        assert set(checked) == excluded - {(0, 4)}
         with pytest.raises(AssertionError):
             search_defective(5, 300)
 
@@ -214,15 +229,15 @@ def _walk_mismatch(module, per_a_pairs):
     return None
 
 
-def _mutant(monkeypatch, old, new):
-    """A copy of harness, loaded under its own name, with the one occurrence
-    of old in its source replaced by new."""
-    source = Path(harness.__file__).read_text()
+def _mutant(monkeypatch, old, new, original=harness):
+    """A copy of the module original, loaded under its own name, with the one
+    occurrence of old in its source replaced by new."""
+    source = Path(original.__file__).read_text()
     assert source.count(old) == 1, old
-    module = types.ModuleType("lehmerdefect._harness_mutant")
+    module = types.ModuleType(original.__name__ + "_mutant")
     module.__package__ = "lehmerdefect"
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(source.replace(old, new), harness.__file__, "exec"), module.__dict__)
+    exec(compile(source.replace(old, new), original.__file__, "exec"), module.__dict__)
     return module
 
 
@@ -320,6 +335,42 @@ class TestOrbitWalk:
             pairs = [tuple(map(int, line.split("\t"))) for line in out.splitlines()[1:]]
             assert pairs == sorted(pairs) and len(pairs) > 100
             assert all(residual_after_stripping(a, b, n) == 1 for a, b in pairs[-5:])
+
+
+LINEAR_BOUNDS = (*range(1, 65), 1000)
+
+
+@pytest.fixture(scope="module")
+def linear_per_a_pairs():
+    return {(n, bound): per_a_search(n, bound) for n in (3, 4, 6) for bound in LINEAR_BOUNDS}
+
+
+class TestLinearPairs:
+    """The linear search lists the rows' own instances (families.linear_pairs),
+    which families.linear_certificate proves are the defective pairs; the
+    definitional scans in TestSearch hold it equal to the definition."""
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # The coprime filter dropped: q sharing a base with t is kept.
+            ("if gcd(c, q) == 1 and (q not in skip", "if (q not in skip"),
+            # The excluded tuples kept without the pair rules.
+            ("q not in skip or pair_failure(t + m_a * q, t + m_b * q) is None", "True"),
+            # The excluded tuples always dropped, n = 4's gap (6, 2) with them.
+            (" or pair_failure(t + m_a * q, t + m_b * q) is None)", ")"),
+            # The negated interval cut one short at either end of the chunk.
+            ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)"),
+            ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)"),
+        ],
+        ids=["no-coprime-filter", "exclusions-unchecked", "exclusions-dropped", "negated-top", "negated-bottom"],
+    )
+    def test_planted_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new):
+        mutant = _mutant(monkeypatch, old, new, original=families)
+        monkeypatch.setattr(harness, "linear_pairs", mutant.linear_pairs)
+        assert any(
+            search_defective(n, bound).pairs != want for (n, bound), want in linear_per_a_pairs.items()
+        )
 
 
 class TestVerify:

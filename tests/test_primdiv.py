@@ -68,8 +68,9 @@ class TestCyclotomicForms:
         assert capped == {5, 8, 10, 12}
 
     def test_linear_form_shape(self):
-        # harness._roots steps q with a = t + m*q and b = t - (4 - m)*q,
-        # m = -c1, which needs c0 = 1 and 0 < m < 4.
+        # The linear rows are the progressions a = t + m*q, b = t - (4 - m)*q
+        # with m = -c1 (families.linear_certificate, step 1), which needs
+        # c0 = 1 and 0 < m < 4.
         linear = {n: coeffs for n, (coeffs, _) in CYCLOTOMIC_FORMS.items() if len(coeffs) == 2}
         assert set(linear) == {3, 4, 6}
         for n, (c0, c1) in linear.items():
