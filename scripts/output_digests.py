@@ -29,8 +29,8 @@ stderr.  The runs cover:
 
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
-src/ next to this script, starts at most two workers and writes only to a
-temporary directory.  About 500 records in about ten seconds on two cores.
+src/ next to this script, starts no process and writes only to a temporary
+directory.  About 500 records in about ten seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json

@@ -21,7 +21,8 @@ families.table_walks, which alone picks its source, hands it over.
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
 
-LEHMERDEFECT_JOBS sets the default worker count; --jobs wins.
+LEHMERDEFECT_JOBS sets the default --jobs; --jobs wins.  Both are validated
+and have no effect: every search runs in this process.
 """
 
 from __future__ import annotations

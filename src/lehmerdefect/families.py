@@ -563,27 +563,46 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     return size, tuple(sorted(gaps))
 
 
-def linear_pairs(n: int, a_from: int, a_to: int, bound: int) -> Iterator[Pair]:
+def linear_pairs(n: int, a_from: int, a_to: int, bound: int) -> list[Pair]:
     """The canonical pairs with a_from <= a <= a_to and |b| <= bound of the
     table of a linear n, and of its in-box exclusions whose pair passes the
-    pair rules (n = 4's gap (6, 2)), unordered; 1 <= a_from <= a_to <= bound.
+    pair rules (n = 4's gap (6, 2)), in (a, b) order; 1 <= a_from <= a_to <=
+    bound.
 
     Each row instance at power term t is found in one of two q intervals:
     t + m_a q in the chunk, or in the chunk negated.  Where
     linear_certificate(n) is proved, these are the n-defective pairs there,
     each once, and only an exclusion can break a pair rule, so no other tuple
-    is checked.
+    is checked.  The excluded q cut each interval into pieces, and each piece
+    is listed as one pair of range progressions per residue mod c coprime to
+    c, the product of the row's bases, so no q is tested for coprimality.
+    The hits of one a share one int object (share), 28 bytes a hit otherwise.
     """
+    share = {a: a for a in range(a_from, a_to + 1)}.__getitem__
+    out: list[Pair] = []
     for row in family_rows(n):
         d = _ROWS[row]
         c = prod(d.bases)
+        residues = [r for r in range(c) if gcd(c, r) == 1]
         m_a, m_b = d.m
         for _, t, qs, skip in d.terms(bound):
             for s, lo, hi in ((1, a_from, a_to), (-1, -a_to, -a_from)):
                 # lo <= t + m_a q <= hi, with m_a > 0.
-                for q in range(max(qs.start, (lo - t - 1) // m_a + 1), min(qs.stop, (hi - t) // m_a + 1)):
-                    if gcd(c, q) == 1 and (q not in skip or pair_failure(t + m_a * q, t + m_b * q) is None):
-                        yield s * (t + m_a * q), s * (t + m_b * q)
+                in_chunk = range(max(qs.start, (lo - t - 1) // m_a + 1), min(qs.stop, (hi - t) // m_a + 1))
+                cuts = sorted(q for q in skip if q in in_chunk)
+                for x, y in zip((in_chunk.start, *(q + 1 for q in cuts)), (*cuts, in_chunk.stop)):
+                    for r in residues:
+                        q0 = x + (r - x) % c  # the least q >= x with q == r mod c
+                        # s (t + m q) for q = q0, q0 + c, ... below y: a range
+                        # from q0's value to y's by the step of one c in q.
+                        a_s = range(s * (t + m_a * q0), s * (t + m_a * y), s * m_a * c)
+                        b_s = range(s * (t + m_b * q0), s * (t + m_b * y), s * m_b * c)
+                        out.extend(zip(map(share, a_s), b_s))
+                for q in cuts:
+                    if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:
+                        out.append((share(s * (t + m_a * q)), s * (t + m_b * q)))
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,10 @@ bound:
   * A root with p > 0 lies on one orbit (its negation, on the orbit of
     -xi, has p < 0 and is not canonical), so it is found once.
 
-The walk runs once per search, in this process whatever jobs is (under 2 ms
-at bound 10^6), and each chunk gets its slice of the (a, b)-ordered hits.  The
-per-a solve it replaced (isqrt and a perfect-square test for each a and
-target) is the tests' oracle, conftest.per_a_search.
+The walk runs once per search (under 2 ms at bound 10^6), and each chunk gets
+its slice of the (a, b)-ordered hits.  The per-a solve it replaced (isqrt and
+a perfect-square test for each a and target) is the tests' oracle,
+conftest.per_a_search.
 
 Each orbit point is checked with the pair rules (pairs.pair_failure, which
 builds no pair) and kept only if primdiv.residual_after_stripping is 1, so
@@ -83,11 +83,13 @@ only for what the report lists: invalid tuples, unmatched records and the
 table's internal duplicates.  The tests hold the counted report equal to the
 enumerated one for n = 3, 4, 6.
 
-Searches of the linear forms fan out over contiguous a-chunks, one worker at
-most per chunk.  Chunk boundaries depend only on the bound, not on the worker
-count, and results are merged in chunk order, so output is byte-identical
-for any --jobs value and the checkpoint files of interrupted runs line up
-with any resume.
+Every search runs in the calling process, and the jobs arguments are
+accepted and have no effect: with the linear chunks listed as range
+progressions, a 2-worker pool over the same chunks was no faster at any bound
+measured (search 6 on a 2-core host, B = 1000 to 3 10^5; see README).  The
+contiguous a-chunks exist for the checkpoints: their boundaries depend only
+on the bound, so the checkpoint files of interrupted runs line up with any
+resume, and the hits are written in chunk order.
 
 Checkpoint format: the state file opens with a "# n <tab> bound" header
 (chunk boundaries for different bounds can coincide, so the header is what
@@ -117,9 +119,8 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from math import isqrt
 from pathlib import Path
 
@@ -261,30 +262,8 @@ def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
     return m, reps
 
 
-def _scan_range(n: int, a_from: int, a_to: int, bound: int) -> list[tuple[int, int]]:
-    """Defective canonical pairs with a_from <= a <= a_to, ordered by (a, b);
-    1 <= a_from <= a_to <= bound, as _chunks makes them.  For a linear n these
-    are the table's pairs there and its gaps (families.linear_pairs), which
-    families.linear_certificate proves defective.  For a quadratic n an orbit
-    point is kept when it passes the pair rules (pair_failure; no LehmerPair
-    is built) and the gcd strip leaves 1."""
-    if _linear(n):
-        hits = linear_pairs(n, a_from, a_to, bound)
-    else:
-        roots = _roots(n, a_from, a_to, bound)
-        hits = (ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)
-    # Hits are kept per a, so the hits of one a share one int object (each
-    # hit is built with a fresh a: 28 bytes a hit otherwise) and only each
-    # a's b values are sorted.
-    hit_bs: dict[int, list[int]] = {}
-    for a, b in hits:
-        hit_bs.setdefault(a, []).append(b)
-    return [(a, b) for a in sorted(hit_bs) for b in sorted(hit_bs[a])]
-
-
 def _chunks(bound: int) -> list[tuple[int, int]]:
-    # Chunking is a function of the bound alone so resumes and differing
-    # worker counts agree on boundaries.
+    # Chunking is a function of the bound alone so resumes agree on boundaries.
     width = max(32, bound // 128)
     out = []
     a = 1
@@ -294,32 +273,31 @@ def _chunks(bound: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_chunks(n, chunks, bound, jobs):
-    """The hits of each of the contiguous chunks, in chunk order."""
-    if not _linear(n):
-        # One orbit walk over the chunks' span, in this process whatever
-        # jobs is (under 2 ms even at bound 10^6), cut at the chunk ends.
-        hits = _scan_range(n, chunks[0][0], chunks[-1][1], bound)
+def _run_chunks(n, chunks, bound):
+    """The defective canonical pairs of each of the contiguous chunks, in
+    chunk order and each ordered by (a, b).  For a linear n these are the
+    table's pairs there and its gaps (families.linear_pairs), which
+    families.linear_certificate proves defective.  For a quadratic n one orbit
+    walk over the chunks' span (under 2 ms even at bound 10^6) is cut at the
+    chunk ends, and a point is kept when it passes the pair rules
+    (pair_failure; no LehmerPair is built) and the gcd strip leaves 1."""
+    if _linear(n):
         for lo, hi in chunks:
-            yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
+            yield linear_pairs(n, lo, hi, bound)
         return
-    # A fork-started pool starts all max_workers processes at its first
-    # submit, so ask for no more than there are chunks.
-    workers = min(jobs, len(chunks))
-    if workers <= 1:
-        for lo, hi in chunks:
-            yield _scan_range(n, lo, hi, bound)
-    else:
-        los, his = zip(*chunks)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(_scan_range, repeat(n), los, his, repeat(bound))
+    roots = _roots(n, chunks[0][0], chunks[-1][1], bound)
+    hits = sorted(ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)
+    for lo, hi in chunks:
+        yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
 
 
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
-    """Every n-defective (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4."""
+    """Every n-defective (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4.
+
+    jobs has no effect: every search runs in this process."""
     _check_args(n, bound)
     pairs: list[tuple[int, int]] = []
-    for chunk_hits in _run_chunks(n, _chunks(bound), bound, jobs):
+    for chunk_hits in _run_chunks(n, _chunks(bound), bound):
         pairs.extend(chunk_hits)
     return SearchResult(n, bound, tuple(pairs))
 
@@ -406,7 +384,8 @@ def search_with_checkpoint(
     Completed chunks found in the files are not recomputed.  With
     stop_after_chunks set, at most that many new chunks are processed and
     None is returned if work remains (used to exercise interruption); a
-    negative value raises ValueError before either file is touched.
+    negative value raises ValueError before either file is touched.  jobs
+    has no effect, as in search_defective.
     """
     _check_args(n, bound)
     if stop_after_chunks is not None and stop_after_chunks < 0:
@@ -421,7 +400,7 @@ def search_with_checkpoint(
     new_hits = []
     if todo:
         with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
-            for (lo, hi), chunk_hits in zip(todo, _run_chunks(n, todo, bound, jobs)):
+            for (lo, hi), chunk_hits in zip(todo, _run_chunks(n, todo, bound)):
                 hf.write(b"".join(b"%d\t%d\n" % ab for ab in chunk_hits))
                 hf.flush()
                 sf.write(b"%d\t%d\t%d\t%d\n" % (n, lo, hi, len(chunk_hits)))
@@ -447,21 +426,22 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     and families.linear_certificate proves, for every bound, that these are
     what the search would find, with no table failure or duplicate.  For the
     quadratic forms the search is run and matched against the table records
-    (_compare_with_search; see the module docstring).
+    (_compare_with_search; see the module docstring).  jobs has no effect,
+    as in search_defective.
     """
     _check_args(n, bound)
     if _linear(n):
         matched, gaps = linear_table(n, bound)
         return DiscrepancyReport(n, bound, gaps, (), (), matched)
-    return _compare_with_search(n, bound, jobs)
+    return _compare_with_search(n, bound)
 
 
-def _compare_with_search(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
+def _compare_with_search(n: int, bound: int) -> DiscrepancyReport:
     """verify_table by enumeration: search_defective against table_records.
 
     The quadratic forms' path, and the tests' oracle for the linear ones.
     """
-    result = search_defective(n, bound, jobs)
+    result = search_defective(n, bound)
     records, anomalies = table_records(n, bound)
     failures = [
         TableFailure(row, FamilyParams(*values), raw, f"invalid:{fail.describe()}")

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import sys
 import types
 from dataclasses import replace
@@ -135,7 +137,7 @@ class TestSearch:
             search_defective(5, 300)
 
     def test_hits_of_one_a_share_its_int(self):
-        # Each hit would otherwise hold its own a, 28 bytes (see _scan_range).
+        # Each hit would otherwise hold its own a, 28 bytes (see families.linear_pairs).
         first = {}
         for a, _ in search_defective(6, 2000).pairs:
             assert first.setdefault(a, a) is a
@@ -157,52 +159,35 @@ class TestSearch:
             assert max(abs(a), abs(b)) > 60
 
     def test_jobs_do_not_change_output(self):
-        # n = 6 runs its chunks in a process pool, n = 5 in this process.
+        # jobs is accepted and has no effect: every search runs in this process.
         for n in (5, 6):
             assert search_defective(n, 150, jobs=3) == search_defective(n, 150, jobs=1), n
 
-    def test_quadratic_search_starts_no_pool(self, monkeypatch, run_cli):
-        # The orbit walk runs in this process whatever --jobs is.
-        argvs = [
-            (cmd, str(n), "--bound", "1000", "--jobs", "2", "--format", fmt)
-            for cmd in ("search", "verify")
-            for n in (5, 8, 10, 12)
-            for fmt in cli.FORMATS
-        ]
-        want = {argv: run_cli(*argv) for argv in argvs}
+    def test_no_search_starts_a_process(self, monkeypatch, run_cli, tmp_path):
+        # Every search, verify and checkpointed search runs in this process
+        # whatever --jobs is, with the bytes of --jobs 1.  BaseProcess.start
+        # is what every multiprocessing Process class (fork, spawn, forkserver)
+        # starts with.
+        def argvs(jobs, ckpt_dir):
+            for n in SUPPORTED_N:
+                yield ("search", str(n), "--bound", "1000", "--checkpoint", str(ckpt_dir / f"{n}"), "--jobs", jobs)
+                for cmd in ("search", "verify"):
+                    for fmt in cli.FORMATS:
+                        yield (cmd, str(n), "--bound", "1000", "--jobs", jobs, "--format", fmt)
+
+        def outputs(jobs, ckpt_dir):
+            ckpt_dir.mkdir()
+            runs = [run_cli(*argv) for argv in argvs(jobs, ckpt_dir)]
+            return runs, sorted((f.name, f.read_bytes()) for f in ckpt_dir.iterdir())
+
+        want = outputs("1", tmp_path / "jobs1")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+            raise AssertionError("a process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
-        assert {argv: run_cli(*argv) for argv in argvs} == want
-
-    def test_pool_is_sized_by_the_chunks(self, monkeypatch):
-        # A stand-in pool that records its size and maps in this process, so
-        # the test starts no process.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        serial = search_defective(6, 100, jobs=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        assert len(_chunks(100)) == 4
-        assert search_defective(6, 100, jobs=64) == serial
-        assert sizes == [4]
-        assert len(_chunks(20)) == 1
-        search_defective(6, 20, jobs=8)
-        assert sizes == [4]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert outputs("2", tmp_path / "jobs2") == want
 
     def test_bad_args(self):
         with pytest.raises(UnsupportedNError):
@@ -353,17 +338,32 @@ class TestLinearPairs:
     @pytest.mark.parametrize(
         "old,new",
         [
-            # The coprime filter dropped: q sharing a base with t is kept.
-            ("if gcd(c, q) == 1 and (q not in skip", "if (q not in skip"),
+            # The coprime filter dropped: every residue mod c is listed.
+            ("if gcd(c, r) == 1]", "]"),
+            # One non-coprime residue added: q == 0 mod c.
+            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 or r == 0]"),
+            # One coprime residue dropped: q == 5 mod 6 of N6_POW6.
+            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 and r != 5]"),
+            # The q interval cut one short at its top.
+            ("min(qs.stop, (hi - t) // m_a + 1)", "min(qs.stop, (hi - t) // m_a + 1) - 1"),
             # The excluded tuples kept without the pair rules.
-            ("q not in skip or pair_failure(t + m_a * q, t + m_b * q) is None", "True"),
+            ("if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:", "if gcd(c, q) == 1:"),
             # The excluded tuples always dropped, n = 4's gap (6, 2) with them.
-            (" or pair_failure(t + m_a * q, t + m_b * q) is None)", ")"),
+            ("if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:", "if False:"),
             # The negated interval cut one short at either end of the chunk.
             ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)"),
             ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)"),
         ],
-        ids=["no-coprime-filter", "exclusions-unchecked", "exclusions-dropped", "negated-top", "negated-bottom"],
+        ids=[
+            "no-coprime-filter",
+            "non-coprime-residue-added",
+            "coprime-residue-dropped",
+            "q-top-cut",
+            "exclusions-unchecked",
+            "exclusions-dropped",
+            "negated-top",
+            "negated-bottom",
+        ],
     )
     def test_planted_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new):
         mutant = _mutant(monkeypatch, old, new, original=families)
@@ -389,7 +389,7 @@ class TestVerify:
                     assert run_cli(*argv) == counted, (bound, fmt)
 
     def test_counted_verify_does_no_hidden_work(self, monkeypatch, run_cli):
-        # No search, no table records and no process pool, whatever --jobs is.
+        # No search, no table records and no process, whatever --jobs is.
         argvs = [
             ("verify", str(n), "--bound", "1000", "--jobs", "2", "--format", fmt)
             for n in (3, 4, 6)
@@ -402,8 +402,9 @@ class TestVerify:
             raise AssertionError("the counted verify enumerated")
 
         for module, name in (
-            (harness, "ProcessPoolExecutor"),
-            (harness, "_scan_range"),
+            (concurrent.futures, "ProcessPoolExecutor"),
+            (multiprocessing.process.BaseProcess, "start"),
+            (harness, "_run_chunks"),
             (harness, "table_records"),
             (families, "table_records"),
         ):
