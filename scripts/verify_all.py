@@ -26,7 +26,7 @@ Every other index agrees exactly at every bound tried so far.
 
 Examples:
     python scripts/verify_all.py
-    python scripts/verify_all.py --bound 5000 --jobs 4
+    python scripts/verify_all.py --bound 5000
 """
 
 import argparse
@@ -41,7 +41,6 @@ from lehmerdefect.harness import _orbits, audit_changes, verify_table
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bound", type=int, default=500)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     certs = [linear_certificate(n) for n in (3, 4, 6)]
@@ -58,7 +57,7 @@ def main() -> int:
     print(f"table-vs-search cross-validation, bound {args.bound}")
     for n in SUPPORTED_N:
         t0 = time.perf_counter()
-        report = verify_table(n, args.bound, jobs=args.jobs)
+        report = verify_table(n, args.bound)
         status = "exact agreement"
         if not report.exact_agreement:
             clean = False

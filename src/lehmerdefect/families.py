@@ -46,10 +46,14 @@ FamilyEntry and FamilyParams objects only for what it reports.
 
 The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
 the n-defective pairs other than the gaps their exclusions name, with no
-invalid tuple and no duplicate (linear_certificate).  So linear_table gives
-verify_table their size and gaps at any bound by counting, with no walk, and
-linear_pairs gives the search its pairs a-chunk by a-chunk.  _Row.terms is
-the one source of their progressions, for these and for the family walks.
+invalid tuple and no duplicate (linear_certificate).  _Row.terms is the one
+place that decides which q a linear row admits: for each power term it hands
+out the admitted q as range pieces, one per stretch between the excluded q
+(its cuts) and residue coprime to the bases.  The family walk sorts a term's
+pieces into q order, linear_table gives verify_table the size and gaps at
+any bound by summing the pieces' lengths, with no walk, and linear_pairs
+cuts the pieces to each a-chunk of the search.  Only the cuts meet the pair
+rules.
 
 The family command (cli) renders table_walks, the one place that chooses
 between the two sources: for a linear n the rows' own walks (row_walks),
@@ -62,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, groupby, islice
+from itertools import chain, combinations, groupby, islice
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -301,21 +305,31 @@ class _Row:
                         if abs(a) <= bound and abs(b) <= bound:
                             yield k, None, None, eps, a, b
             return
-        c = prod(self.bases)
         m_a, m_b = self.m
-        for exps, t, qs, skip in self.terms(bound):
+        for exps, t, pieces, _ in self.terms(bound):
             powers = dict(zip(self.fields, exps))
             k, l = powers.get("k"), powers.get("l")
-            for q in qs:
-                if gcd(c, q) == 1 and q not in skip:
-                    yield k, l, q, None, t + m_a * q, t + m_b * q
+            for q in sorted(chain.from_iterable(pieces)):
+                yield k, l, q, None, t + m_a * q, t + m_b * q
 
-    def terms(self, bound: int) -> Iterator[tuple[tuple[int, ...], int, range, set[int]]]:
-        """Linear rows: (exponents, t, qs, skip) for each power term t <= 2 bound,
-        qs the q with max(|a|, |b|) <= bound (one interval, which holds the
-        roots of t and, negated, those of -t) and skip the excluded q of t."""
+    def terms(self, bound: int) -> Iterator[tuple[tuple[int, ...], int, list[range], list[int]]]:
+        """Linear rows: (exponents, t, pieces, cuts) for each power term t <= 2 bound.
+
+        The q with max(|a|, |b|) <= bound form one interval (_q_range), which
+        holds the roots of t and, negated, those of -t.  cuts are the
+        excluded q of t there that are coprime to c, the product of the
+        bases, ascending; they cut the interval into stretches, and pieces
+        holds one range per stretch and residue mod c coprime to c: the
+        admitted q, each in one piece.  This is the one place that decides
+        which q a linear row admits.
+        """
+        c = prod(self.bases)
+        residues = [r for r in range(c) if gcd(c, r) == 1]
         for exps, t in _power_terms(self.bases, 2 * bound):
-            yield exps, t, _q_range(t, *self.m, bound), {v[-1] for v in self.excluded if v[:-1] == exps}
+            qs = _q_range(t, *self.m, bound)
+            cuts = sorted(v[-1] for v in self.excluded if v[:-1] == exps and v[-1] in qs and gcd(c, v[-1]) == 1)
+            stretches = zip((qs.start, *(q + 1 for q in cuts)), (*cuts, qs.stop))
+            yield exps, t, [range(x + (r - x) % c, y, c) for x, y in stretches for r in residues], cuts
 
 
 _N5_PHI = _Row(5, seq=SequenceId.PHI, stride=2, k_min=3)
@@ -522,30 +536,15 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
     return DuplicateOf(kept_row, FamilyParams(*kept_values), key)
 
 
-def _coprime_count(qs: range, bases: tuple[int, ...]) -> int:
-    """How many q in qs no base divides, the bases being distinct primes
-    (inclusion-exclusion over the sets of bases)."""
-    if not qs:
-        return 0
-    total = 0
-    for k in range(len(bases) + 1):
-        for sub in combinations(bases, k):
-            d = prod(sub)
-            total += (-1) ** k * ((qs.stop - 1) // d - (qs.start - 1) // d)
-    return total
-
-
 def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     """(size, gaps) of the table of a linear n at the bound, counted.
 
-    size is the number of instances table_records walks: for each row and
-    power term t, the q of one interval (which holds the roots of t and,
-    negated, those of -t) that are coprime to the row's bases, counted by
-    inclusion-exclusion over the bases, less the row's exclusions there.
-    gaps are the canonical pairs, ascending, of the in-bound exclusions
-    whose pair passes the pair rules.  Where linear_certificate(n) is
-    proved, every instance walked is a record (no anomaly, no shadow), and
-    the n-defective pairs of the box are the records' pairs and the gaps.
+    size is the number of instances table_records walks: the lengths of the
+    pieces of every row's power terms (_Row.terms).  gaps are the canonical
+    pairs, ascending, of the cuts (the in-bound exclusions) whose pair
+    passes the pair rules.  Where linear_certificate(n) is proved, every
+    instance walked is a record (no anomaly, no shadow), and the n-defective
+    pairs of the box are the records' pairs and the gaps.
     """
     rows = [_ROWS[row] for row in family_rows(n)]
     if not _linear(n):
@@ -553,56 +552,52 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     _check_bound(bound)
     size, gaps = 0, []
     for d in rows:
-        for exps, _, qs, skip in d.terms(bound):
-            skip = {q for q in skip if q in qs and gcd(prod(d.bases), q) == 1}
-            size += _coprime_count(qs, d.bases) - len(skip)
-            for q in skip:
+        for exps, _, pieces, cuts in d.terms(bound):
+            size += sum(map(len, pieces))
+            for q in cuts:
                 a, b = d.formula((*exps, q))
                 if pair_failure(a, b) is None:
                     gaps.append((a, b) if a > 0 else (-a, -b))
     return size, tuple(sorted(gaps))
 
 
-def linear_pairs(n: int, a_from: int, a_to: int, bound: int) -> list[Pair]:
-    """The canonical pairs with a_from <= a <= a_to and |b| <= bound of the
-    table of a linear n, and of its in-box exclusions whose pair passes the
-    pair rules (n = 4's gap (6, 2)), in (a, b) order; 1 <= a_from <= a_to <=
-    bound.
+def linear_pairs(n: int, chunks: Iterable[tuple[int, int]], bound: int) -> Iterator[list[Pair]]:
+    """For each a-chunk (a_from, a_to), 1 <= a_from <= a_to <= bound, the
+    canonical pairs with a in the chunk and |b| <= bound of the table of a
+    linear n, and of its in-box exclusions whose pair passes the pair rules
+    (n = 4's gap (6, 2)), as one list in (a, b) order.
 
-    Each row instance at power term t is found in one of two q intervals:
+    Each row instance at power term t is found in one of two q windows:
     t + m_a q in the chunk, or in the chunk negated.  Where
     linear_certificate(n) is proved, these are the n-defective pairs there,
     each once, and only an exclusion can break a pair rule, so no other tuple
-    is checked.  The excluded q cut each interval into pieces, and each piece
-    is listed as one pair of range progressions per residue mod c coprime to
-    c, the product of the row's bases, so no q is tested for coprimality.
-    The hits of one a share one int object (share), 28 bytes a hit otherwise.
+    is checked.  The rows' pieces (_Row.terms, read once for all chunks) are
+    cut to each window and listed as a pair of range progressions in a and
+    b, so no q is tested for coprimality.  The hits of one a share one int
+    object (share), 28 bytes a hit otherwise.
     """
-    share = {a: a for a in range(a_from, a_to + 1)}.__getitem__
-    out: list[Pair] = []
-    for row in family_rows(n):
-        d = _ROWS[row]
-        c = prod(d.bases)
-        residues = [r for r in range(c) if gcd(c, r) == 1]
-        m_a, m_b = d.m
-        for _, t, qs, skip in d.terms(bound):
-            for s, lo, hi in ((1, a_from, a_to), (-1, -a_to, -a_from)):
-                # lo <= t + m_a q <= hi, with m_a > 0.
-                in_chunk = range(max(qs.start, (lo - t - 1) // m_a + 1), min(qs.stop, (hi - t) // m_a + 1))
-                cuts = sorted(q for q in skip if q in in_chunk)
-                for x, y in zip((in_chunk.start, *(q + 1 for q in cuts)), (*cuts, in_chunk.stop)):
-                    for r in residues:
-                        q0 = x + (r - x) % c  # the least q >= x with q == r mod c
-                        # s (t + m q) for q = q0, q0 + c, ... below y: a range
-                        # from q0's value to y's by the step of one c in q.
-                        a_s = range(s * (t + m_a * q0), s * (t + m_a * y), s * m_a * c)
-                        b_s = range(s * (t + m_b * q0), s * (t + m_b * y), s * m_b * c)
+    rows = [(_ROWS[row].m, list(_ROWS[row].terms(bound))) for row in family_rows(n)]
+    for a_from, a_to in chunks:
+        share = {a: a for a in range(a_from, a_to + 1)}.__getitem__
+        out: list[Pair] = []
+        for (m_a, m_b), terms in rows:
+            for _, t, pieces, cuts in terms:
+                for s, lo, hi in ((1, a_from, a_to), (-1, -a_to, -a_from)):
+                    # The window q_lo <= q < q_hi: lo <= t + m_a q <= hi, with m_a > 0.
+                    q_lo, q_hi = (lo - t - 1) // m_a + 1, (hi - t) // m_a + 1
+                    for qs in pieces:
+                        # The q of qs in the window, by ceiling division; the
+                        # slice ends at a member of the progression, so the
+                        # ranges below have one value per q.
+                        qs = qs[max(0, -((qs.start - q_lo) // qs.step)) : max(0, -((qs.start - q_hi) // qs.step))]
+                        a_s = range(s * (t + m_a * qs.start), s * (t + m_a * qs.stop), s * m_a * qs.step)
+                        b_s = range(s * (t + m_b * qs.start), s * (t + m_b * qs.stop), s * m_b * qs.step)
                         out.extend(zip(map(share, a_s), b_s))
-                for q in cuts:
-                    if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:
-                        out.append((share(s * (t + m_a * q)), s * (t + m_b * q)))
-    out.sort()
-    return out
+                    for q in cuts:
+                        if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:
+                            out.append((share(s * (t + m_a * q)), s * (t + m_b * q)))
+        out.sort()
+        yield out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ Phi_n(a, q) = +-T with T a product of primes of n.  For n = 3, 4, 6 the
 form is linear, and families.linear_certificate proves, for every bound,
 that these pairs are exactly the family table's and the gaps its row
 exclusions name.  So the search lists the rows' own instances with a in the
-chunk (families.linear_pairs): the same progressions that family and
-verify count, checked with the pair rules only where an exclusion sits.
+chunk (families.linear_pairs): the same range pieces (families._Row.terms)
+that family walks and verify counts, checked with the pair rules only where
+an exclusion sits.
 
 For n = 5, 8, 10, 12 the form is quadratic, Phi_n(p, q) = p^2 + c1 p q +
 c2 q^2 with D = c1^2 - 4 c2 = 5, 8, 5, 12.  A valid pair (gcd(a, b) = 1, so
@@ -71,8 +72,8 @@ walk equal to the per-a solve at every bound up to 64, at 1000, 5000 and
 verify_table counts for the linear forms: the same certificate proves that
 the search finds exactly the table's pairs and the gaps the row exclusions
 name, with no invalid tuple or duplicate in the table, so the report is
-read from families.linear_table, which counts the table's q by
-inclusion-exclusion and enumerates nothing.  For the quadratic forms,
+read from families.linear_table, which sums the lengths of the rows' range
+pieces (families._Row.terms) and enumerates nothing.  For the quadratic forms,
 _compare_with_search runs the search and matches it against the family
 table as records (families.table_records: canonical pair -> its (row,
 (k, l, q, eps), raw pair) views, the first the entry, the later ones its
@@ -282,8 +283,7 @@ def _run_chunks(n, chunks, bound):
     chunk ends, and a point is kept when it passes the pair rules
     (pair_failure; no LehmerPair is built) and the gcd strip leaves 1."""
     if _linear(n):
-        for lo, hi in chunks:
-            yield linear_pairs(n, lo, hi, bound)
+        yield from linear_pairs(n, chunks, bound)
         return
     roots = _roots(n, chunks[0][0], chunks[-1][1], bound)
     hits = sorted(ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from itertools import combinations, repeat
 from bisect import bisect_right
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from multiprocessing import get_context
 
 import pytest
@@ -153,3 +153,50 @@ def per_a_search(n: int, bound: int, capped: bool = True) -> tuple[tuple[int, in
             if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1:
                 hits.append((a, b))
     return tuple(hits)
+
+
+def counted_linear_table(n: int, bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """families.linear_table(n, bound), counted by inclusion-exclusion.
+
+    Only the rows' data is read (m, bases, exclusions).  For each row and
+    power term t = prod(base^e) <= 2 bound, every e >= 1, the q with
+    |t + m_a q| <= bound and |t + m_b q| <= bound form one interval; the q
+    there that no base divides are counted by inclusion-exclusion over the
+    sets of bases (the bases are distinct primes), less the excluded q of t
+    there that no base divides.  The gaps are the canonical pairs of those
+    excluded q whose pair passes the pair rules, ascending.
+    """
+    from lehmerdefect.families import _ROWS, family_rows
+
+    size, gaps = 0, []
+    for row in family_rows(n):
+        d = _ROWS[row]
+        terms = [((), 1)]
+        for base in d.bases:
+            terms = [
+                ((*exps, e), t * base**e)
+                for exps, t in terms
+                for e in range(1, (2 * bound).bit_length())  # base^e >= 2^e
+                if t * base**e <= 2 * bound
+            ]
+        c = prod(d.bases)
+        for exps, t in terms:
+            spans = []
+            for m in d.m:  # -bound <= t + m q <= bound, as lo_m <= |m| q <= hi_m
+                lo_m, hi_m = (-bound - t, bound - t) if m > 0 else (t - bound, t + bound)
+                spans.append((-(-lo_m // abs(m)), hi_m // abs(m)))
+            (lo_a, hi_a), (lo_b, hi_b) = spans
+            lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+            if lo > hi:
+                continue
+            for k in range(len(d.bases) + 1):
+                for sub in combinations(d.bases, k):
+                    step = prod(sub)
+                    size += (-1) ** k * (hi // step - (lo - 1) // step)
+            for *e, q in d.excluded:
+                if tuple(e) == exps and lo <= q <= hi and gcd(c, q) == 1:
+                    size -= 1
+                    a, b = t + d.m[0] * q, t + d.m[1] * q
+                    if pair_failure(a, b) is None:
+                        gaps.append((a, b) if a > 0 else (-a, -b))
+    return size, tuple(sorted(gaps))

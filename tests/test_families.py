@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import definitional_search
+from conftest import counted_linear_table, definitional_search
 from lehmerdefect import families
 from lehmerdefect.families import (
     SUPPORTED_N,
@@ -416,6 +416,13 @@ class TestLinearCertificate:
         # The window |q| <= 2 rests on every DEGENERATE_PQ pair having |q| <= 2.
         monkeypatch.setattr(families, "DEGENERATE_PQ", families.DEGENERATE_PQ | {(7, 3)})
         assert not linear_certificate(3).proved
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_count_matches_inclusion_exclusion(self, n):
+        # Bounds no walk reaches: the pieces' lengths against a count by
+        # inclusion-exclusion over the bases, from the rows' data alone.
+        for bound in [*range(65), 1000, 10**6, 10**9, 10**12]:
+            assert linear_table(n, bound) == counted_linear_table(n, bound), bound
 
     def test_count_matches_walk_and_definition(self):
         # The n-defective pairs come from the definitional scan: the pair

@@ -336,23 +336,23 @@ class TestLinearPairs:
     definitional scans in TestSearch hold it equal to the definition."""
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,in_terms",
         [
             # The coprime filter dropped: every residue mod c is listed.
-            ("if gcd(c, r) == 1]", "]"),
+            ("if gcd(c, r) == 1]", "]", True),
             # One non-coprime residue added: q == 0 mod c.
-            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 or r == 0]"),
+            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 or r == 0]", True),
             # One coprime residue dropped: q == 5 mod 6 of N6_POW6.
-            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 and r != 5]"),
-            # The q interval cut one short at its top.
-            ("min(qs.stop, (hi - t) // m_a + 1)", "min(qs.stop, (hi - t) // m_a + 1) - 1"),
+            ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 and r != 5]", True),
+            # The chunk's q window cut one short at its top.
+            ("(hi - t) // m_a + 1\n", "(hi - t) // m_a\n", False),
             # The excluded tuples kept without the pair rules.
-            ("if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:", "if gcd(c, q) == 1:"),
+            ("if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:", "if q_lo <= q < q_hi:", False),
             # The excluded tuples always dropped, n = 4's gap (6, 2) with them.
-            ("if gcd(c, q) == 1 and pair_failure(t + m_a * q, t + m_b * q) is None:", "if False:"),
-            # The negated interval cut one short at either end of the chunk.
-            ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)"),
-            ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)"),
+            ("if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:", "if False:", False),
+            # The negated window cut one short at either end of the chunk.
+            ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)", False),
+            ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)", False),
         ],
         ids=[
             "no-coprime-filter",
@@ -365,12 +365,26 @@ class TestLinearPairs:
             "negated-bottom",
         ],
     )
-    def test_planted_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new):
+    def test_planted_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new, in_terms):
         mutant = _mutant(monkeypatch, old, new, original=families)
         monkeypatch.setattr(harness, "linear_pairs", mutant.linear_pairs)
         assert any(
             search_defective(n, bound).pairs != want for (n, bound), want in linear_per_a_pairs.items()
         )
+        if in_terms:
+            # _Row.terms is the one listing, so the fault reaches the count
+            # and the family walk as well as the search.
+            def counted(n, bound):
+                size, gaps = mutant.linear_table(n, bound)
+                return size + len(gaps)
+
+            def walked(n, bound):
+                pairs = [(a, b) if a > 0 else (-a, -b) for _, walk in mutant.row_walks(n, bound) for *_, a, b in walk]
+                return sorted([*pairs, *mutant.linear_table(n, bound)[1]])
+
+            cases = linear_per_a_pairs.items()
+            assert any(counted(n, bound) != len(want) for (n, bound), want in cases)
+            assert any(walked(n, bound) != list(want) for (n, bound), want in cases)
 
 
 class TestVerify:
