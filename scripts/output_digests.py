@@ -24,6 +24,11 @@ stderr.  The runs cover:
     torn after the fourth slice (both files cut) and finished by the CLI;
   * for every n at bound 20000, the checkpoint files of a run made in
     40-chunk --jobs 2 slices and finished by the CLI;
+  * for n = 3, 4, 6 at bound 20000, the checkpoint files of a run made
+    wholly in 5-chunk slices (one digest of the files after every slice but
+    the last), whose slice ends fall inside the groups of chunks that an
+    uninterrupted run lists at once, then the files and TSV output of the
+    CLI reading the finished checkpoint;
   * runs on planted tables, in all three formats, which reach the report
     paths the shipped table never does: family 5 and verify 5 at bounds 10
     and 200 with N5_PSI's exclusions lifted (a shadow, so provenance and an
@@ -34,7 +39,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  513 records in about ten seconds on two cores.
+directory.  516 records in about twelve seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -140,6 +145,13 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
             steps.append(files(sliced))
         ran = run("search", str(n), "--bound", "20000", "--checkpoint", str(sliced), "--jobs", "2")
         records[f"checkpoint sliced n={n} bound=20000"] = " ".join([*steps, ran, files(sliced)])
+    for n in LINEAR_N:
+        sliced = tmp / f"sliced{n}-20000-5.ckpt"
+        steps = []
+        while harness.search_with_checkpoint(n, 20000, sliced, stop_after_chunks=5) is None:
+            steps.append(files(sliced))
+        ran = run("search", str(n), "--bound", "20000", "--checkpoint", str(sliced), "--format", "tsv")
+        records[f"checkpoint 5-chunk slices n={n} bound=20000"] = f"{sha(' '.join(steps).encode())} {ran} {files(sliced)}"
     return records
 
 

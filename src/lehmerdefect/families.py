@@ -52,8 +52,8 @@ out the admitted q as range pieces, one per stretch between the excluded q
 (its cuts) and residue coprime to the bases.  The family walk sorts a term's
 pieces into q order, linear_table gives verify_table the size and gaps at
 any bound by summing the pieces' lengths, with no walk, and linear_pairs
-cuts the pieces to each a-chunk of the search.  Only the cuts meet the pair
-rules.
+cuts the pieces to each a-span the search asks for (a group of its chunks).
+Only the cuts meet the pair rules.
 
 The family command (cli) renders table_walks, the one place that chooses
 between the two sources: for a linear n the rows' own walks (row_walks),
@@ -561,23 +561,26 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     return size, tuple(sorted(gaps))
 
 
-def linear_pairs(n: int, chunks: Iterable[tuple[int, int]], bound: int) -> Iterator[list[Pair]]:
-    """For each a-chunk (a_from, a_to), 1 <= a_from <= a_to <= bound, the
-    canonical pairs with a in the chunk and |b| <= bound of the table of a
+def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterator[list[Pair]]:
+    """For each a-span (a_from, a_to), 1 <= a_from <= a_to <= bound, the
+    canonical pairs with a in the span and |b| <= bound of the table of a
     linear n, and of its in-box exclusions whose pair passes the pair rules
     (n = 4's gap (6, 2)), as one list in (a, b) order.
 
     Each row instance at power term t is found in one of two q windows:
-    t + m_a q in the chunk, or in the chunk negated.  Where
+    t + m_a q in the span, or in the span negated.  Where
     linear_certificate(n) is proved, these are the n-defective pairs there,
     each once, and only an exclusion can break a pair rule, so no other tuple
-    is checked.  The rows' pieces (_Row.terms, read once for all chunks) are
-    cut to each window and listed as a pair of range progressions in a and
-    b, so no q is tested for coprimality.  The hits of one a share one int
-    object (share), 28 bytes a hit otherwise.
+    is checked.  The rows' pieces (_Row.terms) are read once for all spans;
+    for each span every piece is cut to each window and listed as a pair of
+    range progressions in a and b, so no q is tested for coprimality.  That
+    cut costs about the same however few hits the window holds, which is why
+    the search (harness._run_chunks) asks for the span of a group of chunks,
+    not for each chunk.  The hits of one a share one int object (share), 28
+    bytes a hit otherwise.
     """
     rows = [(_ROWS[row].m, list(_ROWS[row].terms(bound))) for row in family_rows(n)]
-    for a_from, a_to in chunks:
+    for a_from, a_to in spans:
         share = {a: a for a in range(a_from, a_to + 1)}.__getitem__
         out: list[Pair] = []
         for (m_a, m_b), terms in rows:

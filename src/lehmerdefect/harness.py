@@ -11,10 +11,18 @@ Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
 Phi_n(a, q) = +-T with T a product of primes of n.  For n = 3, 4, 6 the
 form is linear, and families.linear_certificate proves, for every bound,
 that these pairs are exactly the family table's and the gaps its row
-exclusions name.  So the search lists the rows' own instances with a in the
-chunk (families.linear_pairs): the same range pieces (families._Row.terms)
-that family walks and verify counts, checked with the pair rules only where
-an exclusion sits.
+exclusions name.  So the search lists the rows' own instances
+(families.linear_pairs): the same range pieces (families._Row.terms) that
+family walks and verify counts, checked with the pair rules only where an
+exclusion sits.  It lists them once per group of consecutive chunks, for the
+group's whole a-span, and cuts the sorted hits at the chunk ends.  Each
+piece is cut to its window in the span at a cost that hardly depends on the
+hits the window holds (about 2.7 a non-empty window for n = 6 at bound
+1000), and the chunks are at least 32 values of a wide, so below bound 4096
+a listing per chunk paid that cost up to 32 times over.  A group is the
+chunks the caller asked for whose first a lies in one _GROUP_SPAN-wide
+stretch from the first one's, so at large bounds each chunk is its own
+group.
 
 For n = 5, 8, 10, 12 the form is quadratic, Phi_n(p, q) = p^2 + c1 p q +
 c2 q^2 with D = c1^2 - 4 c2 = 5, 8, 5, 12.  A valid pair (gcd(a, b) = 1, so
@@ -55,9 +63,9 @@ bound:
     -xi, has p < 0 and is not canonical), so it is found once.
 
 The walk runs once per search (under 2 ms at bound 10^6), and each chunk gets
-its slice of the (a, b)-ordered hits.  The per-a solve it replaced (isqrt and
-a perfect-square test for each a and target) is the tests' oracle,
-conftest.per_a_search.
+its slice of the (a, b)-ordered hits, cut as the linear groups are.  The
+per-a solve it replaced (isqrt and a perfect-square test for each a and
+target) is the tests' oracle, conftest.per_a_search.
 
 Each orbit point is checked with the pair rules (pairs.pair_failure, which
 builds no pair) and kept only if primdiv.residual_after_stripping is 1, so
@@ -65,9 +73,12 @@ the definition decides every reported quadratic pair and the theorem is
 needed only for completeness.  The tests hold the search equal to a scan of
 the whole box by the definition (the pair rules plus the gcd strip) for
 every n at every bound up to 64, at 1000 and at 5000; the linear search
-equal to a root search per a, with the strip, at bound 10000; the orbit
-walk equal to the per-a solve at every bound up to 64, at 1000, 5000 and
-20000; and the capped per-a solve equal to the uncapped one at bound 20000.
+equal to a root search per a, with the strip, at bound 10000, and chunk for
+chunk (whole chunk lists, their tails and 3-chunk windows, with groups of one
+chunk, as shipped and of all chunks) at every bound up to 69, at 1000, 4095,
+4096, 4097 and 20000; the orbit walk equal to the per-a solve at every bound
+up to 64, at 1000, 5000 and 20000; and the capped per-a solve equal to the
+uncapped one at bound 20000.
 
 verify_table counts for the linear forms: the same certificate proves that
 the search finds exactly the table's pairs and the gaps the row exclusions
@@ -121,7 +132,7 @@ import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import isqrt
 from pathlib import Path
 
@@ -274,21 +285,42 @@ def _chunks(bound: int) -> list[tuple[int, int]]:
     return out
 
 
+# The linear search lists its chunks in groups: those whose first a lies in
+# one _GROUP_SPAN-wide stretch from the first chunk's (see the module
+# docstring).  That is 128 chunks at the 32-wide floor.
+_GROUP_SPAN = 4096
+
+
+def _cut(hits, chunks):
+    """Each chunk's slice of hits, which are in (a, b) order and have a in
+    the contiguous chunks' span."""
+    for lo, hi in chunks:
+        yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
+
+
 def _run_chunks(n, chunks, bound):
     """The defective canonical pairs of each of the contiguous chunks, in
-    chunk order and each ordered by (a, b).  For a linear n these are the
-    table's pairs there and its gaps (families.linear_pairs), which
-    families.linear_certificate proves defective.  For a quadratic n one orbit
-    walk over the chunks' span (under 2 ms even at bound 10^6) is cut at the
-    chunk ends, and a point is kept when it passes the pair rules
-    (pair_failure; no LehmerPair is built) and the gcd strip leaves 1."""
+    chunk order and each ordered by (a, b).  Only the given chunks are
+    listed, so a checkpointed slice lists its own chunks and no others.
+
+    For a linear n these are the table's pairs there and its gaps, which
+    families.linear_certificate proves defective.  They are listed once per
+    group of consecutive chunks (_GROUP_SPAN), for the group's whole a-span
+    (families.linear_pairs), and the sorted hits are cut at the chunk ends.
+    For a quadratic n one orbit walk over the chunks' span (under 2 ms even
+    at bound 10^6) is cut the same way, and a point is kept when it passes
+    the pair rules (pair_failure; no LehmerPair is built) and the gcd strip
+    leaves 1."""
     if _linear(n):
-        yield from linear_pairs(n, chunks, bound)
+        first = chunks[0][0]
+        groups = [list(g) for _, g in groupby(chunks, lambda c: (c[0] - first) // _GROUP_SPAN)]
+        spans = [(group[0][0], group[-1][1]) for group in groups]
+        for group, hits in zip(groups, linear_pairs(n, spans, bound)):
+            yield from _cut(hits, group)
         return
     roots = _roots(n, chunks[0][0], chunks[-1][1], bound)
     hits = sorted(ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)
-    for lo, hi in chunks:
-        yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
+    yield from _cut(hits, chunks)
 
 
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:

@@ -137,10 +137,12 @@ class TestSearch:
             search_defective(5, 300)
 
     def test_hits_of_one_a_share_its_int(self):
-        # Each hit would otherwise hold its own a, 28 bytes (see families.linear_pairs).
-        first = {}
-        for a, _ in search_defective(6, 2000).pairs:
-            assert first.setdefault(a, a) is a
+        # Each hit would otherwise hold its own a, 28 bytes (see
+        # families.linear_pairs).  At 20000 a group lists 26 or 27 chunks at once.
+        for bound in (2000, 20000):
+            first = {}
+            for a, _ in search_defective(6, bound).pairs:
+                assert first.setdefault(a, a) is a
 
     def test_ordering_and_canonical_closure(self):
         result = search_defective(6, 120)
@@ -330,10 +332,27 @@ def linear_per_a_pairs():
     return {(n, bound): per_a_search(n, bound) for n in (3, 4, 6) for bound in LINEAR_BOUNDS}
 
 
+@pytest.fixture(scope="module")
+def linear_per_a_chunks():
+    """conftest.per_a_search cut at the chunk ends: per (n, bound), one list
+    of hits per chunk of _chunks(bound), in chunk order."""
+    cut = {}
+    for bound in (*range(1, 70), 1000, 4095, 4096, 4097, 20000):
+        chunks = _chunks(bound)
+        index = {a: i for i, (lo, hi) in enumerate(chunks) for a in range(lo, hi + 1)}
+        for n in (3, 4, 6):
+            cut[n, bound] = [[] for _ in chunks]
+            for a, b in per_a_search(n, bound):
+                cut[n, bound][index[a]].append((a, b))
+    return cut
+
+
 class TestLinearPairs:
-    """The linear search lists the rows' own instances (families.linear_pairs),
-    which families.linear_certificate proves are the defective pairs; the
-    definitional scans in TestSearch hold it equal to the definition."""
+    """The linear search lists the rows' own instances (families.linear_pairs)
+    once per group of chunks and cuts them at the chunk ends (harness.
+    _run_chunks); families.linear_certificate proves they are the defective
+    pairs, and the definitional scans in TestSearch hold it equal to the
+    definition."""
 
     @pytest.mark.parametrize(
         "old,new,in_terms",
@@ -344,13 +363,13 @@ class TestLinearPairs:
             ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 or r == 0]", True),
             # One coprime residue dropped: q == 5 mod 6 of N6_POW6.
             ("if gcd(c, r) == 1]", "if gcd(c, r) == 1 and r != 5]", True),
-            # The chunk's q window cut one short at its top.
+            # The span's q window cut one short at its top.
             ("(hi - t) // m_a + 1\n", "(hi - t) // m_a\n", False),
             # The excluded tuples kept without the pair rules.
             ("if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:", "if q_lo <= q < q_hi:", False),
             # The excluded tuples always dropped, n = 4's gap (6, 2) with them.
             ("if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:", "if False:", False),
-            # The negated window cut one short at either end of the chunk.
+            # The negated window cut one short at either end of the span.
             ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)", False),
             ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)", False),
         ],
@@ -385,6 +404,39 @@ class TestLinearPairs:
             cases = linear_per_a_pairs.items()
             assert any(counted(n, bound) != len(want) for (n, bound), want in cases)
             assert any(walked(n, bound) != list(want) for (n, bound), want in cases)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # A chunk's slice ends one a short: its hits at a = a_to are lost.
+            ("(hi + 1,)", "(hi,)"),
+            # A chunk's slice ends one a long: it repeats the next chunk's
+            # hits at that chunk's first a, which only a group of two or more
+            # chunks lists.
+            ("(hi + 1,)", "(hi + 2,)"),
+        ],
+        ids=["cut-short", "cut-long"],
+    )
+    def test_planted_cut_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new):
+        mutant = _mutant(monkeypatch, old, new)
+        assert any(
+            mutant.search_defective(n, bound).pairs != want for (n, bound), want in linear_per_a_pairs.items()
+        )
+
+    @pytest.mark.parametrize("span", [1, harness._GROUP_SPAN, 10**9], ids=["per-chunk", "shipped", "one-group"])
+    def test_chunks_match_per_a_solve(self, monkeypatch, linear_per_a_chunks, span):
+        # Each chunk's hits are the per-a solve's hits with a in the chunk,
+        # for the whole chunk list and for the tails and windows that a
+        # checkpointed run hands over (its todo list), whether the chunks are
+        # listed one at a time, in groups or in one group.
+        monkeypatch.setattr(harness, "_GROUP_SPAN", span)
+        for (n, bound), want in linear_per_a_chunks.items():
+            chunks = _chunks(bound)
+            assert list(harness._run_chunks(n, chunks, bound)) == want, (n, bound)
+            for k in {1, len(chunks) // 2, len(chunks) - 2, len(chunks) - 1} & set(range(1, len(chunks))):
+                assert list(harness._run_chunks(n, chunks[k:], bound)) == want[k:], (n, bound, k)
+            for k in range(0, len(chunks), 7):
+                assert list(harness._run_chunks(n, chunks[k : k + 3], bound)) == want[k : k + 3], (n, bound, k)
 
 
 class TestVerify:
@@ -629,6 +681,29 @@ class TestCheckpoint:
         hits_broken = (tmp_path / "broken.ckpt.hits").read_text()
         hits_fresh = (tmp_path / "fresh.ckpt.hits").read_text()
         assert hits_broken == hits_fresh
+
+    def test_resume_across_groups_matches_uninterrupted(self, tmp_path):
+        # Bound 20000 has 129 chunks of 156 values of a, listed in groups of
+        # 26 or 27; 5-chunk slices end inside those groups, and a slice lists
+        # only its own chunks.  The run is torn after 12 slices, mid-line in
+        # both files, and resumed in slices.
+        n, bound = 6, 20000
+        plain = search_defective(n, bound)
+        fresh = tmp_path / "fresh.ckpt"
+        assert search_with_checkpoint(n, bound, fresh) == plain
+        sliced = tmp_path / "sliced.ckpt"
+        for _ in range(12):
+            assert search_with_checkpoint(n, bound, sliced, stop_after_chunks=5) is None
+        hits = tmp_path / "sliced.ckpt.hits"
+        sliced.write_bytes(sliced.read_bytes()[:-2])
+        hits.write_bytes(hits.read_bytes()[:-3])
+        slices = 0
+        while (resumed := search_with_checkpoint(n, bound, sliced, stop_after_chunks=5)) is None:
+            slices += 1
+        assert slices == 13
+        assert resumed == plain
+        assert sliced.read_bytes() == fresh.read_bytes()
+        assert hits.read_bytes() == (tmp_path / "fresh.ckpt.hits").read_bytes()
 
     def test_state_file_format(self, tmp_path):
         path = tmp_path / "fmt.ckpt"
