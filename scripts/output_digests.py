@@ -34,12 +34,17 @@ stderr.  The runs cover:
     and 200 with N5_PSI's exclusions lifted (a shadow, so provenance and an
     equivalent duplicate, and a tuple that breaks a pair rule), and verify 5
     at bound 200 with (7, -5) dropped from the search (missed_by_search).
-    Every patched name is restored afterwards.
+    Every patched name is restored afterwards;
+  * search 3 --bound 200 --checkpoint over a 2-chunk checkpoint whose last
+    hit line, 64 <tab> 132, is edited to 64 <tab> 136: a line that still
+    parses, of a pair that is not even a Lehmer pair.  The state line's
+    CRC-32 of its hits refuses it (exit 1); a loader that checks only the
+    line grammar prints (64, 136).
 
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  516 records in about twelve seconds on two cores.
+directory.  517 records in about twelve seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -155,7 +160,7 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
     return records
 
 
-def planted_records() -> dict[str, str]:
+def planted_records(tmp: Path) -> dict[str, str]:
     psi = families._ROWS[FamilyRowId.N5_PSI]
     search = harness.search_defective
 
@@ -179,13 +184,19 @@ def planted_records() -> dict[str, str]:
     finally:
         families._ROWS[FamilyRowId.N5_PSI] = psi
         harness.search_defective = search
+    edited = tmp / "edited3.ckpt"
+    harness.search_with_checkpoint(3, 200, edited, stop_after_chunks=2)
+    hits = Path(f"{edited}.hits")
+    hits.write_bytes(hits.read_bytes().replace(b"\n64\t132\n", b"\n64\t136\n"))
+    argv = ("search", "3", "--bound", "200", "--checkpoint", str(edited))
+    records["hit 64\t132 edited to 64\t136: search 3 --bound 200 --checkpoint"] = run(*argv)
     return records
 
 
 def main() -> int:
     os.environ.pop("LEHMERDEFECT_JOBS", None)
     with tempfile.TemporaryDirectory() as tmp:
-        records = {**cli_records(), **checkpoint_records(Path(tmp)), **planted_records()}
+        records = {**cli_records(), **checkpoint_records(Path(tmp)), **planted_records(Path(tmp))}
     print(json.dumps(records, indent=1, sort_keys=True))
     return 0
 

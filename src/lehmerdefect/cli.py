@@ -16,7 +16,10 @@ bits (a, b, sequence elements, products, residuals, primes) are serialized as
 decimal strings in json and as plain decimal in text/tsv.
 
 One renderer, _emit_family, writes every family table in every format as
-families.table_walks, which alone picks its source, hands it over.
+families.table_walks, which alone picks its source, hands it over.  One
+renderer, _emit_search, writes every search result in every format from the
+bytes of its hit lines, per chunk, as harness.hit_lines or, with
+--checkpoint, harness.checkpoint_lines hands them over; no pair is parsed.
 
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
@@ -35,7 +38,7 @@ import os
 import sys
 from itertools import groupby
 from operator import itemgetter
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import families, harness, pairs, primdiv, sequences
 
@@ -220,22 +223,32 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
         out.write("]}\n")
 
 
-def _emit_search(result: harness.SearchResult, fmt: str, out: IO[str]) -> None:
-    if fmt == "json":
-        doc = {
-            "n": result.n,
-            "bound": result.bound,
-            "count": len(result.pairs),
-            "pairs": [[str(a), str(b)] for a, b in result.pairs],
-        }
-        out.write(json.dumps(doc) + "\n")
-        return
+def _emit_search(n: int, bound: int, lines: Iterable[bytes], fmt: str, out: IO[str]) -> None:
+    """Render the search's hits, given as blocks of "a <tab> b" lines
+    (harness.hit_lines, harness.checkpoint_lines), one block at a time: TSV
+    is the bytes, text has a space for each tab, and JSON is the bytes
+    json.dumps gives for the whole document.  Text and JSON print the count
+    first, so they keep the blocks (bytes, not pairs) until it is known; TSV
+    writes each block as it comes."""
     if fmt == "tsv":
-        head, sep = "# a\tb\n", "\t"
-    else:
-        head, sep = f"n={result.n} bound={result.bound} count={len(result.pairs)}\n", " "
-    out.write(head)
-    out.writelines(f"{a}{sep}{b}\n" for a, b in result.pairs)
+        out.write("# a\tb\n")
+        for block in lines:
+            out.write(block.decode())
+        return
+    lines = list(lines)
+    count = sum(block.count(b"\n") for block in lines)
+    if fmt == "text":
+        out.write(f"n={n} bound={bound} count={count}\n")
+        for block in lines:
+            out.write(block.replace(b"\t", b" ").decode())
+        return
+    out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "pairs": [')
+    sep = ""
+    for block in filter(None, lines):
+        pairs = block[:-1].replace(b"\t", b'", "').replace(b"\n", b'"], ["').decode()
+        out.write(f'{sep}["{pairs}"]')
+        sep = ", "
+    out.write("]}\n")
 
 
 def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> None:
@@ -353,13 +366,12 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
         elif ns.command == "family":
             _emit_family(ns.n, ns.bound, ns.format, out)
         elif ns.command == "search":
+            _jobs_of(ns)  # validated, and has no effect
             if ns.checkpoint is not None:
-                result = harness.search_with_checkpoint(
-                    ns.n, ns.bound, ns.checkpoint, jobs=_jobs_of(ns)
-                )
+                lines, _ = harness.checkpoint_lines(ns.n, ns.bound, ns.checkpoint)
             else:
-                result = harness.search_defective(ns.n, ns.bound, jobs=_jobs_of(ns))
-            _emit_search(result, ns.format, out)
+                lines = harness.hit_lines(ns.n, ns.bound)
+            _emit_search(ns.n, ns.bound, lines, ns.format, out)
         elif ns.command == "verify":
             report = harness.verify_table(ns.n, ns.bound, jobs=_jobs_of(ns))
             _emit_verify(report, ns.format, out)

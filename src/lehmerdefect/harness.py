@@ -106,24 +106,34 @@ resume, and the hits are written in chunk order.
 Checkpoint format: the state file opens with a "# n <tab> bound" header
 (chunk boundaries for different bounds can coincide, so the header is what
 makes a wrong-bound resume detectable) followed by one line per completed
-chunk, "n <tab> a_from <tab> a_to <tab> hit-count"; a sibling "<path>.hits"
-file carries the corresponding "a <tab> b" lines.  The writer appends bytes,
-each integer spelled by b"%d", and writes a state line only after its hits
-are flushed, so the state file is the commit record.  Only newline-terminated
-lines count.  Loading drops a torn last line, every state line whose hits are
-not all present and every hit past the committed chunks, so those chunks are
-recomputed; a complete line outside the grammar of b"%d" (_INT: ASCII digits,
-no "+", no sign on 0, no leading zero; no spaces, "_" or carriage returns)
-raises CheckpointMismatchError.  The kept hit lines are parsed only by a
-call that returns them, not by a slice that stops early.  What is kept is a
-prefix of each file (the header and the first committed state lines, the
-first hit lines), so a repair cuts the file in place to that prefix with
-os.truncate, which writes no data; otherwise new chunks are appended.
-(Writing a temporary file and renaming it over the old one is slower: on
-ext4 that rename waits for the new file's data to reach the disk, which made
-a torn resume of search 6 --bound 1000 take about 110 ms against 15 ms for
-the cuts on a 2-core ext4 host.)  The load is idempotent on prefixes, so a
-crash between the two cuts still resumes.
+chunk, "n <tab> a_from <tab> a_to <tab> hit-count <tab> crc", where crc is
+the CRC-32 of the chunk's hit lines as 8 lowercase hex digits; a sibling
+"<path>.hits" file carries the corresponding "a <tab> b" lines, the bytes
+search prints (hit_lines).  The writer appends bytes, each integer spelled by
+b"%d", and writes a state line only after its hits are flushed, so the state
+file is the commit record.  Only newline-terminated lines count.  Loading
+drops a torn last line, every state line whose hits are not all present and
+every hit past the committed chunks, so those chunks are recomputed.  A
+complete state line outside the grammar of b"%d" and b"%08x" (_INT: ASCII
+digits, no "+", no sign on 0, no leading zero; no spaces, "_" or carriage
+returns) raises CheckpointMismatchError, and so does a committed chunk whose
+hit lines do not have the CRC-32 its state line gives: an edited hit line
+that still parses is refused, not trusted or recomputed.  Every committed
+byte is checked on every load, a slice's included, at C speed: the chunk
+ends are found by skipping newlines with islice over re.finditer, and the
+CRC is zlib.crc32.  (Importing zlib adds about 0.1 MB of peak RSS to a bare
+interpreter; hashlib loads OpenSSL, about 3.8 MB, a sixth of a resumed
+search 6 --bound 1000.)  The kept hit lines are parsed only by a call that
+returns them as pairs, not by a slice that stops early, nor by the CLI,
+which prints the bytes.  What is kept is a prefix of each file (the header
+and the first committed state lines, the first hit lines), so a repair cuts
+the file in place to that prefix with os.truncate, which writes no data;
+otherwise new chunks are appended.  (Writing a temporary file and renaming
+it over the old one is slower: on ext4 that rename waits for the new file's
+data to reach the disk, which made a torn resume of search 6 --bound 1000
+take about 110 ms against 15 ms for the cuts on a 2-core ext4 host.)  The
+load is idempotent on prefixes, so a crash between the two cuts still
+resumes.
 """
 
 from __future__ import annotations
@@ -132,9 +142,11 @@ import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from math import isqrt
 from pathlib import Path
+from typing import Iterator
+from zlib import crc32
 
 # enumerate_with_anomalies is not called here; it stays importable from
 # harness, where perfbench/layers.py times it.
@@ -334,6 +346,19 @@ def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
     return SearchResult(n, bound, tuple(pairs))
 
 
+def _lines(hits) -> bytes:
+    """The "a <tab> b" lines of hits, each integer spelled by b"%d"."""
+    return b"%d\t%d\n" * len(hits) % tuple(chain.from_iterable(hits))
+
+
+def hit_lines(n: int, bound: int) -> Iterator[bytes]:
+    """search_defective's pairs as each chunk's "a <tab> b" lines, in chunk
+    order: the bytes search prints and a checkpoint stores.  The arguments
+    are checked before this returns; each chunk is searched as it is read."""
+    _check_args(n, bound)
+    return map(_lines, _run_chunks(n, _chunks(bound), bound))
+
+
 def _committed(path: Path) -> tuple[bytes, bytes]:
     """path's newline-terminated lines, and the torn tail after them (b"" if none)."""
     data = path.read_bytes() if path.exists() else b""
@@ -341,29 +366,24 @@ def _committed(path: Path) -> tuple[bytes, bytes]:
     return data[:end], data[end:]
 
 
-# Exactly what b"%d" writes.  _BAD_HIT_LINE finds the start of the first line
-# that is not "a <tab> b": a search for the first bad line, not a match of
-# (?:line)* over all of them, since sre keeps backtracking state for every
-# repetition of a group, 3.4 MB for the 10,857 hits of n = 6 at bound 1000
-# (possessive *+ needs Python 3.11).
+# Exactly what b"%d" and b"%08x" write.
 _INT = rb"(?:0|-?[1-9][0-9]*)"
-_STATE_LINE = re.compile(rb"(%s)\t(%s)\t(%s)\t(%s)" % ((_INT,) * 4))
-_BAD_HIT_LINE = re.compile(rb"^(?!%s\t%s\n|\Z)" % (_INT, _INT), re.M)
+_STATE_LINE = re.compile(rb"(%s)\t(%s)\t(%s)\t(%s)\t([0-9a-f]{8})" % ((_INT,) * 4))
+_NEWLINE = re.compile(rb"\n")
 
 
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
-) -> tuple[int, bytes]:
-    """(committed chunks, their hit lines' bytes), after checking every
-    committed line and cutting the files to what is kept; the hits are
-    parsed only by a call that returns them."""
+) -> list[bytes]:
+    """The hit lines of each committed chunk, after checking every committed
+    line and cutting the files to what is kept."""
     header = b"# %d\t%d\n" % (n, bound)
     state, state_tail = _committed(state_path)
     if not state and header.startswith(state_tail):
         # No checkpoint yet, or one torn before its header was committed.
         hits_path.write_bytes(b"")
         state_path.write_bytes(header)
-        return 0, b""
+        return []
     if not state.startswith(header):
         first = state[: state.find(b"\n")] if state else state_tail
         raise CheckpointMismatchError(
@@ -371,37 +391,76 @@ def _load_checkpoint(
         )
     state_lines = state[len(header) :].split(b"\n")[:-1]
     hit_data, hits_tail = _committed(hits_path)
-    hit_count = hit_data.count(b"\n")
+    newlines = _NEWLINE.finditer(hit_data)
     state_end = len(header)
-    done = 0
-    need = 0
+    hits_end = 0
+    kept = []
     for i, line in enumerate(state_lines):
         match = _STATE_LINE.fullmatch(line)
         if not match:
             raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
-        rn, lo, hi, cnt = map(int, match.groups())
+        rn, lo, hi, cnt = map(int, match.groups()[:4])
         if i >= len(chunks) or rn != n or (lo, hi) != chunks[i] or cnt < 0:
             raise CheckpointMismatchError(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
                 f"{chunks[i] if i < len(chunks) else 'past end'} for n={n}"
             )
-        if need + cnt > hit_count:
-            break  # state line committed before its hits landed; drop it
+        end = hits_end
+        if cnt:
+            last = next(islice(newlines, cnt - 1, None), None)
+            if last is None:
+                break  # state line committed before its hits landed; drop it
+            end = last.end()
+        lines = hit_data[hits_end:end]
+        if crc32(lines) != int(match[5], 16):
+            raise CheckpointMismatchError(
+                f"checkpoint line {i + 1} ({line!r}) does not match the CRC-32 of its hits"
+            )
+        kept.append(lines)
         state_end += len(line) + 1
-        done += 1
-        need += cnt
-    hits_end = len(hit_data)
-    for _ in range(hit_count - need):
-        hits_end = hit_data.rfind(b"\n", 0, hits_end - 1) + 1
-    bad = _BAD_HIT_LINE.search(hit_data, 0, hits_end)
-    if bad:
-        line = hit_data[bad.start() : hit_data.find(b"\n", bad.start())]
-        raise CheckpointMismatchError(f"malformed checkpoint line {line!r}")
+        hits_end = end
     if state_end < len(state) + len(state_tail):
         os.truncate(state_path, state_end)
     if hits_end < len(hit_data) + len(hits_tail):
         os.truncate(hits_path, hits_end)
-    return done, hit_data[:hits_end]
+    return kept
+
+
+def checkpoint_lines(
+    n: int, bound: int, path: str | Path, stop_after_chunks: int | None = None
+) -> tuple[Iterator[bytes], bool]:
+    """Resume the checkpoint at path: (each chunk's hit lines, as hit_lines
+    gives them, and whether these finish the search).  The committed chunks
+    come first; each chunk still to do, up to stop_after_chunks of them, is
+    searched, written and committed as it is read.  The files are checked and
+    repaired before this returns."""
+    _check_args(n, bound)
+    if stop_after_chunks is not None and stop_after_chunks < 0:
+        raise ValueError(f"stop_after_chunks must be nonnegative, got {stop_after_chunks}")
+    chunks = _chunks(bound)
+    state_path = Path(path)
+    hits_path = Path(f"{path}.hits")
+    committed = _load_checkpoint(state_path, hits_path, n, bound, chunks)
+    todo = chunks[len(committed) :][:stop_after_chunks]
+    new = _append(state_path, hits_path, n, todo, bound)
+    return chain(committed, new), len(committed) + len(todo) == len(chunks)
+
+
+def _append(
+    state_path: Path, hits_path: Path, n: int, todo: list[tuple[int, int]], bound: int
+) -> Iterator[bytes]:
+    """Search the chunks in todo, appending each one's hit lines and then its
+    state line, and yield the lines once they are committed."""
+    if not todo:
+        return
+    with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
+        for (lo, hi), hits in zip(todo, _run_chunks(n, todo, bound)):
+            lines = _lines(hits)
+            hf.write(lines)
+            hf.flush()
+            sf.write(b"%d\t%d\t%d\t%d\t%08x\n" % (n, lo, hi, len(hits), crc32(lines)))
+            sf.flush()
+            yield lines
 
 
 def search_with_checkpoint(
@@ -419,29 +478,12 @@ def search_with_checkpoint(
     negative value raises ValueError before either file is touched.  jobs
     has no effect, as in search_defective.
     """
-    _check_args(n, bound)
-    if stop_after_chunks is not None and stop_after_chunks < 0:
-        raise ValueError(f"stop_after_chunks must be nonnegative, got {stop_after_chunks}")
-    chunks = _chunks(bound)
-    state_path = Path(path)
-    hits_path = Path(str(path) + ".hits")
-    done, committed = _load_checkpoint(state_path, hits_path, n, bound, chunks)
-    todo = chunks[done:]
-    if stop_after_chunks is not None:
-        todo = todo[:stop_after_chunks]
-    new_hits = []
-    if todo:
-        with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
-            for (lo, hi), chunk_hits in zip(todo, _run_chunks(n, todo, bound)):
-                hf.write(b"".join(b"%d\t%d\n" % ab for ab in chunk_hits))
-                hf.flush()
-                sf.write(b"%d\t%d\t%d\t%d\n" % (n, lo, hi, len(chunk_hits)))
-                sf.flush()
-                new_hits.extend(chunk_hits)
-    if done + len(todo) < len(chunks):
+    lines, complete = checkpoint_lines(n, bound, path, stop_after_chunks)
+    lines = list(lines)  # searches and commits the chunks still to do
+    if not complete:
         return None
-    fields = map(int, committed.split())
-    return SearchResult(n, bound, (*zip(fields, fields), *new_hits))
+    fields = map(int, b"".join(lines).split())
+    return SearchResult(n, bound, tuple(zip(fields, fields)))
 
 
 def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:

@@ -441,6 +441,57 @@ class TestStreamedJson:
         assert len(out.sizes) > 1 and max(out.sizes) <= 512
 
 
+def _pair_rendering(result: harness.SearchResult, fmt: str) -> str:
+    """search's output as it was rendered from the pairs: json.dumps of the
+    document, or one f-string line per pair."""
+    if fmt == "json":
+        doc = {
+            "n": result.n,
+            "bound": result.bound,
+            "count": len(result.pairs),
+            "pairs": [[str(a), str(b)] for a, b in result.pairs],
+        }
+        return json.dumps(doc) + "\n"
+    if fmt == "tsv":
+        head, sep = "# a\tb\n", "\t"
+    else:
+        head, sep = f"n={result.n} bound={result.bound} count={len(result.pairs)}\n", " "
+    return head + "".join(f"{a}{sep}{b}\n" for a, b in result.pairs)
+
+
+class TestSearchRendering:
+    """search prints hit-line bytes; every format equals the pair rendering."""
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_equals_the_pair_rendering(self, run_cli, tmp_path, fmt):
+        for n in families.SUPPORTED_N:
+            for bound in (1, 5, 64, 1000):
+                want = _pair_rendering(harness.search_defective(n, bound), fmt)
+                argv = ("search", str(n), "--bound", str(bound), "--format", fmt)
+                assert run_cli(*argv) == (0, want, ""), (n, bound)
+                path = tmp_path / f"{n}-{bound}.ckpt"
+                assert run_cli(*argv, "--checkpoint", str(path)) == (0, want, ""), (n, bound)
+                # All chunks committed: the output is read from the files alone.
+                assert run_cli(*argv, "--checkpoint", str(path)) == (0, want, ""), (n, bound)
+
+    def test_empty_result(self, run_cli):
+        code, out, _ = run_cli("search", "8", "--bound", "1", "--format", "json")
+        assert (code, out) == (0, '{"n": 8, "bound": 1, "count": 0, "pairs": []}\n')
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_sliced_checkpoint(self, tmp_path, fmt):
+        # 4-chunk slices of search 6 --bound 1000 (32 chunks), finished by
+        # the CLI; no write holds the whole output.
+        path = tmp_path / "sliced.ckpt"
+        for _ in range(7):
+            assert harness.search_with_checkpoint(6, 1000, path, stop_after_chunks=4) is None
+        out = _Writes()
+        argv = ["search", "6", "--bound", "1000", "--checkpoint", str(path), "--format", fmt]
+        assert cli.run(argv, stdout=out) == 0
+        assert out.getvalue() == _pair_rendering(harness.search_defective(6, 1000), fmt)
+        assert max(out.sizes) < len(out.getvalue()) / 8
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_golden_digest(run_cli, argv):
     # Exit code and SHA-256 of stdout of family/verify n --bound 700 and of

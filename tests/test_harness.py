@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import sys
 import types
+import zlib
 from dataclasses import replace
 from math import isqrt
 from pathlib import Path
@@ -712,14 +713,16 @@ class TestCheckpoint:
         assert lines[0] == "# 3\t64"
         lines = lines[1:]
         assert lines, "at least one chunk line"
+        hit_lines = (tmp_path / "fmt.ckpt.hits").read_text().splitlines(keepends=True)
         total = 0
         for line, (lo, hi) in zip(lines, _chunks(64)):
             f = line.split("\t")
-            assert len(f) == 4
+            assert len(f) == 5
             assert (int(f[0]), int(f[1]), int(f[2])) == (3, lo, hi)
+            chunk = "".join(hit_lines[total : total + int(f[3])]).encode()
+            assert f[4] == f"{zlib.crc32(chunk):08x}"
             total += int(f[3])
         assert total == len(result.pairs)
-        hit_lines = (tmp_path / "fmt.ckpt.hits").read_text().splitlines()
         assert [tuple(int(x) for x in l.split("\t")) for l in hit_lines] == list(
             result.pairs
         )
@@ -735,33 +738,58 @@ class TestCheckpoint:
         resumed = search_with_checkpoint(5, 150, path)
         assert resumed == search_defective(5, 150)
 
-    def test_every_truncation_resumes_or_is_refused(self, tmp_path):
+    @staticmethod
+    def _resume_each(tmp_path, damaged):
+        """Resume search_with_checkpoint(3, 200) from each (state, hits) pair
+        that damaged makes of a 2-chunk checkpoint's files; each resume must
+        be refused or end with the result and files of an uninterrupted run.
+        Returns (refused, resumed)."""
         n, bound = 3, 200
         fresh = tmp_path / "fresh.ckpt"
         full = search_with_checkpoint(n, bound, fresh)
         want = (fresh.read_bytes(), (tmp_path / "fresh.ckpt.hits").read_bytes())
         snap = tmp_path / "snap.ckpt"
         assert search_with_checkpoint(n, bound, snap, stop_after_chunks=2) is None
-        state = snap.read_bytes()
-        hits = (tmp_path / "snap.ckpt.hits").read_bytes()
-        cuts = [(state[:i], hits) for i in range(len(state))]
-        cuts += [(state, hits[:i]) for i in range(len(hits))]
-        refused = 0
-        for i, (cut_state, cut_hits) in enumerate(cuts):
-            # Fresh files per cut: on ext4, truncating or deleting a file
+        snap_files = (snap.read_bytes(), (tmp_path / "snap.ckpt.hits").read_bytes())
+        refused = resumed = 0
+        for i, (state, hits) in enumerate(damaged(*snap_files)):
+            # Fresh files per case: on ext4, truncating or deleting a file
             # that was just rewritten waits for its data to be flushed.
             torn = tmp_path / f"torn{i}.ckpt"
             torn_hits = tmp_path / f"torn{i}.ckpt.hits"
-            torn.write_bytes(cut_state)
-            torn_hits.write_bytes(cut_hits)
+            torn.write_bytes(state)
+            torn_hits.write_bytes(hits)
             try:
-                resumed = search_with_checkpoint(n, bound, torn)
+                result = search_with_checkpoint(n, bound, torn)
             except CheckpointMismatchError:
                 refused += 1
                 continue
-            assert resumed == full
-            assert (torn.read_bytes(), torn_hits.read_bytes()) == want
-        assert refused < len(cuts)
+            assert result == full, i
+            assert (torn.read_bytes(), torn_hits.read_bytes()) == want, i
+            resumed += 1
+        return refused, resumed
+
+    def test_every_truncation_resumes_or_is_refused(self, tmp_path):
+        def cuts(state, hits):
+            yield from ((state[:i], hits) for i in range(len(state)))
+            yield from ((state, hits[:i]) for i in range(len(hits)))
+
+        assert self._resume_each(tmp_path, cuts)[1]
+
+    def test_every_bit_flip_resumes_or_is_refused(self, tmp_path):
+        # Each of the 8 bits of every committed byte of both files, flipped
+        # one at a time: a flip in a committed chunk's state line or hits is
+        # refused, and one that only uncommits the last chunk (its newline,
+        # or a count past the hits) resumes.
+        def flips(state, hits):
+            for i in range(len(state) + len(hits)):
+                for bit in range(8):
+                    data = bytearray(state + hits)
+                    data[i] ^= 1 << bit
+                    yield bytes(data[: len(state)]), bytes(data[len(state) :])
+
+        refused, resumed = self._resume_each(tmp_path, flips)
+        assert refused and resumed
 
     def test_complete_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -806,8 +834,8 @@ class TestCheckpoint:
         path = tmp_path / "zero.ckpt"
         search_with_checkpoint(8, 200, path, stop_after_chunks=3)
         lines = path.read_bytes().splitlines(keepends=True)
-        assert lines[-1] == b"8\t65\t96\t0\n"
-        path.write_bytes(b"".join(lines[:-1]) + b"8\t65\t96\t-0\n")
+        assert lines[-1] == b"8\t65\t96\t0\t00000000\n"
+        path.write_bytes(b"".join(lines[:-1]) + b"8\t65\t96\t-0\t00000000\n")
         with pytest.raises(CheckpointMismatchError):
             search_with_checkpoint(8, 200, path)
 
@@ -825,20 +853,22 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda v: b"%d\t %d\t%d\t%d" % v,
-            lambda v: b"+%d\t%d\t%d\t%d" % v,
-            lambda v: b"%d\t%d_%d\t%d\t%d" % (v[0], v[1] // 10, v[1] % 10, *v[2:]),
-            lambda v: b"0%d\t%d\t%d\t%d" % v,
-            lambda v: b"%d\t%d\t%d\t%d\r" % v,
+            lambda v: b"%d\t %d\t%d\t%d\t%s" % v,
+            lambda v: b"+%d\t%d\t%d\t%d\t%s" % v,
+            lambda v: b"%d\t%d_%d\t%d\t%d\t%s" % (v[0], v[1] // 10, v[1] % 10, *v[2:]),
+            lambda v: b"0%d\t%d\t%d\t%d\t%s" % v,
+            lambda v: b"%d\t%d\t%d\t%d\t%s\r" % v,
         ],
     )
     def test_state_line_must_be_as_written(self, tmp_path, edit):
-        # int() reads each edited line as the original values; the resume
-        # would then keep bytes an uninterrupted run never writes.
+        # int() reads each edited line as the original values, and the CRC
+        # field is kept; the resume would then keep bytes an uninterrupted run
+        # never writes.
         path = tmp_path / "strict.ckpt"
         search_with_checkpoint(3, 200, path, stop_after_chunks=2)
         header, first, second = path.read_bytes().splitlines()
-        values = tuple(int(x) for x in second.split(b"\t"))
+        *fields, crc = second.split(b"\t")
+        values = (*(int(x) for x in fields), crc)
         assert values[:3] == (3, 33, 64)
         path.write_bytes(b"\n".join([header, first, edit(values), b""]))
         with pytest.raises(CheckpointMismatchError):
@@ -873,6 +903,19 @@ class TestCheckpoint:
         hits_path.write_bytes(b"".join(lines[:-1]) + edit(lines[-1]))
         with pytest.raises(CheckpointMismatchError):
             search_with_checkpoint(3, 200, path)
+
+    @pytest.mark.parametrize("stop", [None, 0, 1])
+    def test_edited_hit_line_in_the_grammar_refused(self, tmp_path, stop):
+        # (64, 136) is not even a Lehmer pair; its line parses as well as the
+        # written (64, 132), so only the chunk's CRC-32 tells them apart.
+        path = tmp_path / "edit.ckpt"
+        assert search_with_checkpoint(3, 200, path, stop_after_chunks=2) is None
+        hits_path = tmp_path / "edit.ckpt.hits"
+        lines = hits_path.read_bytes().splitlines(keepends=True)
+        assert lines[-1] == b"64\t132\n"
+        hits_path.write_bytes(b"".join(lines[:-1]) + b"64\t136\n")
+        with pytest.raises(CheckpointMismatchError, match="CRC-32"):
+            search_with_checkpoint(3, 200, path, stop_after_chunks=stop)
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "clash.ckpt"
