@@ -18,6 +18,13 @@ stderr.  The runs cover:
     the counted report is covered where no walk or search reaches;
   * audit in all three formats;
   * 60 seeded (a, b, n) triples through check, in all three formats;
+  * three checks, in all three formats, whose residuals reach the
+    factoriser's deeper paths, which the seeded triples (|a| <= 40) never
+    do: check 20767 74699 10, where Brent's rho splits the residual
+    2740232039; check 4495211134022 -737580631582 5, whose residual is a
+    prime of about 4.28 10^24, past the proven Miller-Rabin bases, so the
+    strong Lucas test runs; and check 7962908358166 19592935848978 8, whose
+    residual RHO_BUDGET leaves unfactored;
   * seq, u, --help and usage errors;
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
@@ -44,7 +51,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  517 records in about twelve seconds on two cores.
+directory.  526 records in about twelve seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -108,6 +115,13 @@ def cli_records() -> dict[str, str]:
         a = rng.randint(-40, 40)
         b = a - 4 * rng.randint(-10, 10)  # a == b mod 4, so most are Lehmer pairs
         n = rng.choice(SUPPORTED_N + (7, 9, 15))
+        argvs += [("check", str(a), str(b), str(n), "--format", fmt) for fmt in FORMATS]
+    # Brent's rho, the strong Lucas test and "unfactored" (see the docstring).
+    for a, b, n in (
+        (20767, 74699, 10),
+        (4495211134022, -737580631582, 5),
+        (7962908358166, 19592935848978, 8),
+    ):
         argvs += [("check", str(a), str(b), str(n), "--format", fmt) for fmt in FORMATS]
     argvs += [
         ("seq", "phi", "40"),
@@ -194,7 +208,6 @@ def planted_records(tmp: Path) -> dict[str, str]:
 
 
 def main() -> int:
-    os.environ.pop("LEHMERDEFECT_JOBS", None)
     with tempfile.TemporaryDirectory() as tmp:
         records = {**cli_records(), **checkpoint_records(Path(tmp)), **planted_records(Path(tmp))}
     print(json.dumps(records, indent=1, sort_keys=True))

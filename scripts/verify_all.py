@@ -17,7 +17,8 @@ family table up to equivalence.  Finishes with the
 corrections audit.  Table entries that are defective but that the search did
 not find are counted as "missed by search", apart from the other table
 failures.  Exit code 2 if the certificate fails or any discrepancy or audit
-failure was reported, 0 otherwise.
+failure was reported, 0 otherwise.  It imports the package from the src/
+next to this script.
 
 Known state of the table: for n=4 the search finds (6, 2), a valid
 4-defective pair that no table row produces and that is equivalent to no
@@ -33,9 +34,12 @@ import argparse
 import resource
 import sys
 import time
+from pathlib import Path
 
-from lehmerdefect.families import SUPPORTED_N, linear_certificate
-from lehmerdefect.harness import _orbits, audit_changes, verify_table
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lehmerdefect.families import SUPPORTED_N, linear_certificate  # noqa: E402
+from lehmerdefect.harness import _orbits, audit_changes, verify_table  # noqa: E402
 
 
 def main() -> int:

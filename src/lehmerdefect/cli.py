@@ -24,8 +24,8 @@ bytes of its hit lines, per chunk, as harness.hit_lines or, with
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
 
-LEHMERDEFECT_JOBS sets the default --jobs; --jobs wins.  Both are validated
-and have no effect: every search runs in this process.
+--jobs is accepted, as an integer, only because existing callers pass it; it
+has no effect: every search runs in this process.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from itertools import groupby
 from operator import itemgetter
@@ -98,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Building the parser costs most of a quick call such as check; parsing
 # leaves it unchanged, so one per process serves every run.
 _parser = functools.cache(build_parser)
-
-
-def _jobs_of(ns) -> int:
-    if getattr(ns, "jobs", None) is not None:
-        return max(1, ns.jobs)
-    env = os.environ.get("LEHMERDEFECT_JOBS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"LEHMERDEFECT_JOBS must be an integer, got {env!r}") from None
 
 
 def _row_doc(row: families.FamilyRowId, params: dict[str, int], **rest) -> dict:
@@ -366,14 +355,13 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
         elif ns.command == "family":
             _emit_family(ns.n, ns.bound, ns.format, out)
         elif ns.command == "search":
-            _jobs_of(ns)  # validated, and has no effect
             if ns.checkpoint is not None:
                 lines, _ = harness.checkpoint_lines(ns.n, ns.bound, ns.checkpoint)
             else:
                 lines = harness.hit_lines(ns.n, ns.bound)
             _emit_search(ns.n, ns.bound, lines, ns.format, out)
         elif ns.command == "verify":
-            report = harness.verify_table(ns.n, ns.bound, jobs=_jobs_of(ns))
+            report = harness.verify_table(ns.n, ns.bound)
             _emit_verify(report, ns.format, out)
             return 0 if report.exact_agreement else 2
         else:  # audit, the one command left

@@ -95,13 +95,14 @@ only for what the report lists: invalid tuples, unmatched records and the
 table's internal duplicates.  The tests hold the counted report equal to the
 enumerated one for n = 3, 4, 6.
 
-Every search runs in the calling process, and the jobs arguments are
-accepted and have no effect: with the linear chunks listed as range
-progressions, a 2-worker pool over the same chunks was no faster at any bound
-measured (search 6 on a 2-core host, B = 1000 to 3 10^5; see README).  The
-contiguous a-chunks exist for the checkpoints: their boundaries depend only
-on the bound, so the checkpoint files of interrupted runs line up with any
-resume, and the hits are written in chunk order.
+Every search runs in the calling process: with the linear chunks listed as
+range progressions, a 2-worker pool over the same chunks was no faster at any
+bound measured (search 6 on a 2-core host, B = 1000 to 3 10^5; see README).
+search_defective and search_with_checkpoint accept a jobs argument only
+because existing callers pass one; it has no effect.  The contiguous
+a-chunks exist for the checkpoints: their boundaries depend only on the
+bound, so the checkpoint files of interrupted runs line up with any resume,
+and the hits are written in chunk order.
 
 Checkpoint format: the state file opens with a "# n <tab> bound" header
 (chunk boundaries for different bounds can coincide, so the header is what
@@ -338,7 +339,8 @@ def _run_chunks(n, chunks, bound):
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
     """Every n-defective (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4.
 
-    jobs has no effect: every search runs in this process."""
+    jobs is accepted only because existing callers pass it, and has no
+    effect: every search runs in this process."""
     _check_args(n, bound)
     pairs: list[tuple[int, int]] = []
     for chunk_hits in _run_chunks(n, _chunks(bound), bound):
@@ -476,7 +478,7 @@ def search_with_checkpoint(
     stop_after_chunks set, at most that many new chunks are processed and
     None is returned if work remains (used to exercise interruption); a
     negative value raises ValueError before either file is touched.  jobs
-    has no effect, as in search_defective.
+    is accepted and has no effect, as in search_defective.
     """
     lines, complete = checkpoint_lines(n, bound, path, stop_after_chunks)
     lines = list(lines)  # searches and commits the chunks still to do
@@ -486,7 +488,7 @@ def search_with_checkpoint(
     return SearchResult(n, bound, tuple(zip(fields, fields)))
 
 
-def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
+def verify_table(n: int, bound: int) -> DiscrepancyReport:
     """Compare the n-defective pairs with the family table up to equivalence.
 
     Mismatches are classified, never raised: pairs the search finds with no
@@ -500,8 +502,7 @@ def verify_table(n: int, bound: int, jobs: int = 1) -> DiscrepancyReport:
     and families.linear_certificate proves, for every bound, that these are
     what the search would find, with no table failure or duplicate.  For the
     quadratic forms the search is run and matched against the table records
-    (_compare_with_search; see the module docstring).  jobs has no effect,
-    as in search_defective.
+    (_compare_with_search; see the module docstring), in this process.
     """
     _check_args(n, bound)
     if _linear(n):

@@ -452,7 +452,7 @@ class TestVerify:
                 argv = ("verify", str(n), "--bound", str(bound), "--format", fmt)
                 counted = run_cli(*argv)
                 with monkeypatch.context() as m:
-                    m.setattr(harness, "verify_table", lambda n, bound, jobs=1: oracle)
+                    m.setattr(harness, "verify_table", lambda n, bound: oracle)
                     assert run_cli(*argv) == counted, (bound, fmt)
 
     def test_counted_verify_does_no_hidden_work(self, monkeypatch, run_cli):
