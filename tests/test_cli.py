@@ -521,18 +521,28 @@ class TestDeterminism:
         code2, out2, _ = run_cli("search", "5", "--bound", "100", "--format", "tsv")
         assert out1 == out2
 
-    @pytest.mark.parametrize("value", ["2", "abc", ""])
-    def test_jobs_env_default(self, run_cli, monkeypatch, value):
-        # LEHMERDEFECT_JOBS is not read: with or without --jobs, the bytes
-        # are those of --jobs 1 without the variable.
+    @staticmethod
+    def _assert_env_ignored(run_cli, monkeypatch, value, *extra):
+        # LEHMERDEFECT_JOBS is not read: search and verify with it set to
+        # value, and the extra arguments, give the exit code and bytes of
+        # --jobs 1 without the variable.
         for cmd in ("search", "verify"):
             argv = (cmd, "5", "--bound", "60", "--format", "tsv")
             want = run_cli(*argv, "--jobs", "1")
             assert want[0] == 0
             monkeypatch.setenv("LEHMERDEFECT_JOBS", value)
-            assert run_cli(*argv) == want
-            assert run_cli(*argv, "--jobs", "2") == want
+            assert run_cli(*argv, *extra) == want
             monkeypatch.delenv("LEHMERDEFECT_JOBS")
+
+    def test_jobs_env_default(self, run_cli, monkeypatch):
+        self._assert_env_ignored(run_cli, monkeypatch, "2")
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_jobs_env_invalid_is_ignored(self, run_cli, monkeypatch, value):
+        self._assert_env_ignored(run_cli, monkeypatch, value)
+
+    def test_jobs_flag_does_not_read_env(self, run_cli, monkeypatch):
+        self._assert_env_ignored(run_cli, monkeypatch, "abc", "--jobs", "2")
 
 
 @pytest.fixture
