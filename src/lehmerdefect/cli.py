@@ -15,8 +15,12 @@ line), json (a single document per invocation).  Values that can exceed 64
 bits (a, b, sequence elements, products, residuals, primes) are serialized as
 decimal strings in json and as plain decimal in text/tsv.
 
-One renderer, _emit_family, writes every family table in every format as
-families.table_walks, which alone picks its source, hands it over.  One
+One renderer, _emit_family, writes every family table in every format from
+the segments families.table_walks, which alone picks their source, hands
+over: columns of q, a and b, at most families._BLOCK entries of one power
+term of a linear n or one record of the others each.  Text and TSV are
+written one % format per segment (two where a changes sign); JSON one entry
+at a time.  One
 renderer, _emit_search, writes every search result in every format from the
 bytes of its hit lines, per chunk, as harness.hit_lines or, with
 --checkpoint, harness.checkpoint_lines hands them over; no pair is parsed.
@@ -35,8 +39,9 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import groupby
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import repeat
+from operator import neg
 from typing import IO, Iterable, Sequence
 
 from . import families, harness, pairs, primdiv, sequences
@@ -143,13 +148,39 @@ def _emit_check(w: primdiv.DefectWitness, fmt: str, out: IO[str]) -> None:
         out.write("".join(f"{name}: {v}\n" for name, v in extra.items()))
 
 
+def _parts(qs, a_s, b_s):
+    """A segment's columns (qs, as, bs, canonical as, canonical bs), qs None
+    when it has no q, in two parts, each left out when empty: the entries
+    where a <= 0, whose canonical pair (the a > 0 one of (a, b) and
+    (-a, -b)) is (-a, -b), then the others, whose canonical pair is (a, b).
+    The a column rises, so one bisect finds the cut."""
+    split = bisect_right(a_s, 0)
+    for lo, hi, negate in ((0, split, True), (split, len(a_s), False)):
+        if lo < hi:
+            a, b = a_s[lo:hi], b_s[lo:hi]
+            canon = (list(map(neg, a)), list(map(neg, b))) if negate else (a, b)
+            yield None if qs is None else qs[lo:hi], a, b, *canon
+
+
+def _format_block(template: str, columns: list) -> str:
+    """template once per entry, filled from the columns (one value each) by
+    one % format, its arguments laid out by strided slice assignment."""
+    width, size = len(columns), len(columns[0])
+    flat = [None] * (width * size)
+    for i, column in enumerate(columns):
+        flat[i::width] = column
+    return template * size % tuple(flat)
+
+
 def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
-    """Render the table of n (families.table_walks) as it is walked, each
-    entry from a template built once per (row, power term) segment: text and
-    TSV one segment at a time, JSON one entry at a time, with the bytes
-    json.dumps gives for the whole document.  The canonical pair of a raw
-    pair (a, b) is the a > 0 one of (a, b) and (-a, -b)."""
-    count, walks, provenance = families.table_walks(n, bound)
+    """Render the table of n as families.table_walks hands it over, segment
+    by segment (at most families._BLOCK entries of one power term of a
+    linear n, one record of the others), each in the two parts of _parts.
+    Text and TSV write a part with one % format of a template built once
+    per segment, whose %s spells each int as str() does.  JSON writes one
+    entry at a time, with the bytes json.dumps gives for the whole
+    document."""
+    count, segments, provenance = families.table_walks(n, bound)
     if fmt == "json":
         out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "entries": [')
         labels = {
@@ -165,49 +196,39 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
         }
     else:
         out.write(f"n={n} bound={bound} entries={count}\n")
-    # A segment is one power term of a linear row, its q varying and eps None,
-    # or one (k, eps) of a sequence row, its q None.
-    for row, walk in walks:
-        for (k, l, eps), segment in groupby(walk, itemgetter(0, 1, 3)):
-            if fmt == "json":
-                # The params object up to q's value: q is the last key when it varies.
-                fixed = json.dumps(families.params_dict((k, l, None, eps)))[:-1]
-                if eps is None:
-                    fixed += ', "q": ' if len(fixed) > 1 else '"q": '
-                head = f'{{"row": {json.dumps(row.value)}, "params": {fixed}'
-                for _, _, q, _, a, b in segment:
-                    shadows = labels.get((abs(a), b if a > 0 else -b), "[]") if labels else "[]"
+    for row, (k, l, eps), qs, a_s, b_s in segments:
+        if fmt == "json":
+            # The params object up to q's value: q is the last key when there is one.
+            fixed = json.dumps(families.params_dict((k, l, None, eps)))[:-1]
+            if qs is not None:
+                fixed += ', "q": ' if len(fixed) > 1 else '"q": '
+            head = f'{{"row": {json.dumps(row.value)}, "params": {fixed}'
+            for part in _parts(qs, a_s, b_s):
+                for q, a, b, ca, cb in zip(part[0] or repeat(""), *part[1:]):
+                    shadows = labels.get((ca, cb), "[]") if labels else "[]"
                     out.write(
-                        f'{sep}{head}{"" if q is None else q}}}, "raw_a": "{a}", "raw_b": "{b}", '
-                        f'"canonical_a": "{abs(a)}", "canonical_b": "{b if a > 0 else -b}", '
-                        f'"provenance": {shadows}}}'
+                        f'{sep}{head}{q}}}, "raw_a": "{a}", "raw_b": "{b}", '
+                        f'"canonical_a": "{ca}", "canonical_b": "{cb}", "provenance": {shadows}}}'
                     )
                     sep = ", "
-                continue
-            if fmt == "tsv":
-                entries = list(segment) if labels else segment  # labels zips them below
-                head = f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
-                tail = f"\t{'-' if eps is None else eps}\t"
-                lines = [
-                    f"{head}{'-' if q is None else q}{tail}{a}\t{b}\t{abs(a)}\t{b if a > 0 else -b}\t-\n"
-                    for _, _, q, _, a, b in entries
-                ]
-                if labels:  # a pair with shadows names them in place of "-"
-                    lines = [
-                        line[:-2] + labels.get((abs(a), b if a > 0 else -b), "-") + "\n"
-                        for line, (*_, a, b) in zip(lines, entries)
-                    ]
-            else:
-                fixed = families.params_text((k, l, None, eps))
-                if eps is None:
-                    fixed += ",q=" if fixed else "q="
-                head = f"row={row.value} params={fixed}"
-                lines = [
-                    f"{head}{'' if q is None else q} "
-                    f"raw=({a}, {b}) canonical=({abs(a)}, {b if a > 0 else -b})\n"
-                    for _, _, q, _, a, b in segment
-                ]
-            out.write("".join(lines))
+            continue
+        if fmt == "tsv":
+            # A pair with shadows names them in place of "-".
+            template = (
+                f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
+                f"{'-' if qs is None else '%s'}\t{'-' if eps is None else eps}\t"
+                f"%s\t%s\t%s\t%s\t{'%s' if labels else '-'}\n"
+            )
+        else:
+            fixed = families.params_text((k, l, None, eps))
+            if qs is not None:
+                fixed += ",q=%s" if fixed else "q=%s"
+            template = f"row={row.value} params={fixed} raw=(%s, %s) canonical=(%s, %s)\n"
+        for part in _parts(qs, a_s, b_s):
+            columns = [column for column in part if column is not None]
+            if fmt == "tsv" and labels:
+                columns.append(list(map(labels.get, zip(part[3], part[4]), repeat("-"))))
+            out.write(_format_block(template, columns))
     if fmt == "json":
         out.write("]}\n")
 

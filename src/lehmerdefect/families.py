@@ -49,16 +49,18 @@ the n-defective pairs other than the gaps their exclusions name, with no
 invalid tuple and no duplicate (linear_certificate).  _Row.terms is the one
 place that decides which q a linear row admits: for each power term it hands
 out the admitted q as range pieces, one per stretch between the excluded q
-(its cuts) and residue coprime to the bases.  The family walk sorts a term's
-pieces into q order, linear_table gives verify_table the size and gaps at
-any bound by summing the pieces' lengths, with no walk, and linear_pairs
+(its cuts) and residue coprime to the bases.  _Row.segments cuts a term's
+pieces to windows of _BLOCK q and merges each window's pieces into columns
+of q, a and b in q order, linear_table gives verify_table the size and gaps
+at any bound by summing the pieces' lengths, with no walk, and linear_pairs
 cuts the pieces to each a-span the search asks for (a group of its chunks).
 Only the cuts meet the pair rules.
 
-The family command (cli) renders table_walks, the one place that chooses
-between the two sources: for a linear n the rows' own walks (row_walks),
-with no pair rule and no record, and for the others the records of
-table_records, regrouped by row.
+The family command (cli) renders the segments of table_walks, the one place
+that chooses between the two sources: for a linear n the rows' own columns,
+one segment per window of a power term (_Row.segments), with no pair rule
+and no record, and for the others the records of table_records, one entry
+per segment.
 """
 
 from __future__ import annotations
@@ -66,9 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations, islice
 from math import gcd, prod
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, lehmer_elements, pair_failure
@@ -211,6 +212,25 @@ def _q_range(t: int, m_a: int, m_b: int, bound: int) -> range:
     return range(max(qs[0][0], qs[1][0]), min(qs[0][1], qs[1][1]))
 
 
+# The q-width of a linear row's segments (_Row.segments): a segment holds at
+# most this many entries, so a family rendering holds no more at any bound.
+_BLOCK = 2048
+
+
+def _window(qs: range, q_lo: int, q_hi: int) -> range:
+    """The q of the range qs with q_lo <= q < q_hi, by ceiling division; the
+    slice ends at a member of the progression, so a range mapped from it has
+    one value per q."""
+    return qs[max(0, -((qs.start - q_lo) // qs.step)) : max(0, -((qs.start - q_hi) // qs.step))]
+
+
+def _column(pieces: list[range], t: int, m: int) -> list[int]:
+    """t + m q over the q of the range pieces, in ascending q order (m != 0):
+    each piece is mapped as a range, and the ranges are merged by one sort."""
+    scaled = (range(t + m * qs.start, t + m * qs.stop, m * qs.step) for qs in pieces)
+    return sorted(chain.from_iterable(scaled), reverse=m < 0)
+
+
 def _power_terms(bases: tuple[int, ...], limit: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(exponents, t) for t = prod(base^e) <= limit, every e >= 1, exponents ascending
     lexicographically; ((), 1) when there are no bases."""
@@ -305,12 +325,23 @@ class _Row:
                         if abs(a) <= bound and abs(b) <= bound:
                             yield k, None, None, eps, a, b
             return
+        for (k, l, eps), qs, a_s, b_s in self.segments(bound):
+            for q, a, b in zip(qs, a_s, b_s):
+                yield k, l, q, eps, a, b
+
+    def segments(self, bound: int) -> Iterator[tuple[tuple[int | None, ...], list[int], list[int], list[int]]]:
+        """Linear rows: ((k, l, eps), qs, as, bs) for each power term t <= 2
+        bound (terms) and each _BLOCK-wide window of its q interval, in q
+        order, as columns: qs the admitted q of the window ascending, as and
+        bs t + m_a q and t + m_b q in the same order; eps is None."""
         m_a, m_b = self.m
         for exps, t, pieces, _ in self.terms(bound):
             powers = dict(zip(self.fields, exps))
-            k, l = powers.get("k"), powers.get("l")
-            for q in sorted(chain.from_iterable(pieces)):
-                yield k, l, q, None, t + m_a * q, t + m_b * q
+            span = _q_range(t, m_a, m_b, bound)
+            for q_lo in range(span.start, span.stop, _BLOCK):
+                cut = [_window(qs, q_lo, q_lo + _BLOCK) for qs in pieces]
+                columns = (_column(cut, t0, m) for t0, m in ((0, 1), (t, m_a), (t, m_b)))
+                yield (powers.get("k"), powers.get("l"), None), *columns
 
     def terms(self, bound: int) -> Iterator[tuple[tuple[int, ...], int, list[range], list[int]]]:
         """Linear rows: (exponents, t, pieces, cuts) for each power term t <= 2 bound.
@@ -406,6 +437,8 @@ def instantiate(
 # A view is (row, (k, l, q, eps), raw pair), None for the fields its row lacks.
 Pair = tuple[int, int]
 View = tuple[FamilyRowId, tuple[int | None, ...], Pair]
+# A segment is (row, (k, l, eps), qs, as, bs), qs None for a row with no q.
+Segment = tuple[FamilyRowId, tuple[int | None, ...], list[int] | None, list[int], list[int]]
 
 
 def row_walks(n: int, bound: int) -> list[tuple[FamilyRowId, Iterator[tuple[int | None, ...]]]]:
@@ -450,23 +483,30 @@ def table_records(n: int, bound: int) -> tuple[
     return records, anomalies
 
 
-def table_walks(n: int, bound: int) -> tuple[int, list[tuple[FamilyRowId, Iterable]], dict[Pair, list]]:
-    """(count, walks, provenance) of the table for n at the bound: (row, walk)
-    per row in table order, each walk yielding (k, l, q, eps, a, b) per entry,
-    (a, b) its raw pair, and the (row, (k, l, q, eps)) of the later tuples
-    with each canonical pair.  A linear n gives its rows' own walks, counted
-    by linear_table, with no provenance (linear_certificate proves it); the
-    others the records of table_records, by row, their shadows as provenance.
+def table_walks(n: int, bound: int) -> tuple[int, Iterable[Segment], dict[Pair, list]]:
+    """(count, segments, provenance) of the table for n at the bound.
+
+    A segment is (row, (k, l, eps), qs, as, bs), in table order: consecutive
+    entries of one row that share (k, l, eps), at most _BLOCK of them, as
+    columns of their q (None when the row has no q), raw a and raw b, a
+    rising.  provenance holds the (row, (k, l, q, eps)) of the later tuples
+    with each canonical pair.  A linear n gives its rows' segments
+    (_Row.segments), one per window of a power term's q, counted by
+    linear_table, with no provenance (linear_certificate proves it); the
+    others the records of table_records, one entry per segment, their
+    shadows as provenance.
     """
     if _linear(n):
-        return linear_table(n, bound)[0], row_walks(n, bound), {}
+        count = linear_table(n, bound)[0]  # checks n and the bound
+        segments = ((row, *s) for row in family_rows(n) for s in _ROWS[row].segments(bound))
+        return count, segments, {}
     records, _ = table_records(n, bound)
     provenance = {key: [v[:2] for v in views[1:]] for key, views in records.items() if len(views) > 1}
-    walks = [
-        (row, [(*values, *raw) for _, values, raw in group])
-        for row, group in groupby((views[0] for views in records.values()), itemgetter(0))
+    segments = [
+        (row, (k, l, eps), None if q is None else [q], [a], [b])
+        for row, (k, l, q, eps), (a, b) in (views[0] for views in records.values())
     ]
-    return len(records), walks, provenance
+    return len(records), segments, provenance
 
 
 def record_entry(views: Sequence[View]) -> FamilyEntry:
@@ -589,10 +629,7 @@ def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterat
                     # The window q_lo <= q < q_hi: lo <= t + m_a q <= hi, with m_a > 0.
                     q_lo, q_hi = (lo - t - 1) // m_a + 1, (hi - t) // m_a + 1
                     for qs in pieces:
-                        # The q of qs in the window, by ceiling division; the
-                        # slice ends at a member of the progression, so the
-                        # ranges below have one value per q.
-                        qs = qs[max(0, -((qs.start - q_lo) // qs.step)) : max(0, -((qs.start - q_hi) // qs.step))]
+                        qs = _window(qs, q_lo, q_hi)
                         a_s = range(s * (t + m_a * qs.start), s * (t + m_a * qs.stop), s * m_a * qs.step)
                         b_s = range(s * (t + m_b * qs.start), s * (t + m_b * qs.stop), s * m_b * qs.step)
                         out.extend(zip(map(share, a_s), b_s))

@@ -412,6 +412,64 @@ class TestLinearFamily:
             assert len(checked) <= sum(len(families._ROWS[row].excluded) for row in rows), argv
 
 
+    def test_block_boundaries(self, monkeypatch, run_cli):
+        # Blocks 1, 2 and 3 q wide cut the power terms at every offset, and
+        # at every place where a changes sign.
+        argvs = [
+            ("family", str(n), "--bound", str(bound), "--format", fmt)
+            for n in (3, 4, 6)
+            for bound in [*range(65), 700]
+            for fmt in ("text", "tsv")
+        ]
+        want = _records_rendering(run_cli, argvs)
+        for block in (1, 2, 3):
+            monkeypatch.setattr(families, "_BLOCK", block)
+            for argv in argvs:
+                assert run_cli(*argv) == want[argv], (block, argv)
+
+    def test_term_longer_than_a_block(self, run_cli):
+        # N6_Q's one power term holds about 8.7k entries at 13000: several
+        # segments, none longer than a block.
+        _, segments, _ = families.table_walks(6, 13000)
+        sizes = [len(a_s) for row, *_, a_s, _ in segments if row is families.FamilyRowId.N6_Q]
+        assert len(sizes) > 4 and max(sizes) == families._BLOCK
+        argv = ("family", "6", "--bound", "13000", "--format", "tsv")
+        assert run_cli(*argv) == _records_rendering(run_cli, [argv])[argv]
+
+    def test_edges(self, monkeypatch, run_cli):
+        # At 64 N3_Q's a column changes sign inside one segment; 1 q wide
+        # blocks give N6_POW6 a segment with no entries at each q divisible
+        # by 6; at bound 0 there is no segment.
+        def columns(n, bound):
+            return [a_s for *_, a_s, _ in families.table_walks(n, bound)[1]]
+
+        assert any(a_s[0] < 0 < a_s[-1] for a_s in columns(3, 64))
+        assert all(columns(n, 0) == [] for n in (3, 4, 6))
+        argvs = [
+            ("family", str(n), "--bound", str(bound), "--format", fmt)
+            for n, bound in ((3, 64), (6, 64), (3, 0), (4, 0), (6, 0))
+            for fmt in cli.FORMATS
+        ]
+        want = _records_rendering(run_cli, argvs)
+        for argv in argvs:
+            assert run_cli(*argv) == want[argv], argv
+        monkeypatch.setattr(families, "_BLOCK", 1)
+        assert [] in columns(6, 64)
+        for argv in argvs:
+            assert run_cli(*argv) == want[argv], argv
+        assert want[("family", "6", "--bound", "0", "--format", "json")] == (
+            0, '{"n": 6, "bound": 0, "count": 0, "entries": []}\n', ""
+        )
+
+def _records_rendering(run_cli, argvs) -> dict:
+    """The family output of each argv from the records source (table_records,
+    one entry per segment), through the same renderer: the oracle of the
+    linear segments."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_linear", lambda n: False)
+        return {argv: run_cli(*argv) for argv in argvs}
+
+
 class _Writes(io.StringIO):
     """A stdout that records the size of each write."""
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib.util
 import json
 import multiprocessing
 import sys
@@ -659,6 +660,41 @@ class TestVerify:
         code, out, _ = run_cli("verify", "5", "--bound", "200", "--format", "tsv")
         assert code == 2
         assert "table_failure\t7\t-5\tN5_PSI(k=2,eps=-1) missed_by_search\n" in out
+
+
+def _verify_all():
+    """scripts/verify_all.py as a module, so that its main() runs in this process."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestVerifyAll:
+    """scripts/verify_all.py exits 2 only for what is not already known: a
+    pair missing from the table passes when it is a certificate gap."""
+
+    def test_shipped_table_exits_0(self, capsys):
+        assert _verify_all().main(["--bound", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "n= 4: matched=   767" in out and "missing from table: [(6, 2)] (certificate gap)\n" in out
+
+    def test_planted_discrepancy_exits_2(self, monkeypatch, capsys):
+        # The search of TestVerify.test_search_miss_is_reported, which loses
+        # (7, -5) of N5_PSI(k=2,eps=-1).
+        search = harness.search_defective
+
+        def lossy(n, bound, jobs=1):
+            result = search(n, bound, jobs)
+            return replace(result, pairs=tuple(p for p in result.pairs if p != (7, -5)))
+
+        script = _verify_all()
+        monkeypatch.setattr(harness, "search_defective", lossy)
+        assert script.main(["--bound", "200"]) == 2
+        out = capsys.readouterr().out
+        assert "n= 5: matched=    32" in out and "missed by search: 1\n" in out
+        assert "missing from table: [(6, 2)] (certificate gap)\n" in out
 
 
 class TestCheckpoint:
