@@ -12,6 +12,8 @@ stderr.  The runs cover:
     formats, so that the orbit walk's bytes are covered past bound 1000;
   * search for n = 3, 4, 6 at bound 20000, in TSV and JSON, with --jobs 1
     and 2, so that the linear search's bytes are covered past bound 1000;
+  * search for n = 3, 4, 6 at bound 100000 in TSV, so that the hits' keys
+    a W + b + bound are covered at a large W (200001);
   * family for n = 3, 4, 6 at bound 20000, in TSV and JSON, so that the
     rows' walks are covered past bound 3000;
   * verify for n = 3, 4, 6 at bound 10^12, in all three formats, so that
@@ -51,7 +53,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  526 records in about twelve seconds on two cores.
+directory.  529 records in about eight seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -110,6 +112,7 @@ def cli_records() -> dict[str, str]:
             argvs += [("search", str(n), "--bound", "20000", "--format", fmt, "--jobs", j) for j in "12"]
             argvs.append(("family", str(n), "--bound", "20000", "--format", fmt))
         argvs += [("verify", str(n), "--bound", "1000000000000", "--format", fmt) for fmt in FORMATS]
+        argvs.append(("search", str(n), "--bound", "100000", "--format", "tsv"))
     rng = random.Random(20241112)
     for _ in range(60):
         a = rng.randint(-40, 40)

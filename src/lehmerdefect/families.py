@@ -53,7 +53,8 @@ out the admitted q as range pieces, one per stretch between the excluded q
 pieces to windows of _BLOCK q and merges each window's pieces into columns
 of q, a and b in q order, linear_table gives verify_table the size and gaps
 at any bound by summing the pieces' lengths, with no walk, and linear_pairs
-cuts the pieces to each a-span the search asks for (a group of its chunks).
+cuts the pieces to each a-span the search asks for (a group of its chunks)
+and lists them as ranges of pair keys (_key_width).
 Only the cuts meet the pair rules.
 
 The family command (cli) renders the segments of table_walks, the one place
@@ -601,41 +602,52 @@ def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
     return size, tuple(sorted(gaps))
 
 
-def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterator[list[Pair]]:
+def _key_width(bound: int) -> int:
+    """W of the search's pair keys a W + b + bound (linear_pairs, harness):
+    |b| <= bound puts b + bound in 0 .. W - 1, so a key is one pair."""
+    return 2 * bound + 1
+
+
+def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterator[list[int]]:
     """For each a-span (a_from, a_to), 1 <= a_from <= a_to <= bound, the
     canonical pairs with a in the span and |b| <= bound of the table of a
     linear n, and of its in-box exclusions whose pair passes the pair rules
-    (n = 4's gap (6, 2)), as one list in (a, b) order.
+    (n = 4's gap (6, 2)), as one ascending list of keys a W + b + bound,
+    W = 2 bound + 1.  As 0 <= b + bound < W, a key is one pair and key order
+    is (a, b) order.
 
     Each row instance at power term t is found in one of two q windows:
     t + m_a q in the span, or in the span negated.  Where
     linear_certificate(n) is proved, these are the n-defective pairs there,
     each once, and only an exclusion can break a pair rule, so no other tuple
     is checked.  The rows' pieces (_Row.terms) are read once for all spans;
-    for each span every piece is cut to each window and listed as a pair of
-    range progressions in a and b, so no q is tested for coprimality.  That
-    cut costs about the same however few hits the window holds, which is why
-    the search (harness._run_chunks) asks for the span of a group of chunks,
-    not for each chunk.  The hits of one a share one int object (share), 28
-    bytes a hit otherwise.
+    for each span every piece is cut to each window and listed as one range
+    of keys: on side s the key is s t (W + 1) + bound + s (m_a W + m_b) q, a
+    progression in q, so no q is tested for coprimality and the sort is of
+    plain ints.  That cut costs about the same however few hits the window
+    holds, which is why the search (harness._groups) asks for the span of a
+    group of chunks, not for each chunk.
     """
+    w = _key_width(bound)
     rows = [(_ROWS[row].m, list(_ROWS[row].terms(bound))) for row in family_rows(n)]
     for a_from, a_to in spans:
-        share = {a: a for a in range(a_from, a_to + 1)}.__getitem__
-        out: list[Pair] = []
+        out: list[int] = []
         for (m_a, m_b), terms in rows:
+            d = m_a * w + m_b  # the key's step per unit of q on side +1
             for _, t, pieces, cuts in terms:
                 for s, lo, hi in ((1, a_from, a_to), (-1, -a_to, -a_from)):
                     # The window q_lo <= q < q_hi: lo <= t + m_a q <= hi, with m_a > 0.
                     q_lo, q_hi = (lo - t - 1) // m_a + 1, (hi - t) // m_a + 1
                     for qs in pieces:
                         qs = _window(qs, q_lo, q_hi)
-                        a_s = range(s * (t + m_a * qs.start), s * (t + m_a * qs.stop), s * m_a * qs.step)
-                        b_s = range(s * (t + m_b * qs.start), s * (t + m_b * qs.stop), s * m_b * qs.step)
-                        out.extend(zip(map(share, a_s), b_s))
+                        # A step of 0 (n = 3 at bound 1: W = 3, m = (1, -3))
+                        # leaves the window one a, so at most one q.
+                        step = s * d * qs.step or 1
+                        key = s * (t * (w + 1) + d * qs.start) + bound
+                        out.extend(range(key, key + step * len(qs), step))
                     for q in cuts:
                         if q_lo <= q < q_hi and pair_failure(t + m_a * q, t + m_b * q) is None:
-                            out.append((share(s * (t + m_a * q)), s * (t + m_b * q)))
+                            out.append(s * (t * (w + 1) + d * q) + bound)
         out.sort()
         yield out
 

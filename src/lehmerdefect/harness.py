@@ -24,6 +24,16 @@ chunks the caller asked for whose first a lies in one _GROUP_SPAN-wide
 stretch from the first one's, so at large bounds each chunk is its own
 group.
 
+A hit travels from its listing to its rendering as one int, the key
+a W + b + bound with W = 2 bound + 1 (families._key_width): as
+0 <= b + bound < W the key is one pair, a = key // W and b = key % W - bound,
+and key order is (a, b) order.  A piece's keys are a progression in q, so a
+window is listed as one range of keys, the group's keys are sorted as plain
+ints, a chunk's slice starts at the key lo W and ends before (hi + 1) W, and
+the hit lines are formatted from the quotients and remainders.  Only
+search_defective builds (a, b) tuples, from each group's keys uncut, and it
+interns each a through {}.setdefault, so the pairs of one a share one int.
+
 For n = 5, 8, 10, 12 the form is quadratic, Phi_n(p, q) = p^2 + c1 p q +
 c2 q^2 with D = c1^2 - 4 c2 = 5, 8, 5, 12.  A valid pair (gcd(a, b) = 1, so
 gcd(a, q) = 1) caps the exponent of each prime in T (primdiv.
@@ -63,7 +73,7 @@ bound:
     -xi, has p < 0 and is not canonical), so it is found once.
 
 The walk runs once per search (under 2 ms at bound 10^6), and each chunk gets
-its slice of the (a, b)-ordered hits, cut as the linear groups are.  The
+its slice of the hits, packed into keys and cut as the linear groups are.  The
 per-a solve it replaced (isqrt and a perfect-square test for each a and
 target) is the tests' oracle, conftest.per_a_search.
 
@@ -120,12 +130,15 @@ digits, no "+", no sign on 0, no leading zero; no spaces, "_" or carriage
 returns) raises CheckpointMismatchError, and so does a committed chunk whose
 hit lines do not have the CRC-32 its state line gives: an edited hit line
 that still parses is refused, not trusted or recomputed.  Every committed
-byte is checked on every load, a slice's included, at C speed: the chunk
-ends are found by skipping newlines with islice over re.finditer, and the
-CRC is zlib.crc32.  (Importing zlib adds about 0.1 MB of peak RSS to a bare
-interpreter; hashlib loads OpenSSL, about 3.8 MB, a sixth of a resumed
-search 6 --bound 1000.)  The kept hit lines are parsed only by a call that
-returns them as pairs, not by a slice that stops early, nor by the CLI,
+byte is checked on every load, a slice's included, at C speed: each
+chunk's lines are read with islice over a BytesIO of the hits and joined,
+and the CRC is zlib.crc32.  (One split of the whole file at its newlines
+was slower at bound 10^5 and held every line at once: 216 MB of peak RSS
+against 81 MB to resume a finished search 6 --bound 100000.)  (Importing zlib
+adds about 0.1 MB of peak RSS to a bare interpreter; hashlib loads OpenSSL,
+about 3.8 MB, a sixth of a resumed search 6 --bound 1000.)  The kept hit lines are parsed only by a call that
+returns them as pairs (one json.loads of the lines with their tabs and
+newlines made commas), not by a slice that stops early, nor by the CLI,
 which prints the bytes.  What is kept is a prefix of each file (the header
 and the first committed state lines, the first hit lines), so a repair cuts
 the file in place to that prefix with os.truncate, which writes no data;
@@ -139,12 +152,15 @@ resumes.
 
 from __future__ import annotations
 
+import json
+from io import BytesIO
 import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, repeat
 from math import isqrt
+from operator import floordiv, mod, sub
 from pathlib import Path
 from typing import Iterator
 from zlib import crc32
@@ -156,6 +172,7 @@ from .families import (
     FamilyEntry,
     FamilyParams,
     FamilyRowId,
+    _key_width,
     _linear,
     audit_exclusion,
     enumerate_with_anomalies,
@@ -304,61 +321,87 @@ def _chunks(bound: int) -> list[tuple[int, int]]:
 _GROUP_SPAN = 4096
 
 
-def _cut(hits, chunks):
-    """Each chunk's slice of hits, which are in (a, b) order and have a in
-    the contiguous chunks' span."""
+def _cut(keys, chunks, w):
+    """Each chunk's slice of the ascending keys a w + b + bound, whose a lie
+    in the contiguous chunks' span."""
     for lo, hi in chunks:
-        yield hits[bisect_left(hits, (lo,)) : bisect_left(hits, (hi + 1,))]
+        yield keys[bisect_left(keys, lo * w) : bisect_left(keys, (hi + 1) * w)]
+
+
+def _groups(n, chunks, bound):
+    """(group, keys) for each group of the contiguous chunks, in order: the
+    group's chunks, and its defective canonical pairs as an ascending list
+    of keys a W + b + bound (W = families._key_width(bound)), whose order is
+    (a, b) order.  Only the given chunks are listed, so a checkpointed slice
+    lists its own chunks and no others.
+
+    For a linear n these are the table's pairs there and its gaps, which
+    families.linear_certificate proves defective.  A group is the chunks
+    whose first a lies in one _GROUP_SPAN-wide stretch, listed for its whole
+    a-span (families.linear_pairs).  For a quadratic n all the chunks are one
+    group: one orbit walk over their span (under 2 ms even at bound 10^6),
+    packed into keys, where a point is kept when it passes the pair rules
+    (pair_failure; no LehmerPair is built) and the gcd strip leaves 1."""
+    if not _linear(n):
+        w = _key_width(bound)
+        roots = _roots(n, chunks[0][0], chunks[-1][1], bound)
+        keys = sorted(
+            a * w + b + bound for a, b in roots if pair_failure(a, b) is None and residual_after_stripping(a, b, n) == 1
+        )
+        return [(chunks, keys)]
+    first = chunks[0][0]
+    groups = [list(g) for _, g in groupby(chunks, lambda c: (c[0] - first) // _GROUP_SPAN)]
+    return zip(groups, linear_pairs(n, [(group[0][0], group[-1][1]) for group in groups], bound))
 
 
 def _run_chunks(n, chunks, bound):
-    """The defective canonical pairs of each of the contiguous chunks, in
-    chunk order and each ordered by (a, b).  Only the given chunks are
-    listed, so a checkpointed slice lists its own chunks and no others.
-
-    For a linear n these are the table's pairs there and its gaps, which
-    families.linear_certificate proves defective.  They are listed once per
-    group of consecutive chunks (_GROUP_SPAN), for the group's whole a-span
-    (families.linear_pairs), and the sorted hits are cut at the chunk ends.
-    For a quadratic n one orbit walk over the chunks' span (under 2 ms even
-    at bound 10^6) is cut the same way, and a point is kept when it passes
-    the pair rules (pair_failure; no LehmerPair is built) and the gcd strip
-    leaves 1."""
-    if _linear(n):
-        first = chunks[0][0]
-        groups = [list(g) for _, g in groupby(chunks, lambda c: (c[0] - first) // _GROUP_SPAN)]
-        spans = [(group[0][0], group[-1][1]) for group in groups]
-        for group, hits in zip(groups, linear_pairs(n, spans, bound)):
-            yield from _cut(hits, group)
-        return
-    roots = _roots(n, chunks[0][0], chunks[-1][1], bound)
-    hits = sorted(ab for ab in roots if pair_failure(*ab) is None and residual_after_stripping(*ab, n) == 1)
-    yield from _cut(hits, chunks)
+    """The keys of each of the contiguous chunks, in chunk order: each
+    group's keys (_groups) cut at its chunks' ends."""
+    w = _key_width(bound)
+    for group, keys in _groups(n, chunks, bound):
+        yield from _cut(keys, group, w)
 
 
 def search_defective(n: int, bound: int, jobs: int = 1) -> SearchResult:
     """Every n-defective (a, b), 0 < a <= bound, |b| <= bound, a == b mod 4.
 
-    jobs is accepted only because existing callers pass it, and has no
-    effect: every search runs in this process."""
+    Each group's keys (_groups) are decoded to pairs here and nowhere else,
+    with no cut at the chunk ends, and the pairs of one a share one int
+    object (28 bytes a pair otherwise), interned by a {}.setdefault per
+    group, as no two groups share an a.  jobs is accepted only because
+    existing callers pass it, and has no effect: every search runs in this
+    process."""
     _check_args(n, bound)
     pairs: list[tuple[int, int]] = []
-    for chunk_hits in _run_chunks(n, _chunks(bound), bound):
-        pairs.extend(chunk_hits)
+    for _, keys in _groups(n, _chunks(bound), bound):
+        a_s, b_s = _decode(keys, bound)
+        # setdefault(a, a), with a decoded twice rather than held in a list.
+        pairs.extend(zip(map({}.setdefault, a_s, _decode(keys, bound)[0]), b_s))
     return SearchResult(n, bound, tuple(pairs))
 
 
-def _lines(hits) -> bytes:
-    """The "a <tab> b" lines of hits, each integer spelled by b"%d"."""
-    return b"%d\t%d\n" * len(hits) % tuple(chain.from_iterable(hits))
+def _decode(keys, bound):
+    """The a and the b of the keys a W + b + bound, as two iterators: a is
+    key // W and b is key % W - bound."""
+    w = _key_width(bound)
+    return map(floordiv, keys, repeat(w)), map(sub, map(mod, keys, repeat(w)), repeat(bound))
+
+
+def _lines(keys, bound) -> bytes:
+    """The "a <tab> b" lines of the keys a W + b + bound, each integer
+    spelled by b"%d"."""
+    fields = [0] * (2 * len(keys))
+    fields[::2], fields[1::2] = _decode(keys, bound)
+    return b"%d\t%d\n" * len(keys) % tuple(fields)
 
 
 def hit_lines(n: int, bound: int) -> Iterator[bytes]:
     """search_defective's pairs as each chunk's "a <tab> b" lines, in chunk
-    order: the bytes search prints and a checkpoint stores.  The arguments
-    are checked before this returns; each chunk is searched as it is read."""
+    order: the bytes search prints and a checkpoint stores, formatted from
+    the chunk's keys with no (a, b) tuple built.  The arguments are checked
+    before this returns; each chunk is searched as it is read."""
     _check_args(n, bound)
-    return map(_lines, _run_chunks(n, _chunks(bound), bound))
+    return map(_lines, _run_chunks(n, _chunks(bound), bound), repeat(bound))
 
 
 def _committed(path: Path) -> tuple[bytes, bytes]:
@@ -371,7 +414,6 @@ def _committed(path: Path) -> tuple[bytes, bytes]:
 # Exactly what b"%d" and b"%08x" write.
 _INT = rb"(?:0|-?[1-9][0-9]*)"
 _STATE_LINE = re.compile(rb"(%s)\t(%s)\t(%s)\t(%s)\t([0-9a-f]{8})" % ((_INT,) * 4))
-_NEWLINE = re.compile(rb"\n")
 
 
 def _load_checkpoint(
@@ -393,7 +435,7 @@ def _load_checkpoint(
         )
     state_lines = state[len(header) :].split(b"\n")[:-1]
     hit_data, hits_tail = _committed(hits_path)
-    newlines = _NEWLINE.finditer(hit_data)
+    hits = BytesIO(hit_data)  # iterates over hit_data's lines, sharing its buffer
     state_end = len(header)
     hits_end = 0
     kept = []
@@ -407,20 +449,17 @@ def _load_checkpoint(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
                 f"{chunks[i] if i < len(chunks) else 'past end'} for n={n}"
             )
-        end = hits_end
-        if cnt:
-            last = next(islice(newlines, cnt - 1, None), None)
-            if last is None:
-                break  # state line committed before its hits landed; drop it
-            end = last.end()
-        lines = hit_data[hits_end:end]
+        got = list(islice(hits, cnt))
+        if len(got) < cnt:
+            break  # state line committed before its hits landed; drop it
+        lines = b"".join(got)
         if crc32(lines) != int(match[5], 16):
             raise CheckpointMismatchError(
                 f"checkpoint line {i + 1} ({line!r}) does not match the CRC-32 of its hits"
             )
         kept.append(lines)
         state_end += len(line) + 1
-        hits_end = end
+        hits_end += len(lines)
     if state_end < len(state) + len(state_tail):
         os.truncate(state_path, state_end)
     if hits_end < len(hit_data) + len(hits_tail):
@@ -456,11 +495,11 @@ def _append(
     if not todo:
         return
     with open(state_path, "ab") as sf, open(hits_path, "ab") as hf:
-        for (lo, hi), hits in zip(todo, _run_chunks(n, todo, bound)):
-            lines = _lines(hits)
+        for (lo, hi), keys in zip(todo, _run_chunks(n, todo, bound)):
+            lines = _lines(keys, bound)
             hf.write(lines)
             hf.flush()
-            sf.write(b"%d\t%d\t%d\t%d\t%08x\n" % (n, lo, hi, len(hits), crc32(lines)))
+            sf.write(b"%d\t%d\t%d\t%d\t%08x\n" % (n, lo, hi, len(keys), crc32(lines)))
             sf.flush()
             yield lines
 
@@ -484,7 +523,8 @@ def search_with_checkpoint(
     lines = list(lines)  # searches and commits the chunks still to do
     if not complete:
         return None
-    fields = map(int, b"".join(lines).split())
+    # The lines as one JSON array of ints: a C-level parse.
+    fields = iter(json.loads(b"[%s]" % b"".join(lines)[:-1].replace(b"\t", b",").replace(b"\n", b",")))
     return SearchResult(n, bound, tuple(zip(fields, fields)))
 
 

@@ -140,7 +140,8 @@ class TestSearch:
 
     def test_hits_of_one_a_share_its_int(self):
         # Each hit would otherwise hold its own a, 28 bytes (see
-        # families.linear_pairs).  At 20000 a group lists 26 or 27 chunks at once.
+        # harness.search_defective, which decodes the hits' keys).  At 20000
+        # a group lists 26 or 27 chunks at once.
         for bound in (2000, 20000):
             first = {}
             for a, _ in search_defective(6, bound).pairs:
@@ -374,6 +375,9 @@ class TestLinearPairs:
             # The negated window cut one short at either end of the span.
             ("(-1, -a_to, -a_from)", "(-1, -a_to + 1, -a_from)", False),
             ("(-1, -a_to, -a_from)", "(-1, -a_to, -a_from - 1)", False),
+            # The key width one short, W = 2 bound: the key of (a, bound) is
+            # that of (a + 1, -bound), so the packing is not one-to-one.
+            ("return 2 * bound + 1\n", "return 2 * bound\n", False),
         ],
         ids=[
             "no-coprime-filter",
@@ -384,11 +388,15 @@ class TestLinearPairs:
             "exclusions-dropped",
             "negated-top",
             "negated-bottom",
+            "key-width-short",
         ],
     )
     def test_planted_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new, in_terms):
         mutant = _mutant(monkeypatch, old, new, original=families)
         monkeypatch.setattr(harness, "linear_pairs", mutant.linear_pairs)
+        # The key width is defined once, so the harness's cut and decoding
+        # share a fault in it with the listing.
+        monkeypatch.setattr(harness, "_key_width", mutant._key_width)
         assert any(
             search_defective(n, bound).pairs != want for (n, bound), want in linear_per_a_pairs.items()
         )
@@ -411,34 +419,43 @@ class TestLinearPairs:
         "old,new",
         [
             # A chunk's slice ends one a short: its hits at a = a_to are lost.
-            ("(hi + 1,)", "(hi,)"),
+            ("(hi + 1) * w", "hi * w"),
             # A chunk's slice ends one a long: it repeats the next chunk's
             # hits at that chunk's first a, which only a group of two or more
             # chunks lists.
-            ("(hi + 1,)", "(hi + 2,)"),
+            ("(hi + 1) * w", "(hi + 2) * w"),
         ],
         ids=["cut-short", "cut-long"],
     )
     def test_planted_cut_faults_are_caught(self, monkeypatch, linear_per_a_pairs, old, new):
+        # search_defective reads whole groups, so the cut is seen through the
+        # hit lines, which are cut per chunk.
         mutant = _mutant(monkeypatch, old, new)
         assert any(
-            mutant.search_defective(n, bound).pairs != want for (n, bound), want in linear_per_a_pairs.items()
+            b"".join(mutant.hit_lines(n, bound)) != b"".join(b"%d\t%d\n" % ab for ab in want)
+            for (n, bound), want in linear_per_a_pairs.items()
         )
 
     @pytest.mark.parametrize("span", [1, harness._GROUP_SPAN, 10**9], ids=["per-chunk", "shipped", "one-group"])
     def test_chunks_match_per_a_solve(self, monkeypatch, linear_per_a_chunks, span):
-        # Each chunk's hits are the per-a solve's hits with a in the chunk,
-        # for the whole chunk list and for the tails and windows that a
-        # checkpointed run hands over (its todo list), whether the chunks are
-        # listed one at a time, in groups or in one group.
+        # Each chunk's hits, decoded from their keys a (2 bound + 1) + b +
+        # bound, are the per-a solve's hits with a in the chunk, for the
+        # whole chunk list and for the tails and windows that a checkpointed
+        # run hands over (its todo list), whether the chunks are listed one
+        # at a time, in groups or in one group.
         monkeypatch.setattr(harness, "_GROUP_SPAN", span)
+
+        def decoded(n, chunks, bound):
+            w = 2 * bound + 1
+            return [[(key // w, key % w - bound) for key in keys] for keys in harness._run_chunks(n, chunks, bound)]
+
         for (n, bound), want in linear_per_a_chunks.items():
             chunks = _chunks(bound)
-            assert list(harness._run_chunks(n, chunks, bound)) == want, (n, bound)
+            assert decoded(n, chunks, bound) == want, (n, bound)
             for k in {1, len(chunks) // 2, len(chunks) - 2, len(chunks) - 1} & set(range(1, len(chunks))):
-                assert list(harness._run_chunks(n, chunks[k:], bound)) == want[k:], (n, bound, k)
+                assert decoded(n, chunks[k:], bound) == want[k:], (n, bound, k)
             for k in range(0, len(chunks), 7):
-                assert list(harness._run_chunks(n, chunks[k : k + 3], bound)) == want[k : k + 3], (n, bound, k)
+                assert decoded(n, chunks[k : k + 3], bound) == want[k : k + 3], (n, bound, k)
 
 
 class TestVerify:
@@ -473,6 +490,7 @@ class TestVerify:
             (concurrent.futures, "ProcessPoolExecutor"),
             (multiprocessing.process.BaseProcess, "start"),
             (harness, "_run_chunks"),
+            (harness, "_groups"),
             (harness, "table_records"),
             (families, "table_records"),
         ):
