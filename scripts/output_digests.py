@@ -27,7 +27,10 @@ stderr.  The runs cover:
     prime of about 4.28 10^24, past the proven Miller-Rabin bases, so the
     strong Lucas test runs; and check 7962908358166 19592935848978 8, whose
     residual RHO_BUDGET leaves unfactored;
-  * seq, u, --help and usage errors;
+  * seq, u, --help and usage errors, and the argument forms that a
+    subcommand's parser must read as the top-level parser hands them over:
+    an abbreviated option (--form), an --option=value, -h after the
+    positionals, a bad choice and a "--" before negative positionals;
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
     torn after the fourth slice (both files cut) and finished by the CLI;
@@ -53,7 +56,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  529 records in about eight seconds on two cores.
+directory.  534 records in about eight seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -139,6 +142,11 @@ def cli_records() -> dict[str, str]:
         ("search", "5"),
         ("check", "2", "2", "5"),
         ("bogus",),
+        ("check", "1", "5", "5", "--form", "json"),
+        ("search", "5", "--bound=60"),
+        ("check", "1", "5", "5", "-h"),
+        ("check", "1", "5", "5", "--format", "xml"),
+        ("u", "--", "-1", "-5", "5"),
     ]
     return {" ".join(argv): run(*argv) for argv in argvs}
 

@@ -10,6 +10,10 @@ Subcommand grammar:
     verify <n> --bound N [--jobs J] [--format F]
     audit [--format F]
 
+A call is parsed once, by its subcommand's own parser (_parse), not by the
+top-level parser and then again by the subcommand's; the top-level parser
+reads only a call that names no subcommand.
+
 Formats: text (default), tsv (tab separated, one record per line, "#" header
 line), json (a single document per invocation).  Values that can exceed 64
 bits (a, b, sequence elements, products, residuals, primes) are serialized as
@@ -18,12 +22,12 @@ decimal strings in json and as plain decimal in text/tsv.
 One renderer, _emit_family, writes every family table in every format from
 the segments families.table_walks, which alone picks their source, hands
 over: columns of q, a and b, at most families._BLOCK entries of one power
-term of a linear n or one record of the others each.  Text and TSV are
-written one % format per segment (two where a changes sign); JSON one entry
-at a time.  One
-renderer, _emit_search, writes every search result in every format from the
-bytes of its hit lines, per chunk, as harness.hit_lines or, with
---checkpoint, harness.checkpoint_lines hands them over; no pair is parsed.
+term of a linear n or one record of the others each.  Every format is
+written one % format per segment (two where a changes sign), JSON in slices
+of at most _JSON_SLICE characters.  One renderer, _emit_search, writes
+every search result in every format from the bytes of its hit lines, per
+chunk, as harness.hit_lines or, with --checkpoint, harness.checkpoint_lines
+hands them over; no pair is parsed.
 
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
@@ -96,12 +100,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="re-verify the table corrections")
     p.add_argument("--format", choices=FORMATS, default="text")
+    parser.commands = sub.choices  # each command's own parser, for _parse
     return parser
 
 
 # Building the parser costs most of a quick call such as check; parsing
 # leaves it unchanged, so one per process serves every run.
 _parser = functools.cache(build_parser)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: by its command's own parser when argv[0] names a
+    command, which is what the top-level parser would hand the rest to, or
+    else (no argv, --help, an unknown command) by the top-level parser."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    ns = command.parse_args(argv[1:])
+    ns.command = argv[0]
+    return ns
 
 
 def _row_doc(row: families.FamilyRowId, params: dict[str, int], **rest) -> dict:
@@ -172,52 +190,54 @@ def _format_block(template: str, columns: list) -> str:
     return template * size % tuple(flat)
 
 
+# The longest write of family's JSON, which has no line breaks.
+_JSON_SLICE = 512
+
+
 def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
     """Render the table of n as families.table_walks hands it over, segment
     by segment (at most families._BLOCK entries of one power term of a
     linear n, one record of the others), each in the two parts of _parts.
-    Text and TSV write a part with one % format of a template built once
-    per segment, whose %s spells each int as str() does.  JSON writes one
-    entry at a time, with the bytes json.dumps gives for the whole
-    document."""
+    Every format writes a part with one % format of a template built once
+    per segment, whose %s spells each int as str() does; a pair with
+    shadows names them in TSV's and JSON's provenance column.  JSON has the
+    bytes json.dumps gives for the whole document, written in slices of at
+    most _JSON_SLICE characters."""
     count, segments, provenance = families.table_walks(n, bound)
+    labels, unlabelled = {}, ""
     if fmt == "json":
         out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "entries": [')
         labels = {
             key: json.dumps([_row_doc(r, families.params_dict(v)) for r, v in shadows])
             for key, shadows in provenance.items()
         }
-        sep = ""
+        unlabelled, skip = "[]", 2  # the first entry has no ", " before it
     elif fmt == "tsv":
         out.write("# n\trow\tk\tl\tq\teps\traw_a\traw_b\tcanon_a\tcanon_b\tprovenance\n")
         labels = {
             key: ";".join([f"{r.value}({families.params_text(v)})" for r, v in shadows])
             for key, shadows in provenance.items()
         }
+        unlabelled = "-"
     else:
         out.write(f"n={n} bound={bound} entries={count}\n")
+    cell = "%s" if labels else unlabelled  # the provenance column's template
     for row, (k, l, eps), qs, a_s, b_s in segments:
         if fmt == "json":
             # The params object up to q's value: q is the last key when there is one.
             fixed = json.dumps(families.params_dict((k, l, None, eps)))[:-1]
             if qs is not None:
-                fixed += ', "q": ' if len(fixed) > 1 else '"q": '
-            head = f'{{"row": {json.dumps(row.value)}, "params": {fixed}'
-            for part in _parts(qs, a_s, b_s):
-                for q, a, b, ca, cb in zip(part[0] or repeat(""), *part[1:]):
-                    shadows = labels.get((ca, cb), "[]") if labels else "[]"
-                    out.write(
-                        f'{sep}{head}{q}}}, "raw_a": "{a}", "raw_b": "{b}", '
-                        f'"canonical_a": "{ca}", "canonical_b": "{cb}", "provenance": {shadows}}}'
-                    )
-                    sep = ", "
-            continue
-        if fmt == "tsv":
-            # A pair with shadows names them in place of "-".
+                fixed += ', "q": %s' if len(fixed) > 1 else '"q": %s'
+            template = (
+                f', {{"row": {json.dumps(row.value)}, "params": {fixed}}}, "raw_a": "%s", '
+                f'"raw_b": "%s", "canonical_a": "%s", "canonical_b": "%s", '
+                f'"provenance": {cell}}}'
+            )
+        elif fmt == "tsv":
             template = (
                 f"{n}\t{row.value}\t{'-' if k is None else k}\t{'-' if l is None else l}\t"
                 f"{'-' if qs is None else '%s'}\t{'-' if eps is None else eps}\t"
-                f"%s\t%s\t%s\t%s\t{'%s' if labels else '-'}\n"
+                f"%s\t%s\t%s\t%s\t{cell}\n"
             )
         else:
             fixed = families.params_text((k, l, None, eps))
@@ -226,9 +246,15 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
             template = f"row={row.value} params={fixed} raw=(%s, %s) canonical=(%s, %s)\n"
         for part in _parts(qs, a_s, b_s):
             columns = [column for column in part if column is not None]
-            if fmt == "tsv" and labels:
-                columns.append(list(map(labels.get, zip(part[3], part[4]), repeat("-"))))
-            out.write(_format_block(template, columns))
+            if labels:
+                columns.append(list(map(labels.get, zip(part[3], part[4]), repeat(unlabelled))))
+            text = _format_block(template, columns)
+            if fmt == "json":
+                for i in range(skip, len(text), _JSON_SLICE):
+                    out.write(text[i : i + _JSON_SLICE])
+                skip = 0
+            else:
+                out.write(text)
     if fmt == "json":
         out.write("]}\n")
 
@@ -358,7 +384,7 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
     err = stderr if stderr is not None else sys.stderr
     try:
         with contextlib.redirect_stdout(out):
-            ns = _parser().parse_args(list(argv))
+            ns = _parse(list(argv))
     except _UsageError as e:
         err.write(f"error: {e}\n")
         return 1

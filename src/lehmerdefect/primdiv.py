@@ -306,6 +306,11 @@ def _split(n: int, budget: int) -> tuple[int | None, int]:
 def factorize(m: int) -> dict[int, int]:
     """Exact prime factorization of m >= 1 as {prime: exponent}, primes ascending.
 
+    Trial division by the primes up to _TRIAL_LIMIT stops at the first p
+    with p * p > m; what is left of m then has no prime factor below p and
+    is below p², so it is 1 or a prime, with no test.  is_prime, and rho
+    where it fails, run only on a cofactor left after every trial prime.
+
     Raises FactorBudgetError, with the primes found and the composite part
     left, when the rho splits would take more than RHO_BUDGET iterations.
     """
@@ -314,6 +319,9 @@ def factorize(m: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > m:
+            if m > 1:
+                out[m] = 1
+                m = 1
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1

@@ -108,6 +108,81 @@ class TestErrors:
         assert code == 1 and "k >= -2" in err
 
 
+def _nested_parse(argv):
+    """argv through the top-level parser, which hands the rest to the
+    subcommand's parser: the parse that cli._parse does in one step."""
+    return cli._parser().parse_args(argv)
+
+
+class TestDirectDispatch:
+    """cli._parse gives what the nested parse gives: the namespace, and for
+    usage errors and --help the exit code and every byte written."""
+
+    PARSED = [
+        ["seq", "phi", "40"],
+        ["u", "1", "5", "30"],
+        ["u", "-1", "-5", "5"],
+        ["u", "--", "-1", "-5", "5"],
+        ["check", "1", "5", "5"],
+        ["check", "1", "5", "5", "--form", "json"],
+        ["check", "1", "5", "5", "--format", "tsv", "--format", "json"],
+        ["family", "6", "--bound=60", "--format", "tsv"],
+        ["search", "5", "--bound=60"],
+        ["search", "6", "--bound", "10", "--jobs", "2", "--checkpoint", "x.ckpt"],
+        ["verify", "4", "--format", "json", "--bound", "30", "--jobs", "1"],
+        ["audit"],
+        ["audit", "--format", "tsv"],
+    ]
+    REFUSED = [
+        [],
+        ["bogus"],
+        ["--help"],
+        ["-h"],
+        ["--help", "check"],
+        ["check", "1", "5", "5", "-h"],
+        ["search", "--help"],
+        ["check", "1", "5"],
+        ["family", "5", "--bound", "x"],
+        ["check", "1", "5", "5", "--format", "xml"],
+        ["search", "5", "--bound", "10", "--frob"],
+        ["u", "1", "5", "5", "6"],
+    ]
+
+    def test_namespaces(self):
+        for argv in self.PARSED:
+            assert vars(cli._parse(list(argv))) == vars(_nested_parse(list(argv))), argv
+
+    def test_usage_errors_and_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width
+        for argv in self.REFUSED:
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(argv, stdout=out, stderr=err)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_parse", _nested_parse)
+                nested_out, nested_err = io.StringIO(), io.StringIO()
+                nested = cli.run(argv, stdout=nested_out, stderr=nested_err)
+            assert (code, out.getvalue(), err.getvalue()) == (
+                nested, nested_out.getvalue(), nested_err.getvalue()
+            ), argv
+            assert code == 0 if "-h" in argv or "--help" in argv else code == 1, argv
+
+    def test_one_parse_per_call(self, monkeypatch):
+        # The top-level parser reads only a call that names no subcommand.
+        calls, parse_known_args = [], cli._Parser.parse_known_args
+
+        def counted(parser, *args):
+            calls.append(parser)
+            return parse_known_args(parser, *args)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+        top = cli._parser()
+        assert cli.run(["u", "1", "5", "12"], stdout=io.StringIO()) == 0
+        assert calls == [top.commands["u"]]
+        calls.clear()
+        assert cli.run(["bogus"], stdout=io.StringIO(), stderr=io.StringIO()) == 1
+        assert calls == [top]
+
+
 class TestGoldenOutputs:
     def test_check_json(self, run_cli):
         code, out, _ = run_cli("check", "5", "1", "5", "--format", "json")

@@ -201,6 +201,54 @@ class TestFactorize:
         assert list(out) == sorted(out)
 
 
+def _trial_division(m: int) -> dict[int, int]:
+    """The oracle: m's factorization by trial division by every d >= 2."""
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+class TestTrialDivisionShortcut:
+    """Trial division stops at the first prime p with p * p > m, and what is
+    left of m is then 1 or a prime, recorded with no primality test."""
+
+    # 4093 is the last trial prime (_TRIAL_LIMIT = 4096); 4099, 4111, 4127
+    # and 4129 are the first primes past it.
+    EDGES = (
+        4093, 4099, 4111, 4127, 4129,
+        4093**2, 4099**2, 4093 * 4099, 4099**3, 4091 * 4093 * 4099,
+        4093**2 - 2, 4093**2 + 2, 2 * 4099**2, 4111 * 4127,
+    )
+
+    def test_matches_trial_division(self):
+        assert primdiv._small_primes()[-1] == 4093 <= primdiv._TRIAL_LIMIT < 4099
+        for m in [*range(1, 20000), *self.EDGES]:
+            assert list(factorize(m).items()) == list(_trial_division(m).items()), m
+
+    def test_no_primality_test_below_the_last_trial_prime_squared(self, monkeypatch):
+        calls = []
+
+        def tested(n):
+            if n < 4093**2:
+                raise AssertionError(f"is_prime({n}) after trial division proved it")
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(primdiv, "is_prime", tested)
+        for m in [*range(1, 20000), *(m for m in self.EDGES if m < 4093**2)]:
+            assert factorize(m) == _trial_division(m), m
+        assert calls == []
+        # A cofactor left after every trial prime still takes the test.
+        prime = sympy.nextprime(4093**2)
+        assert factorize(prime) == {prime: 1} and calls == [prime]
+
+
 class TestFactorBudget:
     def test_unsplit_cofactor_is_reported_composite(self, monkeypatch):
         p, r = 1000003, 1000033  # both past trial division, so rho must split them
