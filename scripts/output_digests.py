@@ -31,6 +31,10 @@ stderr.  The runs cover:
     subcommand's parser must read as the top-level parser hands them over:
     an abbreviated option (--form), an --option=value, -h after the
     positionals, a bad choice and a "--" before negative positionals;
+  * calls at the edge of what the CLI reads straight from its grammar table
+    and what it leaves to argparse: --format=json, a repeated --format, an
+    option with no value, a bad int option, a negative --bound and a float
+    positional;
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
     torn after the fourth slice (both files cut) and finished by the CLI;
@@ -56,7 +60,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  534 records in about eight seconds on two cores.
+directory.  540 records in about eight seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -147,6 +151,12 @@ def cli_records() -> dict[str, str]:
         ("check", "1", "5", "5", "-h"),
         ("check", "1", "5", "5", "--format", "xml"),
         ("u", "--", "-1", "-5", "5"),
+        ("check", "1", "5", "5", "--format=json"),
+        ("check", "1", "5", "5", "--format", "json", "--format", "tsv"),
+        ("search", "6", "--bound", "10", "--checkpoint"),
+        ("verify", "6", "--bound", "10", "--jobs", "x"),
+        ("family", "6", "--bound", "-5"),
+        ("u", "-1.5", "5", "5"),
     ]
     return {" ".join(argv): run(*argv) for argv in argvs}
 

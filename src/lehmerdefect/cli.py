@@ -10,9 +10,19 @@ Subcommand grammar:
     verify <n> --bound N [--jobs J] [--format F]
     audit [--format F]
 
-A call is parsed once, by its subcommand's own parser (_parse), not by the
-top-level parser and then again by the subcommand's; the top-level parser
-reads only a call that names no subcommand.
+One ordered table, _GRAMMAR, holds this grammar: each subcommand's help
+text, positionals and options.  build_parser builds the argparse parsers
+from it, and _parse reads a well-formed call straight from it, with no
+argparse parser built: argv[0] names a subcommand; every other token is a
+positional's value or an exact flag followed by its value; a value does
+not start with "-" unless it is a negative number by argparse's own pattern;
+every value passes its type and choices; and no positional is missing or
+extra and no required option missing.  A repeated option keeps its last
+value, as in argparse.  Any other call (no argv, -h or --help, --flag=value,
+an abbreviated flag, "--", a bad value, a missing or extra argument) is
+parsed by argparse as before, once: by its subcommand's own parser, or by
+the top-level parser when it names no subcommand.  So argparse alone prints
+help and usage errors.
 
 Formats: text (default), tsv (tab separated, one record per line, "#" header
 line), json (a single document per invocation).  Values that can exceed 64
@@ -42,6 +52,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from bisect import bisect_right
 from itertools import repeat
@@ -62,57 +73,104 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Options that several subcommands share, as (flag, dest, type, choices,
+# default, required), and the int positionals of u and check.
+_FORMAT = ("--format", "format", None, FORMATS, "text", False)
+_BOUNDED = (("--bound", "bound", int, None, None, True), _FORMAT)
+_JOBS = ("--jobs", "jobs", int, None, None, False)
+_INTS = tuple((dest, int, None) for dest in ("a", "b", "n"))
+
+# The grammar, in --help's order: for each subcommand its help text, its
+# positionals as (dest, type, choices) and its options as (flag, dest, type,
+# choices, default, required).  A type of None keeps the string.
+_GRAMMAR = {
+    "seq": (
+        "print one sequence element",
+        (("id", None, tuple(s.value for s in sequences.SequenceId)), ("k", int, None)),
+        (),
+    ),
+    "u": ("print the n-th element of the pair (a, b)", _INTS, ()),
+    "check": ("defectiveness witness for (a, b) at n", _INTS, (_FORMAT,)),
+    "family": ("enumerate family table entries", (("n", int, None),), _BOUNDED),
+    "search": (
+        "find every defective pair up to the bound",
+        (("n", int, None),),
+        (*_BOUNDED, _JOBS, ("--checkpoint", "checkpoint", None, None, None, False)),
+    ),
+    "verify": ("compare search against the family table", (("n", int, None),), (*_BOUNDED, _JOBS)),
+    "audit": ("re-verify the table corrections", (), (_FORMAT,)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parsers of _GRAMMAR, each subcommand's kept in the
+    top-level parser's commands."""
     parser = _Parser(prog="lehmerdefect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seq", help="print one sequence element")
-    p.add_argument("id", choices=[s.value for s in sequences.SequenceId])
-    p.add_argument("k", type=int)
-
-    p = sub.add_parser("u", help="print the n-th element of the pair (a, b)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("check", help="defectiveness witness for (a, b) at n")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--format", choices=FORMATS, default="text")
-
-    def common(p):
-        p.add_argument("n", type=int)
-        p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--format", choices=FORMATS, default="text")
-
-    p = sub.add_parser("family", help="enumerate family table entries")
-    common(p)
-
-    p = sub.add_parser("search", help="find every defective pair up to the bound")
-    common(p)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--checkpoint", default=None)
-
-    p = sub.add_parser("verify", help="compare search against the family table")
-    common(p)
-    p.add_argument("--jobs", type=int, default=None)
-
-    p = sub.add_parser("audit", help="re-verify the table corrections")
-    p.add_argument("--format", choices=FORMATS, default="text")
+    for command, (text, positionals, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=text)
+        for dest, type_, choices in positionals:
+            p.add_argument(dest, type=type_, choices=choices)
+        for flag, dest, type_, choices, default, required in options:
+            p.add_argument(flag, dest=dest, type=type_, choices=choices, default=default, required=required)
     parser.commands = sub.choices  # each command's own parser, for _parse
     return parser
 
 
-# Building the parser costs most of a quick call such as check; parsing
+# Building the parser costs more than a quick call such as check; parsing
 # leaves it unchanged, so one per process serves every run.
 _parser = functools.cache(build_parser)
 
+# argparse's own test for a token that starts with "-" yet is a value, when
+# no option looks like a negative number.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dashed(token: str) -> bool:
+    """Whether argparse could read token as an option string."""
+    return token[:1] == "-" and not _NEGATIVE.match(token)
+
+
+def _read(command: str, args: list[str]) -> argparse.Namespace | None:
+    """The Namespace of command's well-formed call with args, read straight
+    from _GRAMMAR (see the module docstring), or None for any other call."""
+    _, positionals, options = _GRAMMAR[command]
+    values = {dest: default for _, dest, _, _, default, required in options if not required}
+    todo = iter(positionals)
+    tokens = iter(args)
+    for token in tokens:
+        if _dashed(token):
+            spec = next((option[1:4] for option in options if option[0] == token), None)
+            token = next(tokens, None)
+            if spec is None or token is None or _dashed(token):
+                return None
+        else:
+            spec = next(todo, None)
+            if spec is None:
+                return None
+        dest, type_, choices = spec
+        try:
+            value = token if type_ is None else type_(token)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value  # a repeated option keeps its last value
+    if next(todo, None) is not None or any(option[1] not in values for option in options):
+        return None
+    return argparse.Namespace(command=command, **values)
+
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed once: by its command's own parser when argv[0] names a
-    command, which is what the top-level parser would hand the rest to, or
-    else (no argv, --help, an unknown command) by the top-level parser."""
+    """argv parsed once: straight from _GRAMMAR when it is a well-formed call
+    of a command (_read), else by argparse, which alone prints help and
+    usage errors: by the command's own parser when argv[0] names a command,
+    which is what the top-level parser would hand the rest to, or else (no
+    argv, --help, an unknown command) by the top-level parser."""
+    if argv and argv[0] in _GRAMMAR:
+        ns = _read(argv[0], argv[1:])
+        if ns is not None:
+            return ns
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
@@ -259,29 +317,29 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
         out.write("]}\n")
 
 
-def _emit_search(n: int, bound: int, lines: Iterable[bytes], fmt: str, out: IO[str]) -> None:
+def _emit_search(n: int, bound: int, lines: Iterable[bytes | memoryview], fmt: str, out: IO[str]) -> None:
     """Render the search's hits, given as blocks of "a <tab> b" lines
     (harness.hit_lines, harness.checkpoint_lines), one block at a time: TSV
-    is the bytes, text has a space for each tab, and JSON is the bytes
-    json.dumps gives for the whole document.  Text and JSON print the count
-    first, so they keep the blocks (bytes, not pairs) until it is known; TSV
-    writes each block as it comes."""
+    is the text of the bytes, text has a space for each tab, and JSON is the
+    bytes json.dumps gives for the whole document.  Text and JSON print the
+    count first, so they keep the blocks (bytes or slices of a checkpoint's
+    hits, not pairs) until it is known; TSV writes each block as it comes."""
     if fmt == "tsv":
         out.write("# a\tb\n")
         for block in lines:
-            out.write(block.decode())
+            out.write(str(block, "utf-8"))
         return
     lines = list(lines)
-    count = sum(block.count(b"\n") for block in lines)
+    count = sum(bytes(block).count(b"\n") for block in lines)
     if fmt == "text":
         out.write(f"n={n} bound={bound} count={count}\n")
         for block in lines:
-            out.write(block.replace(b"\t", b" ").decode())
+            out.write(str(block, "utf-8").replace("\t", " "))
         return
     out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "pairs": [')
     sep = ""
     for block in filter(None, lines):
-        pairs = block[:-1].replace(b"\t", b'", "').replace(b"\n", b'"], ["').decode()
+        pairs = str(block, "utf-8")[:-1].replace("\t", '", "').replace("\n", '"], ["')
         out.write(f'{sep}["{pairs}"]')
         sep = ", "
     out.write("]}\n")

@@ -30,9 +30,10 @@ rule's own ValidationFailure (as pair_failure returns it) for an invalid
 pair, DuplicateOf for a duplicate, and Unexplained for neither.
 
 For every row, q(pair) = (a-b)/4 equals a fixed sequence value or the free
-parameter q, so max(|a|, |b|) >= 2|q| bounds the enumeration: sequence rows
-stop at the first index whose value exceeds bound/2, and linear rows stop
-once the power term alone exceeds twice the bound.
+parameter q, so max(|a|, |b|) >= 2|q| bounds the enumeration of the
+sequence rows, which stop at the first index whose value exceeds bound/2.
+Linear rows stop once the power term alone exceeds the bound, as the term
+is a weighted mean of a and b (_Row.terms).
 
 One enumeration core, table_records, walks each row as plain ints, checks
 every tuple with the pair rules and files each valid one under its canonical
@@ -331,7 +332,7 @@ class _Row:
                 yield k, l, q, eps, a, b
 
     def segments(self, bound: int) -> Iterator[tuple[tuple[int | None, ...], list[int], list[int], list[int]]]:
-        """Linear rows: ((k, l, eps), qs, as, bs) for each power term t <= 2
+        """Linear rows: ((k, l, eps), qs, as, bs) for each power term t <=
         bound (terms) and each _BLOCK-wide window of its q interval, in q
         order, as columns: qs the admitted q of the window ascending, as and
         bs t + m_a q and t + m_b q in the same order; eps is None."""
@@ -345,7 +346,11 @@ class _Row:
                 yield (powers.get("k"), powers.get("l"), None), *columns
 
     def terms(self, bound: int) -> Iterator[tuple[tuple[int, ...], int, list[range], list[int]]]:
-        """Linear rows: (exponents, t, pieces, cuts) for each power term t <= 2 bound.
+        """Linear rows: (exponents, t, pieces, cuts) for each power term t <= bound.
+
+        No term past the bound admits a q: every linear row has m_a > 0 > m_b,
+        so for (a, b) = (t + m_a q, t + m_b q), t = (|m_b| a + m_a b) / (m_a +
+        |m_b|) is a weighted mean of a and b, and |t| <= max(|a|, |b|) <= bound.
 
         The q with max(|a|, |b|) <= bound form one interval (_q_range), which
         holds the roots of t and, negated, those of -t.  cuts are the
@@ -357,7 +362,7 @@ class _Row:
         """
         c = prod(self.bases)
         residues = [r for r in range(c) if gcd(c, r) == 1]
-        for exps, t in _power_terms(self.bases, 2 * bound):
+        for exps, t in _power_terms(self.bases, bound):
             qs = _q_range(t, *self.m, bound)
             cuts = sorted(v[-1] for v in self.excluded if v[:-1] == exps and v[-1] in qs and gcd(c, v[-1]) == 1)
             stretches = zip((qs.start, *(q + 1 for q in cuts)), (*cuts, qs.stop))

@@ -130,13 +130,15 @@ digits, no "+", no sign on 0, no leading zero; no spaces, "_" or carriage
 returns) raises CheckpointMismatchError, and so does a committed chunk whose
 hit lines do not have the CRC-32 its state line gives: an edited hit line
 that still parses is refused, not trusted or recomputed.  Every committed
-byte is checked on every load, a slice's included, at C speed: each
-chunk's lines are read with islice over a BytesIO of the hits and joined,
-and the CRC is zlib.crc32.  (One split of the whole file at its newlines
-was slower at bound 10^5 and held every line at once: 216 MB of peak RSS
-against 81 MB to resume a finished search 6 --bound 100000.)  (Importing zlib
-adds about 0.1 MB of peak RSS to a bare interpreter; hashlib loads OpenSSL,
-about 3.8 MB, a sixth of a resumed search 6 --bound 1000.)  The kept hit lines are parsed only by a call that
+byte is checked on every load, a slice's included, at C speed: the hits
+file is read once, each chunk's end found by counting its newlines
+(_lines_end), and the CRC, zlib.crc32, taken of a memoryview slice, which
+is what the load hands on, so the hits are held once: resuming a finished
+search 6 --bound 100000 peaks at 47 MB, against 81 MB when each chunk's
+lines were joined into a copy and 216 MB for one split of the whole file
+at its newlines.  (Importing zlib adds about 0.1 MB of peak RSS to a bare
+interpreter; hashlib loads OpenSSL, about 3.8 MB, a sixth of a resumed
+search 6 --bound 1000.)  The kept hit lines are parsed only by a call that
 returns them as pairs (one json.loads of the lines with their tabs and
 newlines made commas), not by a slice that stops early, nor by the CLI,
 which prints the bytes.  What is kept is a prefix of each file (the header
@@ -153,12 +155,11 @@ resumes.
 from __future__ import annotations
 
 import json
-from io import BytesIO
 import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from math import isqrt
 from operator import floordiv, mod, sub
 from pathlib import Path
@@ -404,11 +405,32 @@ def hit_lines(n: int, bound: int) -> Iterator[bytes]:
     return map(_lines, _run_chunks(n, _chunks(bound), bound), repeat(bound))
 
 
-def _committed(path: Path) -> tuple[bytes, bytes]:
-    """path's newline-terminated lines, and the torn tail after them (b"" if none)."""
+def _committed(path: Path) -> tuple[bytes, int]:
+    """path's bytes, and the end of their newline-terminated lines (0 if none)."""
     data = path.read_bytes() if path.exists() else b""
-    end = data.rfind(b"\n") + 1
-    return data[:end], data[end:]
+    return data, data.rfind(b"\n") + 1
+
+
+def _lines_end(data: bytes, pos: int, count: int, end: int) -> int:
+    """The offset just past the next count lines of data from pos, or -1
+    when data[pos:end] holds fewer, counted at C speed a stretch at a time.
+    A hit line is at least 4 bytes ("1 <tab> 5"), so a stretch of 4 bytes
+    for each line still sought holds no newline past the last of them; on
+    shorter lines, which the writer never writes, the stretch is 1 byte a
+    line."""
+    step = 4
+    while count:
+        stop = min(pos + step * count, end)
+        found = data.count(b"\n", pos, stop)
+        if found > count:
+            step = 1
+        elif found == count:
+            return data.rindex(b"\n", pos, stop) + 1
+        elif stop == end:
+            return -1
+        else:
+            pos, count = stop, count - found
+    return pos
 
 
 # Exactly what b"%d" and b"%08x" write.
@@ -418,11 +440,13 @@ _STATE_LINE = re.compile(rb"(%s)\t(%s)\t(%s)\t(%s)\t([0-9a-f]{8})" % ((_INT,) * 
 
 def _load_checkpoint(
     state_path: Path, hits_path: Path, n: int, bound: int, chunks: list[tuple[int, int]]
-) -> list[bytes]:
-    """The hit lines of each committed chunk, after checking every committed
-    line and cutting the files to what is kept."""
+) -> list[memoryview]:
+    """The hit lines of each committed chunk, as slices of one read of the
+    hits file, after checking every committed line and cutting the files to
+    what is kept."""
     header = b"# %d\t%d\n" % (n, bound)
-    state, state_tail = _committed(state_path)
+    data, end = _committed(state_path)
+    state, state_tail = data[:end], data[end:]
     if not state and header.startswith(state_tail):
         # No checkpoint yet, or one torn before its header was committed.
         hits_path.write_bytes(b"")
@@ -434,8 +458,8 @@ def _load_checkpoint(
             f"checkpoint header {first!r} does not match n={n} bound={bound}"
         )
     state_lines = state[len(header) :].split(b"\n")[:-1]
-    hit_data, hits_tail = _committed(hits_path)
-    hits = BytesIO(hit_data)  # iterates over hit_data's lines, sharing its buffer
+    hits, hits_committed = _committed(hits_path)
+    view = memoryview(hits)
     state_end = len(header)
     hits_end = 0
     kept = []
@@ -449,32 +473,33 @@ def _load_checkpoint(
                 f"checkpoint line {i + 1} ({line!r}) does not match chunk "
                 f"{chunks[i] if i < len(chunks) else 'past end'} for n={n}"
             )
-        got = list(islice(hits, cnt))
-        if len(got) < cnt:
+        chunk_end = _lines_end(hits, hits_end, cnt, hits_committed)
+        if chunk_end < 0:
             break  # state line committed before its hits landed; drop it
-        lines = b"".join(got)
+        lines = view[hits_end:chunk_end]
         if crc32(lines) != int(match[5], 16):
             raise CheckpointMismatchError(
                 f"checkpoint line {i + 1} ({line!r}) does not match the CRC-32 of its hits"
             )
         kept.append(lines)
         state_end += len(line) + 1
-        hits_end += len(lines)
-    if state_end < len(state) + len(state_tail):
+        hits_end = chunk_end
+    if state_end < len(data):
         os.truncate(state_path, state_end)
-    if hits_end < len(hit_data) + len(hits_tail):
+    if hits_end < len(hits):
         os.truncate(hits_path, hits_end)
     return kept
 
 
 def checkpoint_lines(
     n: int, bound: int, path: str | Path, stop_after_chunks: int | None = None
-) -> tuple[Iterator[bytes], bool]:
-    """Resume the checkpoint at path: (each chunk's hit lines, as hit_lines
-    gives them, and whether these finish the search).  The committed chunks
-    come first; each chunk still to do, up to stop_after_chunks of them, is
-    searched, written and committed as it is read.  The files are checked and
-    repaired before this returns."""
+) -> tuple[Iterator[bytes | memoryview], bool]:
+    """Resume the checkpoint at path: (each chunk's hit lines, the bytes
+    hit_lines gives, and whether these finish the search).  The committed
+    chunks come first, as memoryview slices of one read of the hits file;
+    each chunk still to do, up to stop_after_chunks of them, is searched,
+    written and committed as it is read, as bytes.  The files are checked
+    and repaired before this returns."""
     _check_args(n, bound)
     if stop_after_chunks is not None and stop_after_chunks < 0:
         raise ValueError(f"stop_after_chunks must be nonnegative, got {stop_after_chunks}")

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
@@ -11,6 +12,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lehmerdefect
 from lehmerdefect import cli, families, harness, pairs, primdiv
@@ -114,6 +117,71 @@ def _nested_parse(argv):
     return cli._parser().parse_args(argv)
 
 
+def _outcome(parse, argv):
+    """What parse makes of argv: its namespace, its usage error, or the
+    exit code and the help it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parse(list(argv)))
+    except cli._UsageError as e:
+        return "error", str(e)
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue()
+
+
+# argvs in and at the edges of the grammar table's reach: each command with
+# its positionals and options, in any order, and now and then one too few
+# or too many, or a token argparse reads apart: an abbreviated or unknown
+# flag, --bound=N, a float, "1_0", an Arabic digit, "", "-", "--", -h.
+_SHAPES = {  # each command's number of positionals and its flags
+    "seq": (2, ()),
+    "u": (3, ()),
+    "check": (3, ("--format",)),
+    "family": (1, ("--bound", "--format")),
+    "search": (1, ("--bound", "--format", "--jobs", "--checkpoint")),
+    "verify": (1, ("--bound", "--format", "--jobs")),
+    "audit": (0, ("--format",)),
+}
+_COMMANDS = tuple(_SHAPES)
+_TOKENS = (
+    "--bound", "--format", "--jobs", "--checkpoint", "--form", "--b", "--jo", "--check",
+    "--bound=5", "text", "tsv", "json", "phi", "zeta3", "x.ckpt",
+    "-1.5", "1_0", "٣", "", "-", "--", "-h", "--frob", "xml",
+)
+_INT_TOKENS = st.integers(-40, 40).map(str)
+_FITS = {
+    "--bound": _INT_TOKENS,
+    "--jobs": _INT_TOKENS,
+    "--format": st.sampled_from(("text", "tsv", "json", "xml")),
+    "--checkpoint": st.sampled_from(("x.ckpt", "", "٣", "-5", "-1.5", "-1.", "-x", "-h", "--bound")),
+}
+_SEQ_IDS = st.sampled_from(("phi", "zeta3", "PHI"))
+
+
+@st.composite
+def _argvs(draw):
+    """A command with about its number of positionals and some of its
+    options, one of them maybe twice, in any order, each value after its
+    flag; a token is now and then drawn from _TOKENS instead, and now and
+    then one more is put in anywhere."""
+    command = draw(st.sampled_from(_COMMANDS))
+    arity, flags = _SHAPES[command]
+
+    def token(likely):  # one in sixteen is drawn from _TOKENS instead
+        return draw(st.sampled_from(_TOKENS) if draw(st.integers(0, 15)) == 0 else likely)
+
+    count = arity + draw(st.sampled_from((0, 0, 0, 0, 0, -1, 1)))
+    units = [[token(_SEQ_IDS if (command, i) == ("seq", 0) else _INT_TOKENS)] for i in range(count)]
+    for flag in [*flags, *draw(st.lists(st.sampled_from(flags or ("--frob",)), max_size=1))]:
+        if draw(st.integers(0, 7 if flag == "--bound" else 1)):  # --bound in 7 of 8
+            units.append([token(st.just(flag)), token(_FITS.get(flag, _INT_TOKENS))])
+    argv = [command, *(t for unit in draw(st.permutations(units)) for t in unit)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
 class TestDirectDispatch:
     """cli._parse gives what the nested parse gives: the namespace, and for
     usage errors and --help the exit code and every byte written."""
@@ -126,6 +194,9 @@ class TestDirectDispatch:
         ["check", "1", "5", "5"],
         ["check", "1", "5", "5", "--form", "json"],
         ["check", "1", "5", "5", "--format", "tsv", "--format", "json"],
+        ["check", "٣", "5", "5"],
+        ["family", "7", "--bound", "-1"],
+        ["search", "6", "--bound", "10", "--checkpoint", "-1.5"],
         ["family", "6", "--bound=60", "--format", "tsv"],
         ["search", "5", "--bound=60"],
         ["search", "6", "--bound", "10", "--jobs", "2", "--checkpoint", "x.ckpt"],
@@ -146,6 +217,8 @@ class TestDirectDispatch:
         ["check", "1", "5", "5", "--format", "xml"],
         ["search", "5", "--bound", "10", "--frob"],
         ["u", "1", "5", "5", "6"],
+        ["search", "6", "--bound", "10", "--checkpoint", "-x"],
+        ["search", "6", "--bound", "10", "--checkpoint", "-1."],
     ]
 
     def test_namespaces(self):
@@ -167,20 +240,35 @@ class TestDirectDispatch:
             assert code == 0 if "-h" in argv or "--help" in argv else code == 1, argv
 
     def test_one_parse_per_call(self, monkeypatch):
-        # The top-level parser reads only a call that names no subcommand.
-        calls, parse_known_args = [], cli._Parser.parse_known_args
+        # A well-formed call is read from the grammar table: no parser is
+        # built and argparse parses nothing.  The top-level parser reads
+        # only a call that names no subcommand.
+        calls, built, parse_known_args = [], [], cli._Parser.parse_known_args
 
         def counted(parser, *args):
             calls.append(parser)
             return parse_known_args(parser, *args)
 
+        def build():
+            built.append(cli.build_parser())
+            return built[-1]
+
         monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
-        top = cli._parser()
-        assert cli.run(["u", "1", "5", "12"], stdout=io.StringIO()) == 0
-        assert calls == [top.commands["u"]]
-        calls.clear()
+        monkeypatch.setattr(cli, "_parser", functools.cache(build))
+        for argv in (
+            ["u", "-1", "-5", "5"],
+            ["check", "1", "5", "5", "--format", "tsv", "--format", "json"],
+            ["audit", "--format", "tsv"],
+        ):
+            assert cli.run(argv, stdout=io.StringIO()) == 0, argv
+            assert (calls, built) == ([], []), argv
         assert cli.run(["bogus"], stdout=io.StringIO(), stderr=io.StringIO()) == 1
-        assert calls == [top]
+        assert len(built) == 1 and calls == built
+
+    @given(argv=st.one_of(_argvs(), _argvs(), st.lists(st.sampled_from(_COMMANDS + _TOKENS), max_size=6)))
+    @settings(max_examples=500, deadline=None)
+    def test_same_outcome_as_argparse(self, argv):
+        assert _outcome(cli._parse, argv) == _outcome(_nested_parse, argv)
 
 
 class TestGoldenOutputs:

@@ -367,6 +367,16 @@ class TestLinearCertificate:
         # (6, 2) is the one gap: valid, 4-defective and in no row instance.
         assert cert.gaps == (((6, 2),) if n == 4 else ())
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_no_power_term_past_the_bound_admits_a_q(self, n):
+        # _Row.terms stops at t = bound: every term in (bound, 2 bound] has an
+        # empty q range, as t is a weighted mean of a and b.
+        for row in family_rows(n):
+            d = _ROWS[row]
+            for bound in range(1, 301):
+                for _, t in families._power_terms(d.bases, 2 * bound):
+                    assert t <= bound or not families._q_range(t, *d.m, bound), (row, bound, t)
+
     def test_quadratic_n_is_not_covered(self):
         for n in (5, 8, 10, 12):
             with pytest.raises(ValueError):

@@ -6,10 +6,13 @@ import sys
 import types
 import zlib
 from dataclasses import replace
+from itertools import accumulate
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import definitional_search, per_a_search, uncapped_search
 from lehmerdefect import cli, families, harness
@@ -970,6 +973,23 @@ class TestCheckpoint:
         hits_path.write_bytes(b"".join(lines[:-1]) + b"64\t136\n")
         with pytest.raises(CheckpointMismatchError, match="CRC-32"):
             search_with_checkpoint(3, 200, path, stop_after_chunks=stop)
+
+    @given(
+        lengths=st.lists(st.integers(1, 8), max_size=30),
+        start=st.integers(0, 30),
+        count=st.integers(0, 30),
+        tail=st.integers(0, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lines_end_for_lines_of_any_length(self, lengths, start, count, tail):
+        # Lines of 1 to 8 bytes, the writer's (4 bytes and more) and the
+        # shorter ones it never writes, then a torn tail: count lines from
+        # the start-th end where the line offsets say, or -1 past the last.
+        data = b"".join(b"x" * (k - 1) + b"\n" for k in lengths) + b"x" * tail
+        offsets = list(accumulate(lengths, initial=0))
+        start = min(start, len(lengths))
+        want = offsets[start + count] if start + count < len(offsets) else -1
+        assert harness._lines_end(data, offsets[start], count, offsets[-1]) == want
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "clash.ckpt"
