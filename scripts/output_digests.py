@@ -38,6 +38,11 @@ stderr.  The runs cover:
   * for every n at bound 1000, the checkpoint files of an uninterrupted
     search --checkpoint run, and of a run made in 3-chunk --jobs 2 slices,
     torn after the fourth slice (both files cut) and finished by the CLI;
+  * for n = 4 (whose count takes in the (6, 2) gap), 5 and 6 at bound 1000,
+    in text and JSON, the output and files of the CLI finishing a checkpoint
+    made in four 3-chunk slices: text and JSON print the count first and
+    then stream the committed chunks (slices of the hits file) and the new
+    ones (bytes) in one pass;
   * for every n at bound 20000, the checkpoint files of a run made in
     40-chunk --jobs 2 slices and finished by the CLI;
   * for n = 3, 4, 6 at bound 20000, the checkpoint files of a run made
@@ -60,7 +65,7 @@ stderr.  The runs cover:
 Run it in two checkouts and diff the outputs; identical output means the
 change kept every byte these runs write.  It imports the package from the
 src/ next to this script, starts no process and writes only to a temporary
-directory.  540 records in about eight seconds on two cores.
+directory.  546 records in about eight seconds on two cores.
 
 Example:
     python scripts/output_digests.py > after.json
@@ -177,6 +182,13 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
             os.truncate(path, path.stat().st_size - cut)
         ran = run("search", str(n), "--bound", "1000", "--checkpoint", str(sliced), "--jobs", "1")
         records[f"checkpoint sliced-torn n={n}"] = " ".join([*steps, ran, files(sliced)])
+    for n in (4, 5, 6):
+        for fmt in ("text", "json"):
+            sliced = tmp / f"sliced{n}-{fmt}.ckpt"
+            for _ in range(4):
+                harness.search_with_checkpoint(n, 1000, sliced, stop_after_chunks=3)
+            ran = run("search", str(n), "--bound", "1000", "--checkpoint", str(sliced), "--format", fmt)
+            records[f"checkpoint 3-chunk slices n={n} --format {fmt}"] = f"{ran} {files(sliced)}"
     for n in SUPPORTED_N:
         sliced = tmp / f"sliced{n}-20000.ckpt"
         steps = []

@@ -20,9 +20,8 @@ every value passes its type and choices; and no positional is missing or
 extra and no required option missing.  A repeated option keeps its last
 value, as in argparse.  Any other call (no argv, -h or --help, --flag=value,
 an abbreviated flag, "--", a bad value, a missing or extra argument) is
-parsed by argparse as before, once: by its subcommand's own parser, or by
-the top-level parser when it names no subcommand.  So argparse alone prints
-help and usage errors.
+parsed by the top-level argparse parser, which hands the rest to the
+subcommand's parser.  So argparse alone prints help and usage errors.
 
 Formats: text (default), tsv (tab separated, one record per line, "#" header
 line), json (a single document per invocation).  Values that can exceed 64
@@ -35,9 +34,16 @@ over: columns of q, a and b, at most families._BLOCK entries of one power
 term of a linear n or one record of the others each.  Every format is
 written one % format per segment (two where a changes sign), JSON in slices
 of at most _JSON_SLICE characters.  One renderer, _emit_search, writes
-every search result in every format from the bytes of its hit lines, per
-chunk, as harness.hit_lines or, with --checkpoint, harness.checkpoint_lines
-hands them over; no pair is parsed.
+every search result in every format from the bytes of its hit lines, in one
+loop that writes each chunk's lines as harness.hit_lines or, with
+--checkpoint, harness.checkpoint_lines hands them over; no pair is parsed
+and no chunk is kept.  Text and JSON print the count first.  It is read
+from harness.verify_table's report, matched_count plus the pairs missing
+from the table: for n = 5, 8, 10, 12 the report holds the search's own
+pairs, and for n = 3, 4, 6 families.linear_certificate proves the table's
+size plus its gaps equal to the listing's length.  The lines are counted
+as they stream, and a total that differs from the printed count is an
+error (exit 1).  TSV prints no count, and computes none.
 
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.
@@ -103,8 +109,8 @@ _GRAMMAR = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parsers of _GRAMMAR, each subcommand's kept in the
-    top-level parser's commands."""
+    """The argparse parsers of _GRAMMAR, one per subcommand under the
+    top-level parser."""
     parser = _Parser(prog="lehmerdefect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, positionals, options) in _GRAMMAR.items():
@@ -113,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(dest, type=type_, choices=choices)
         for flag, dest, type_, choices, default, required in options:
             p.add_argument(flag, dest=dest, type=type_, choices=choices, default=default, required=required)
-    parser.commands = sub.choices  # each command's own parser, for _parse
     return parser
 
 
@@ -163,21 +168,10 @@ def _read(command: str, args: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed once: straight from _GRAMMAR when it is a well-formed call
-    of a command (_read), else by argparse, which alone prints help and
-    usage errors: by the command's own parser when argv[0] names a command,
-    which is what the top-level parser would hand the rest to, or else (no
-    argv, --help, an unknown command) by the top-level parser."""
-    if argv and argv[0] in _GRAMMAR:
-        ns = _read(argv[0], argv[1:])
-        if ns is not None:
-            return ns
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    ns = command.parse_args(argv[1:])
-    ns.command = argv[0]
-    return ns
+    of a command (_read), else by the argparse parser, which alone prints
+    help and usage errors."""
+    ns = _read(argv[0], argv[1:]) if argv and argv[0] in _GRAMMAR else None
+    return ns if ns is not None else _parser().parse_args(argv)
 
 
 def _row_doc(row: families.FamilyRowId, params: dict[str, int], **rest) -> dict:
@@ -317,32 +311,37 @@ def _emit_family(n: int, bound: int, fmt: str, out: IO[str]) -> None:
         out.write("]}\n")
 
 
-def _emit_search(n: int, bound: int, lines: Iterable[bytes | memoryview], fmt: str, out: IO[str]) -> None:
+def _emit_search(
+    n: int, bound: int, lines: Iterable[bytes | memoryview], count: int | None, fmt: str, out: IO[str]
+) -> None:
     """Render the search's hits, given as blocks of "a <tab> b" lines
-    (harness.hit_lines, harness.checkpoint_lines), one block at a time: TSV
-    is the text of the bytes, text has a space for each tab, and JSON is the
-    bytes json.dumps gives for the whole document.  Text and JSON print the
-    count first, so they keep the blocks (bytes or slices of a checkpoint's
-    hits, not pairs) until it is known; TSV writes each block as it comes."""
+    (harness.hit_lines, harness.checkpoint_lines), writing each block as it
+    is drawn: TSV is the text of the bytes, text has a space for each tab,
+    and JSON is the bytes json.dumps gives for the whole document.  Text and
+    JSON print count first, and a total of lines other than count raises
+    ValueError before the output ends.  TSV prints no count (count is
+    None)."""
     if fmt == "tsv":
         out.write("# a\tb\n")
-        for block in lines:
-            out.write(str(block, "utf-8"))
-        return
-    lines = list(lines)
-    count = sum(bytes(block).count(b"\n") for block in lines)
-    if fmt == "text":
+    elif fmt == "text":
         out.write(f"n={n} bound={bound} count={count}\n")
-        for block in lines:
-            out.write(str(block, "utf-8").replace("\t", " "))
-        return
-    out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "pairs": [')
-    sep = ""
-    for block in filter(None, lines):
-        pairs = str(block, "utf-8")[:-1].replace("\t", '", "').replace("\n", '"], ["')
-        out.write(f'{sep}["{pairs}"]')
-        sep = ", "
-    out.write("]}\n")
+    else:
+        out.write(f'{{"n": {n}, "bound": {bound}, "count": {count}, "pairs": [')
+    seen, sep = 0, ""
+    for block in lines:
+        text = str(block, "utf-8")
+        if count is not None:
+            seen += text.count("\n")
+        if fmt != "json":
+            out.write(text if fmt == "tsv" else text.replace("\t", " "))
+        elif text:
+            out.write(sep + '["' + text[:-1].replace("\t", '", "').replace("\n", '"], ["') + '"]')
+            sep = ", "
+        del text  # not held while the next block is searched
+    if count is not None and seen != count:
+        raise ValueError(f"search listed {seen} pairs, not the {count} its table counts")
+    if fmt == "json":
+        out.write("]}\n")
 
 
 def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> None:
@@ -376,30 +375,22 @@ def _emit_verify(report: harness.DiscrepancyReport, fmt: str, out: IO[str]) -> N
         f"n={report.n} bound={report.bound} matched={report.matched_count} "
         f"exact_agreement={str(report.exact_agreement).lower()}"
     )
+    # Each item as (kind, a, b, TSV's detail, text's line).
+    items = [("missing", a, b, "-", f"missing from table: ({a}, {b})") for a, b in report.missing_from_table]
+    for f in report.table_failures:
+        label = f.row.label(f.params)
+        text = f"table failure: {label} raw={f.raw_ab} {f.reason}"
+        items.append(("table_failure", *f.raw_ab, f"{label} {f.reason}", text))
+    for kept, sh in report.equivalent_duplicates:
+        k, s = kept.row.label(kept.params), sh.row.label(sh.params)
+        text = f"equivalent duplicate: kept {k} shadow {s} at {kept.canonical_ab}"
+        items.append(("equivalent_duplicate", *kept.canonical_ab, f"kept={k} shadow={s}", text))
     if fmt == "tsv":
         out.write(f"# kind\ta\tb\tdetail\nsummary\t-\t-\t{summary}\n")
-        for a, b in report.missing_from_table:
-            out.write(f"missing\t{a}\t{b}\t-\n")
-        for f in report.table_failures:
-            out.write(
-                f"table_failure\t{f.raw_ab[0]}\t{f.raw_ab[1]}\t{f.row.label(f.params)} {f.reason}\n"
-            )
-        for kept, sh in report.equivalent_duplicates:
-            out.write(
-                f"equivalent_duplicate\t{kept.canonical_ab[0]}\t{kept.canonical_ab[1]}\t"
-                f"kept={kept.row.label(kept.params)} shadow={sh.row.label(sh.params)}\n"
-            )
+        out.write("".join(f"{kind}\t{a}\t{b}\t{detail}\n" for kind, a, b, detail, _ in items))
     else:
         out.write(f"{summary}\n")
-        for a, b in report.missing_from_table:
-            out.write(f"missing from table: ({a}, {b})\n")
-        for f in report.table_failures:
-            out.write(f"table failure: {f.row.label(f.params)} raw={f.raw_ab} {f.reason}\n")
-        for kept, sh in report.equivalent_duplicates:
-            out.write(
-                f"equivalent duplicate: kept {kept.row.label(kept.params)} "
-                f"shadow {sh.row.label(sh.params)} at {kept.canonical_ab}\n"
-            )
+        out.write("".join(f"{line}\n" for *_, line in items))
 
 
 def _emit_audit(items, fmt: str, out: IO[str]) -> None:
@@ -464,7 +455,11 @@ def _run(argv: Sequence[str], stdout: IO[str] | None, stderr: IO[str] | None) ->
                 lines, _ = harness.checkpoint_lines(ns.n, ns.bound, ns.checkpoint)
             else:
                 lines = harness.hit_lines(ns.n, ns.bound)
-            _emit_search(ns.n, ns.bound, lines, ns.format, out)
+            # After the lines, so that their argument errors and checkpoint
+            # refusals come first; TSV prints no count and computes none.
+            report = harness.verify_table(ns.n, ns.bound) if ns.format != "tsv" else None
+            count = None if report is None else report.matched_count + len(report.missing_from_table)
+            _emit_search(ns.n, ns.bound, lines, count, ns.format, out)
         elif ns.command == "verify":
             report = harness.verify_table(ns.n, ns.bound)
             _emit_verify(report, ns.format, out)

@@ -113,7 +113,8 @@ class TestErrors:
 
 def _nested_parse(argv):
     """argv through the top-level parser, which hands the rest to the
-    subcommand's parser: the parse that cli._parse does in one step."""
+    subcommand's parser: the parse that cli._parse falls back to for any
+    call that is not read straight from the grammar table."""
     return cli._parser().parse_args(argv)
 
 
@@ -241,8 +242,8 @@ class TestDirectDispatch:
 
     def test_one_parse_per_call(self, monkeypatch):
         # A well-formed call is read from the grammar table: no parser is
-        # built and argparse parses nothing.  The top-level parser reads
-        # only a call that names no subcommand.
+        # built and argparse parses nothing.  Any other call, whether or not
+        # it names a subcommand, is read by the top-level parser, built once.
         calls, built, parse_known_args = [], [], cli._Parser.parse_known_args
 
         def counted(parser, *args):
@@ -264,6 +265,13 @@ class TestDirectDispatch:
             assert (calls, built) == ([], []), argv
         assert cli.run(["bogus"], stdout=io.StringIO(), stderr=io.StringIO()) == 1
         assert len(built) == 1 and calls == built
+        # An ill-formed call of a subcommand: the top-level parser hands the
+        # rest to check's parser, which refuses it.
+        cli._parser.cache_clear()
+        built.clear()
+        calls.clear()
+        assert cli.run(["check", "1", "5"], stdout=io.StringIO(), stderr=io.StringIO()) == 1
+        assert len(built) == 1 and calls[0] is built[0] and len(calls) == 2
 
     @given(argv=st.one_of(_argvs(), _argvs(), st.lists(st.sampled_from(_COMMANDS + _TOKENS), max_size=6)))
     @settings(max_examples=500, deadline=None)
@@ -711,6 +719,42 @@ class TestSearchRendering:
         assert cli.run(argv, stdout=out) == 0
         assert out.getvalue() == _pair_rendering(harness.search_defective(6, 1000), fmt)
         assert max(out.sizes) < len(out.getvalue()) / 8
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_written_before_the_second_block(self, monkeypatch, fmt):
+        # Each block is written as it is drawn: the header, count and all,
+        # is out before the second of the 32 chunks is searched.
+        out, drawn, hit_lines = io.StringIO(), [], harness.hit_lines
+
+        def recording(n, bound):
+            for block in hit_lines(n, bound):
+                drawn.append(out.getvalue())
+                yield block
+
+        monkeypatch.setattr(harness, "hit_lines", recording)
+        assert cli.run(["search", "6", "--bound", "1000", "--format", fmt], stdout=out) == 0
+        count = len(harness.search_defective(6, 1000).pairs)
+        head = f"n=6 bound=1000 count={count}\n"
+        if fmt == "json":
+            head = f'{{"n": 6, "bound": 1000, "count": {count}, '
+        assert len(drawn) == 32 and drawn[1].startswith(head)
+        assert len(drawn[1]) < len(drawn[-1]) < len(out.getvalue())
+
+    def test_wrong_count_is_an_error(self, run_cli, monkeypatch):
+        # A table that counts one pair more than the search lists: text and
+        # JSON, which print that count first, fail; TSV prints no count.
+        argv = ("search", "6", "--bound", "100", "--format")
+        tsv, verify_table = run_cli(*argv, "tsv"), harness.verify_table
+
+        def one_more(n, bound):
+            report = verify_table(n, bound)
+            return replace(report, matched_count=report.matched_count + 1)
+
+        monkeypatch.setattr(harness, "verify_table", one_more)
+        for fmt in ("text", "json"):
+            code, _, err = run_cli(*argv, fmt)
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, fmt
+        assert run_cli(*argv, "tsv") == tsv and tsv[0] == 0
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
