@@ -53,9 +53,12 @@ stderr.  The runs cover:
   * runs on planted tables, in all three formats, which reach the report
     paths the shipped table never does: family 5 and verify 5 at bounds 10
     and 200 with N5_PSI's exclusions lifted (a shadow, so provenance and an
-    equivalent duplicate, and a tuple that breaks a pair rule), and verify 5
-    at bound 200 with (7, -5) dropped from the search (missed_by_search).
-    Every patched name is restored afterwards;
+    equivalent duplicate, and a tuple that breaks a pair rule), which fail
+    the certificate, so verify compares by enumeration; and verify 5 at
+    bound 200 with (7, -5) dropped from the search (missed_by_search),
+    routed through the enumerated comparison (harness._compare_with_search),
+    as verify counts the proved table and runs no search.  Every patched
+    name is restored afterwards;
   * search 3 --bound 200 --checkpoint over a 2-chunk checkpoint whose last
     hit line, 64 <tab> 132, is edited to 64 <tab> 136: a line that still
     parses, of a pair that is not even a Lehmer pair.  The state line's
@@ -209,7 +212,7 @@ def checkpoint_records(tmp: Path) -> dict[str, str]:
 
 def planted_records(tmp: Path) -> dict[str, str]:
     psi = families._ROWS[FamilyRowId.N5_PSI]
-    search = harness.search_defective
+    search, verify = harness.search_defective, harness.verify_table
 
     def dropping(n, bound, jobs=1):
         result = search(n, bound, jobs)
@@ -225,12 +228,13 @@ def planted_records(tmp: Path) -> dict[str, str]:
                     records["N5_PSI unexcluded: " + " ".join(argv)] = run(*argv)
         families._ROWS[FamilyRowId.N5_PSI] = psi
         harness.search_defective = dropping
+        harness.verify_table = harness._compare_with_search
         for fmt in FORMATS:
             argv = ("verify", "5", "--bound", "200", "--format", fmt)
             records["search without (7, -5): " + " ".join(argv)] = run(*argv)
     finally:
         families._ROWS[FamilyRowId.N5_PSI] = psi
-        harness.search_defective = search
+        harness.search_defective, harness.verify_table = search, verify
     edited = tmp / "edited3.ckpt"
     harness.search_with_checkpoint(3, 200, edited, stop_after_chunks=2)
     hits = Path(f"{edited}.hits")

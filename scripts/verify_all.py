@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
 """Run the full table-vs-search cross-validation and the changes audit.
 
-First prints the result of the linear certificate (families.
-linear_certificate): for n = 3, 4, 6, at every bound, the n-defective pairs
-are the family table's pairs plus the gaps the row exclusions name, with no
-invalid tuple or duplicate in the table.  Next to it, for n = 5, 8, 10, 12,
-the matrix M of the unit and the orbit representatives the search walks
-from (harness._orbits): every root of Phi_n(a, q) = +-T, for the capped
-products T of primes of n, lies on the orbit of one of them at every bound.
-Then, for each supported index n, prints one summary line of verify_table at
-the bound, with the wall time and the process's peak resident set size so
-far.  For n = 3, 4, 6 that report is counted from the table, on the strength
-of the certificate.  For n = 5, 8, 10, 12 the search walks those orbits,
-confirms each root by the definition, and is compared with the enumerated
-family table up to equivalence.  Finishes with the
-corrections audit.  Table entries that are defective but that the search did
-not find are counted as "missed by search", apart from the other table
-failures.  A pair missing from the table is printed either way, and marked
-as a certificate gap when it is one of linear_certificate(n).gaps: a pair
-the row exclusions name, which the table leaves out on purpose.  Exit code
-2 if the certificate fails, the audit fails, or a discrepancy other than a
-certificate gap was reported, 0 otherwise.  It imports the package from the
-src/ next to this script.
+First prints the certificate of each supported index n (families.
+certificate): for every n, at every bound, the n-defective pairs are the
+family table's pairs plus the gaps the row exclusions name, with no invalid
+tuple or duplicate in the table, and each n's gaps.  Next to it, for n = 5,
+8, 10, 12, the matrix M of the unit and the orbit representatives the
+search walks from (primdiv._orbits), whose half-orbits the certificate
+proves to be the sequence rows.  Then, for each n, prints one summary line
+of the table-vs-search comparison at the bound (harness._compare_with_search,
+the enumerated comparison that verify falls back to when a certificate
+fails), with the wall time and the process's peak resident set size so
+far: the search solves for the defective pairs, confirms each by the
+definition, and is compared with the enumerated family table up to
+equivalence.  Finishes with the corrections audit.  Table entries that are
+defective but that the search did not find are counted as "missed by
+search", apart from the other table failures.  A pair missing from the
+table is printed either way, and marked as a certificate gap when it is one
+of certificate(n).gaps: a pair the row exclusions name, which the table
+leaves out on purpose.  Exit code 2 if a certificate fails, the audit
+fails, or a discrepancy other than a certificate gap was reported, 0
+otherwise.  It imports the package from the src/ next to this script.
 
 Known state of the table: for n=4 the search finds (6, 2), a valid
 4-defective pair that no table row produces and that is equivalent to no
@@ -42,8 +41,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lehmerdefect.families import SUPPORTED_N, linear_certificate  # noqa: E402
-from lehmerdefect.harness import _orbits, audit_changes, verify_table  # noqa: E402
+from lehmerdefect.families import SUPPORTED_N, certificate  # noqa: E402
+from lehmerdefect.harness import _compare_with_search, audit_changes  # noqa: E402
+from lehmerdefect.primdiv import _orbits  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,14 +51,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bound", type=int, default=500)
     args = parser.parse_args(argv)
 
-    certs = [linear_certificate(n) for n in (3, 4, 6)]
+    certs = [certificate(n) for n in SUPPORTED_N]
     clean = all(c.proved for c in certs)
     gaps = {c.n: c.gaps for c in certs}
-    results = [f"n={c.n} {'proved' if c.proved else 'FAILED'} gaps {list(c.gaps)}" for c in certs]
-    print("linear certificate, every bound: " + ", ".join(results))
+    print("certificate, every bound:")
     for c in certs:
+        print(f"  n={c.n:>2}: {'proved' if c.proved else 'FAILED'} gaps {list(c.gaps)}")
         for failure in c.failures:
-            print(f"  n={c.n}: {failure}")
+            print(f"    {failure}")
     print("quadratic orbits, every bound:")
     for n in (5, 8, 10, 12):
         (m11, m12, m21, m22), reps = _orbits(n)
@@ -66,16 +66,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"table-vs-search cross-validation, bound {args.bound}")
     for n in SUPPORTED_N:
         t0 = time.perf_counter()
-        report = verify_table(n, args.bound)
+        report = _compare_with_search(n, args.bound)
         status = "exact agreement"
         if not report.exact_agreement:
             bits = []
             unexpected = [p for p in report.missing_from_table if p not in gaps.get(n, ())]
             if unexpected or report.table_failures or report.equivalent_duplicates:
                 clean = False
-            if report.missing_from_table:
-                known = "" if unexpected else " (certificate gap)"
-                bits.append(f"missing from table: {list(report.missing_from_table)}{known}")
             missed = sum(f.reason == "missed_by_search" for f in report.table_failures)
             if missed:
                 bits.append(f"missed by search: {missed}")
@@ -83,6 +80,9 @@ def main(argv: list[str] | None = None) -> int:
                 bits.append(f"table failures: {len(report.table_failures) - missed}")
             if report.equivalent_duplicates:
                 bits.append(f"duplicates: {len(report.equivalent_duplicates)}")
+            if report.missing_from_table:
+                known = "" if unexpected else " (certificate gap)"
+                bits.append(f"missing from table: {list(report.missing_from_table)}{known}")
             status = "; ".join(bits)
         # ru_maxrss is in KiB on Linux: the process's peak so far, not this n's.
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -39,11 +39,12 @@ loop that writes each chunk's lines as harness.hit_lines or, with
 --checkpoint, harness.checkpoint_lines hands them over; no pair is parsed
 and no chunk is kept.  Text and JSON print the count first.  It is read
 from harness.verify_table's report, matched_count plus the pairs missing
-from the table: for n = 5, 8, 10, 12 the report holds the search's own
-pairs, and for n = 3, 4, 6 families.linear_certificate proves the table's
-size plus its gaps equal to the listing's length.  The lines are counted
-as they stream, and a total that differs from the printed count is an
-error (exit 1).  TSV prints no count, and computes none.
+from the table: where families.certificate proves the table, as it does
+for every shipped n, the table's size plus its gaps, counted from the rows
+with no search, and otherwise the count of the search's own pairs.  The
+lines are counted as they stream, and a total that differs from the
+printed count is an error (exit 1), so a listing that loses or adds a pair
+against the proved table fails.  TSV prints no count, and computes none.
 
 Exit codes: 0 success with no discrepancy; 1 usage or validation error;
 2 when a verify/audit run completes but reports a non-empty discrepancy.

@@ -43,20 +43,29 @@ shadows.  The tables that commands file this way, those of n = 5, 8, 10, 12,
 hold at most 54 records at bound 3000 and 103 at 10^6.
 enumerate_with_anomalies builds its FamilyEntry list from the records; the
 enumerated verify (harness) matches the records themselves, and builds
-FamilyEntry and FamilyParams objects only for what it reports.
+FamilyEntry and FamilyParams objects only for what it reports.  A sequence
+row's walk (_Row.walk) reads each of its sequences from one seq_values
+walk, so a row at bound B costs O(log B) recurrence steps.
 
-The linear rows (n = 3, 4, 6) are proved, for every bound, to hold exactly
-the n-defective pairs other than the gaps their exclusions name, with no
-invalid tuple and no duplicate (linear_certificate).  _Row.terms is the one
-place that decides which q a linear row admits: for each power term it hands
-out the admitted q as range pieces, one per stretch between the excluded q
-(its cuts) and residue coprime to the bases.  _Row.segments cuts a term's
-pieces to windows of _BLOCK q and merges each window's pieces into columns
-of q, a and b in q order, linear_table gives verify_table the size and gaps
-at any bound by summing the pieces' lengths, with no walk, and linear_pairs
+The rows of every n are proved, for every bound, to hold exactly the
+n-defective pairs other than the gaps their exclusions name, with no
+invalid tuple and no duplicate (certificate): the linear rows (n = 3, 4, 6)
+as the progressions of the roots of Phi_n = +-T, the sequence rows (n = 5,
+8, 10, 12) as the half-orbits of the roots that the search walks.  The
+proof runs at run time, once per process for each distinct set of rows, so
+an edited row is proved afresh before anything counts on it.  table_count
+gives verify_table the size and gaps at any bound from the rows alone: the
+lengths of a linear row's pieces, with no walk, and the in-bound (k, eps)
+of a sequence row's walk.
+
+_Row.terms is the one place that decides which q a linear row admits: for
+each power term it hands out the admitted q as range pieces, one per
+stretch between the excluded q (its cuts) and residue coprime to the bases.
+_Row.segments cuts a term's pieces to windows of _BLOCK q and merges each
+window's pieces into columns of q, a and b in q order, and linear_pairs
 cuts the pieces to each a-span the search asks for (a group of its chunks)
-and lists them as ranges of pair keys (_key_width).
-Only the cuts meet the pair rules.
+and lists them as ranges of pair keys (_key_width).  Only the cuts meet the
+pair rules.
 
 The family command (cli) renders the segments of table_walks, the one place
 that chooses between the two sources: for a linear n the rows' own columns,
@@ -69,14 +78,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from itertools import chain, combinations, islice
-from math import gcd, prod
+from functools import cache, cached_property
+from itertools import chain, combinations, count, islice, product
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import DEGENERATE_PQ, LehmerPair, ValidationFailure, lehmer_elements, pair_failure
-from .primdiv import CYCLOTOMIC_FORMS
-from .sequences import SequenceId, seq_eval
+from .primdiv import CYCLOTOMIC_FORMS, _apply, _orbits
+from .sequences import SPECS, SequenceId, seq_eval, seq_values
 
 SUPPORTED_N = (3, 4, 5, 6, 8, 10, 12)
 
@@ -246,21 +255,6 @@ def _power_terms(bases: tuple[int, ...], limit: int) -> Iterator[tuple[tuple[int
         e, t = e + 1, t * bases[0]
 
 
-def _seq_ks(seq: SequenceId, k_min: int, bound: int) -> Iterator[int]:
-    """Indices k >= k_min until the first k >= max(k_min, 2) with 2|s(k)| > bound.
-
-    |s(k)| is strictly increasing from k = 2 on, and every row instance at
-    index k satisfies max(|a|, |b|) >= 2|s(k)|, so nothing beyond the stop
-    index can land inside the bound.
-    """
-    k = k_min
-    while True:
-        if k >= max(k_min, 2) and 2 * abs(seq_eval(seq, k)) > bound:
-            return
-        yield k
-        k += 1
-
-
 @dataclass(frozen=True)
 class _Row:
     """One classification row; a sequence row when seq is set, else linear.
@@ -300,8 +294,12 @@ class _Row:
             t = prod(base**e for (_, base), e in zip(self.powers, values))
             return t + self.m[0] * values[-1], t + self.m[1] * values[-1]
         k, eps = values
-        a = self.scale * seq_eval(self.seq, k - self.stride * eps)
-        b = a - 4 * seq_eval(self.qseq or self.seq, k)
+        return self._pair(seq_eval(self.seq, k - self.stride * eps), seq_eval(self.qseq or self.seq, k))
+
+    def _pair(self, s: int, qs: int) -> tuple[int, int]:
+        """Sequence rows: the raw pair of a = scale s, b = a - 4 qs."""
+        a = self.scale * s
+        b = a - 4 * qs
         return (b, a) if self.swap else (a, b)
 
     def constraint(self, values: tuple[int, ...]) -> str | None:
@@ -318,12 +316,23 @@ class _Row:
 
     def walk(self, bound: int) -> Iterator[tuple[int | None, ...]]:
         """(k, l, q, eps, a, b) of every admissible tuple with max(|a|, |b|) <=
-        bound, in (k/l, q, eps) order; the fields the row lacks are None."""
+        bound, in (k/l, q, eps) order; the fields the row lacks are None.
+
+        A sequence row reads s(k - stride) and s(k + stride), the two eps,
+        and qs(k) from one seq_values walk each, k = k_min, k_min + 1, ...,
+        and stops at the first k >= max(k_min, 2) with 2|qs(k)| > bound:
+        |qs(k)| is strictly increasing from k = 2 on, and every instance at
+        index k has max(|a|, |b|) >= 2|q| = 2|qs(k)|, so nothing beyond the
+        stop index lands inside the bound.
+        """
         if self.seq is not None:
-            for k in _seq_ks(self.qseq or self.seq, self.k_min, bound):
-                for eps in (1, -1):
+            s_at = (seq_values(self.seq, self.k_min - self.stride * eps) for eps in (1, -1))
+            for k, qs, *s in zip(count(self.k_min), seq_values(self.qseq or self.seq, self.k_min), *s_at):
+                if k >= max(self.k_min, 2) and 2 * abs(qs) > bound:
+                    return
+                for eps, s_k in zip((1, -1), s):
                     if (k, eps) not in self.excluded:
-                        a, b = self.formula((k, eps))
+                        a, b = self._pair(s_k, qs)
                         if abs(a) <= bound and abs(b) <= bound:
                             yield k, None, None, eps, a, b
             return
@@ -498,12 +507,12 @@ def table_walks(n: int, bound: int) -> tuple[int, Iterable[Segment], dict[Pair, 
     rising.  provenance holds the (row, (k, l, q, eps)) of the later tuples
     with each canonical pair.  A linear n gives its rows' segments
     (_Row.segments), one per window of a power term's q, counted by
-    linear_table, with no provenance (linear_certificate proves it); the
+    table_count, with no provenance (certificate proves it); the
     others the records of table_records, one entry per segment, their
     shadows as provenance.
     """
     if _linear(n):
-        count = linear_table(n, bound)[0]  # checks n and the bound
+        count = table_count(n, bound)[0]  # checks n and the bound
         segments = ((row, *s) for row in family_rows(n) for s in _ROWS[row].segments(bound))
         return count, segments, {}
     records, _ = table_records(n, bound)
@@ -582,29 +591,26 @@ def audit_exclusion(n: int, row: FamilyRowId, params: FamilyParams) -> AuditReas
     return DuplicateOf(kept_row, FamilyParams(*kept_values), key)
 
 
-def linear_table(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
-    """(size, gaps) of the table of a linear n at the bound, counted.
+def table_count(n: int, bound: int) -> tuple[int, tuple[Pair, ...]]:
+    """(size, gaps) of the table of n at the bound, counted.
 
-    size is the number of instances table_records walks: the lengths of the
-    pieces of every row's power terms (_Row.terms).  gaps are the canonical
-    pairs, ascending, of the cuts (the in-bound exclusions) whose pair
-    passes the pair rules.  Where linear_certificate(n) is proved, every
-    instance walked is a record (no anomaly, no shadow), and the n-defective
-    pairs of the box are the records' pairs and the gaps.
+    size is the number of instances table_records walks: for a linear row
+    the lengths of its power terms' pieces (_Row.terms), with no walk, and
+    for a sequence row the in-bound (k, eps) of _Row.walk, which steps each
+    recurrence once per k.  gaps are the gaps of certificate(n) in the box,
+    ascending.  Where certificate(n) is proved, every instance walked is a
+    record (no anomaly, no shadow), and the n-defective pairs of the box are
+    the records' pairs and the gaps.
     """
     rows = [_ROWS[row] for row in family_rows(n)]
-    if not _linear(n):
-        raise ValueError(f"n={n} has a quadratic form; linear_table covers n = 3, 4, 6")
     _check_bound(bound)
-    size, gaps = 0, []
+    size = 0
     for d in rows:
-        for exps, _, pieces, cuts in d.terms(bound):
-            size += sum(map(len, pieces))
-            for q in cuts:
-                a, b = d.formula((*exps, q))
-                if pair_failure(a, b) is None:
-                    gaps.append((a, b) if a > 0 else (-a, -b))
-    return size, tuple(sorted(gaps))
+        if d.seq is None:
+            size += sum(len(qs) for _, _, pieces, _ in d.terms(bound) for qs in pieces)
+        else:
+            size += sum(1 for _ in d.walk(bound))
+    return size, tuple(g for g in certificate(n).gaps if max(g[0], abs(g[1])) <= bound)
 
 
 def _key_width(bound: int) -> int:
@@ -623,7 +629,7 @@ def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterat
 
     Each row instance at power term t is found in one of two q windows:
     t + m_a q in the span, or in the span negated.  Where
-    linear_certificate(n) is proved, these are the n-defective pairs there,
+    certificate(n) is proved, these are the n-defective pairs there,
     each once, and only an exclusion can break a pair rule, so no other tuple
     is checked.  The rows' pieces (_Row.terms) are read once for all spans;
     for each span every piece is cut to each window and listed as one range
@@ -658,8 +664,8 @@ def linear_pairs(n: int, spans: Iterable[tuple[int, int]], bound: int) -> Iterat
 
 
 @dataclass(frozen=True)
-class LinearCertificate:
-    """What linear_certificate found for one linear n.
+class Certificate:
+    """What certificate found for one n.
 
     gaps      canonical pairs, ascending, of the exclusions audit_exclusion
               finds Unexplained: n-defective pairs that no row instance gives
@@ -675,20 +681,70 @@ class LinearCertificate:
         return not self.failures
 
 
+def certificate(n: int) -> Certificate:
+    """Prove, for every bound, that the rows of n and their gaps hold exactly
+    the n-defective pairs, each once up to equivalence.
+
+    Phi_n(p, q) is a linear or quadratic form (primdiv.CYCLOTOMIC_FORMS), and
+    an n-defective pair has Phi_n = +-T with T a product of primes of n
+    (Lehmer 1930; see primdiv).  So the n-defective pairs are among the
+    roots of the targets t = +-T.  Three finite checks:
+
+    1. The rows are the roots: the progressions of the roots of t for a
+       linear n (_linear_steps), the half-orbits of the roots for a
+       quadratic one (_sequence_steps).
+    2. The rule breakers are the exclusions.  A root that breaks a pair rule
+       has a small |q|, so it lies in a finite window; there, the instances
+       that break a rule must be exactly those the rows leave out, and every
+       exclusion must lie in the window and be an invalid pair, a duplicate
+       of a kept instance, or a gap: a valid pair that no row instance gives
+       (audit_exclusion finds it Unexplained).
+    3. Every valid root is defective.  u_n is the product of Phi_d over the
+       divisors d > 1 of odd n and d >= 3 of even n (primdiv), and Phi_d
+       with d < n divides u_d, a factor of D = a b u_1 ... u_{n-1}.  So it
+       is enough that each prime r of n dividing Phi_n divides D.  Both
+       depend on (p, q) mod r alone, so every residue pair other than
+       (0, 0) is checked, with Phi_n evaluated from its coefficients
+       (p - m q, or p^2 + c1 p q + c2 q^2).
+
+    So, at every bound, the n-defective pairs of the box are the table's
+    pairs there and the gaps there, and the table has no invalid tuple and
+    no duplicate: table_count counts on this.  The proof is a pure function
+    of the rows of n, the form of n and DEGENERATE_PQ, so it is made once
+    per process for each distinct set of them: an edited row is proved
+    afresh, and a call with the rows already proved pays no proof.
+    """
+    rows = tuple((row, _ROWS[row]) for row in family_rows(n))
+    return _certificate(n, rows, CYCLOTOMIC_FORMS[n], DEGENERATE_PQ)
+
+
+@cache
+def _certificate(n: int, rows: tuple, form: tuple, degenerate: frozenset) -> Certificate:
+    steps = _linear_steps if _linear(n) else _sequence_steps
+    gaps, failures = steps(n, dict(rows), form, degenerate)
+    coeffs, prime_caps = form
+    for r, _ in prime_caps:
+        for p in range(r):
+            for q in range(r):
+                phi = sum(c * p ** (len(coeffs) - 1 - i) * q**i for i, c in enumerate(coeffs))
+                if (p or q) and phi % r == 0:
+                    # a b u_1 ... u_{n-1}
+                    nonprim = p * (p - 4 * q) * prod(islice(lehmer_elements(p, q), 1, n))
+                    if nonprim % r:
+                        failures.append(f"(p, q) = ({p}, {q}) mod {r}: {r} divides Phi_{n}, not D")
+    return Certificate(n, tuple(sorted(set(gaps))), tuple(failures))
+
+
 # A linear root with gcd(t, q) = 1 that breaks a pair rule has |q| <= _Q_WINDOW
-# (see linear_certificate).
+# (see _linear_steps).
 _Q_WINDOW = 2
 
 
-def linear_certificate(n: int) -> LinearCertificate:
-    """Prove, for every bound, that the rows of a linear n and their gaps
-    hold exactly the n-defective pairs, each once up to equivalence.
+def _linear_steps(n, rows, form, degenerate) -> tuple[list[Pair], list[str]]:
+    """Steps 1 and 2 of certificate for a linear n: (gaps, failures).
 
-    Phi_n(p, q) = p - m q for n = 3, 4, 6 (primdiv.CYCLOTOMIC_FORMS), and an
-    n-defective pair has Phi_n = +-T with T a product of primes of n
-    (Lehmer 1930; see primdiv).  So the n-defective pairs are among the
-    roots (t + m q, t + (m - 4) q) of the targets t = +-T.  Three finite
-    checks:
+    Phi_n(p, q) = p - m q for n = 3, 4, 6, so the roots of t are
+    (t + m q, t + (m - 4) q).
 
     1. The rows are those progressions.  Every row has (m_a, m_b) =
        (m, m - 4), so its q is the pair's q and Phi_n of its pair is its
@@ -700,30 +756,17 @@ def linear_certificate(n: int) -> LinearCertificate:
        instances give equivalent pairs.  A row admits the q coprime to its
        bases, gcd(t, q) = 1, which every valid root has, since
        gcd(a, q) = gcd(t, q).
-    2. The rule breakers are the exclusions.  For a root with
-       gcd(t, q) = 1: a - b = 4q and gcd(a, q) = 1; a = 0 or b = 0 puts q
-       in t, so |q| = 1; q = 0 forces t = 1; a degenerate ratio has |q| at
-       most the largest |q| in DEGENERATE_PQ.  So a rule breaker has
-       |q| <= _Q_WINDOW, and then |a| <= 4 or a b = 0, so t is at most the
-       largest |p| in DEGENERATE_PQ plus 4 _Q_WINDOW.  The row instances in
-       that window that break a rule must be exactly the exclusions whose
+    2. The window.  For a root with gcd(t, q) = 1: a - b = 4q and
+       gcd(a, q) = 1; a = 0 or b = 0 puts q in t, so |q| = 1; q = 0 forces
+       t = 1; a degenerate ratio has |q| at most the largest |q| in
+       DEGENERATE_PQ.  So a rule breaker has |q| <= _Q_WINDOW, and then
+       |a| <= 4 or a b = 0, so t is at most the largest |p| in
+       DEGENERATE_PQ plus 4 _Q_WINDOW.  The row instances in that window
+       that break a rule must be exactly the exclusions whose
        audit_exclusion is a ValidationFailure; every other exclusion must
        lie in the window and audit Unexplained (a gap).
-    3. Every valid root is defective.  u_n is the product of Phi_d over the
-       divisors d > 1 of odd n and d >= 3 of even n (primdiv), and Phi_d
-       with d < n divides u_d, a factor of D = a b u_1 ... u_{n-1}.  So it
-       is enough that each prime r of n dividing Phi_n divides D.  Both
-       depend on (p, q) mod r alone, so every residue pair other than
-       (0, 0) is checked.
-
-    So, at every bound, the n-defective pairs of the box are the table's
-    pairs there and the gaps there, and the table has no invalid tuple and
-    no duplicate: linear_table counts on this.
     """
-    rows = {row: _ROWS[row] for row in family_rows(n)}
-    if not _linear(n):
-        raise ValueError(f"n={n} has a quadratic form; linear_certificate covers n = 3, 4, 6")
-    coeffs, prime_caps = CYCLOTOMIC_FORMS[n]
+    coeffs, prime_caps = form
     m = -coeffs[1]
     primes = [p for p, _ in prime_caps]
     failures = []
@@ -735,9 +778,9 @@ def linear_certificate(n: int) -> LinearCertificate:
     if base_sets != sorted(s for k in range(len(primes) + 1) for s in combinations(primes, k)):
         failures.append(f"the rows' bases are not each set of primes of {n} once")
 
-    if any(abs(q) > _Q_WINDOW for _, q in DEGENERATE_PQ):
+    if any(abs(q) > _Q_WINDOW for _, q in degenerate):
         failures.append(f"DEGENERATE_PQ has a pair with |q| > {_Q_WINDOW}")
-    t_window = max(abs(p) for p, _ in DEGENERATE_PQ) + 4 * _Q_WINDOW
+    t_window = max(abs(p) for p, _ in degenerate) + 4 * _Q_WINDOW
     window = set()
     for row, d in rows.items():
         for exps, _ in _power_terms(d.bases, t_window):
@@ -761,13 +804,144 @@ def linear_certificate(n: int) -> LinearCertificate:
                 gaps.append(reason.canonical_ab)
             elif not isinstance(reason, ValidationFailure):
                 failures.append(f"{row.label(params)}: exclusion audits {reason!r}")
+    return gaps, failures
 
-    for r in primes:
-        for p in range(r):
-            for q in range(r):
-                if (p or q) and (coeffs[0] * p + coeffs[1] * q) % r == 0:
-                    # a b u_1 ... u_{n-1}
-                    nonprim = p * (p - 4 * q) * prod(islice(lehmer_elements(p, q), 1, n))
-                    if nonprim % r:
-                        failures.append(f"(p, q) = ({p}, {q}) mod {r}: {r} divides Phi_{n}, not D")
-    return LinearCertificate(n, tuple(sorted(gaps)), tuple(failures))
+
+def _sequence_steps(n, rows, form, degenerate) -> tuple[list[Pair], list[str]]:
+    """Steps 1 and 2 of certificate for a quadratic n, whose rows are all
+    sequence rows: (gaps, failures).
+
+    Phi_n(p, q) = p^2 + c1 p q + c2 q^2.  Every root of a capped target lies
+    on the walk by M from one of the representatives of primdiv._orbits, or
+    on the walk by M^-1 from its M^-1 image: 16 half-orbits, in pairs +-H,
+    along each of which |q| does not decrease (see the harness module
+    docstring).
+
+    1. The rows are the half-orbits.  A row's (p, q) at (k, eps) are fixed
+       combinations of s(k - stride eps) and qs(k), so where s and qs follow
+       one recurrence, (p, q) follows it in k, and so does (p, q)(k + step)
+       - D (p, q)(k) for a matrix D: it vanishes at every k if it does at the
+       first two k where the row is defined, and then the row's k-step acts
+       as D.  Each half-orbit must start at a point of exactly one row at
+       one eps whose k-step (1 or 2) acts as the half-orbit's M or M^-1, at
+       some k0 (one term matches); from there on the half-orbit is that row
+       at k0, k0 + step, ... up to one sign: their designated instances.
+       Each row at each eps must walk, for each residue of k mod its step,
+       one half-orbit and its negation, with one k0.
+    2. The rule breakers are the instances the rows leave out.  A root of a
+       target t that breaks a pair rule has q = 0, p = 0 (c2 q^2 = t), b = 0
+       (p = 4q, Phi_n(4, 1) q^2 = t), (p, q) in DEGENERATE_PQ, or gcd(p, q)
+       > 1, which no root of a squarefree t has.  So it has |q| <= q_window,
+       and it is one of the first points of its half-orbit.  There a
+       designated instance that breaks a rule must be left out (k < k_min or
+       excluded), and a row instance admitted before its half-orbit starts
+       (k_min <= k < k0) must give the point of one left-out designated
+       instance, which it then keeps: the n = 5 and 10 seam, where PSI at
+       (k=0, eps=1) keeps the point of the excluded (k=0, eps=-1), its
+       duplicate.  A valid left-out point that nothing keeps must be an
+       exclusion, and is a gap.  Every exclusion lies before its half-orbit
+       starts (on the other half of its orbit, whose own designated
+       instance decides its point), or is designated with |q| <= q_window.
+    """
+    coeffs, prime_caps = form
+    m, reps = _orbits(n)
+    back = (m[3], -m[1], -m[2], m[0])
+    failures = []
+
+    def first_k(row, eps):
+        d = rows[row]
+        return max(SPECS[d.seq].min_index + d.stride * eps, SPECS[d.qseq or d.seq].min_index)
+
+    @cache
+    def point(row, k, eps):
+        a, b = rows[row].formula((k, eps))
+        return a, (a - b) // 4
+
+    def steps_as(row, eps, step, direction):
+        k = first_k(row, eps)
+        return all(point(row, j + step, eps) == _apply(direction, *point(row, j, eps)) for j in (k, k + 1))
+
+    for row, d in rows.items():
+        specs = [SPECS[seq] for seq in (d.seq, d.qseq or d.seq)]
+        if len({(spec.coeff_a, spec.coeff_b) for spec in specs}) > 1:
+            failures.append(f"{row.value}: its sequences follow different recurrences")
+    walks = {(row, eps): [] for row in rows for eps in (1, -1)}  # -> [(step, k0) of each half-orbit]
+    for direction, name, heads in ((m, "M", reps), (back, "M^-1", [_apply(back, *r) for r in reps])):
+        # The points, up to sign, of each row at each eps whose k-step acts
+        # as direction, out to the heads' largest |q|: |qs(k)| is strictly
+        # increasing from k = 2 on.
+        reach = max(abs(q) for _, q in heads)
+        at = {}  # point up to sign -> [(row, eps, step, k), ...]
+        for row in rows:
+            for eps, step in product((1, -1), (1, 2)):
+                if steps_as(row, eps, step, direction):
+                    k = first_k(row, eps)
+                    while k < 2 or abs(point(row, k, eps)[1]) <= reach:
+                        p, q = point(row, k, eps)
+                        at.setdefault(max((p, q), (-p, -q)), []).append((row, eps, step, k))
+                        k += 1
+        for p, q in heads:
+            found = at.get(max((p, q), (-p, -q)), [])
+            if len(found) != 1:
+                failures.append(f"the half-orbit from {(p, q)} by {name} matches {len(found)} rows at one eps, not one")
+            else:
+                row, eps, step, k0 = found[0]
+                walks[row, eps].append((step, k0))
+    starts = {}  # (row, eps) -> (step, {k0 % step: k0})
+    for (row, eps), found in walks.items():
+        step = found[0][0] if found else 0
+        k0s = {k0 % step: k0 for _, k0 in found} if step else {}
+        want = sorted([(step, k0) for k0 in k0s.values()] * 2)  # each k0 from one H and from -H
+        if step and sorted(k0s) == list(range(step)) and sorted(found) == want:
+            starts[row, eps] = step, k0s
+        else:
+            failures.append(f"{row.value} at eps={eps} does not walk one half-orbit and its negation per residue of k")
+    if failures:
+        return [], failures
+
+    (c0, c1, c2), caps = coeffs, dict(prime_caps)
+    if any(cap > 1 for cap in caps.values()):
+        failures.append(f"a target of n={n} has a square factor")
+    big_t = prod(prime**cap for prime, cap in caps.items())
+    q_window = max(
+        max(abs(q) for _, q in degenerate),
+        *(isqrt(big_t // abs(c)) for c in (c2, 16 * c0 + 4 * c1 + c2) if c),
+    )
+    left_out = {}  # canonical pair -> (row, k, eps) of a designated instance left out
+    early = []  # (row, k, eps) admitted before its half-orbit starts
+    for (row, eps), (step, k0s) in starts.items():
+        d = rows[row]
+        for k0 in k0s.values():
+            early += [(row, k, eps) for k in range(k0 - step, d.k_min - 1, -step) if (k, eps) not in d.excluded]
+            k = k0
+            while k < d.k_min or abs(point(row, k, eps)[1]) <= q_window:
+                a, b = d.formula((k, eps))
+                if k < d.k_min or (k, eps) in d.excluded:
+                    left_out[(a, b) if a > 0 else (-a, -b)] = (row, k, eps)
+                elif (failure := pair_failure(a, b)) is not None:
+                    label = row.label(FamilyParams(k=k, eps=eps))
+                    failures.append(f"{label} breaks {failure.describe()}, not excluded")
+                k += step
+    kept = set()
+    for row, k, eps in early:
+        a, b = rows[row].formula((k, eps))
+        key = (a, b) if a > 0 else (-a, -b)
+        label = row.label(FamilyParams(k=k, eps=eps))
+        if (failure := pair_failure(a, b)) is not None:
+            failures.append(f"{label} breaks {failure.describe()}, not excluded")
+        elif key not in left_out or key in kept:
+            failures.append(f"{label}, before its half-orbit starts, keeps no left-out point")
+        kept.add(key)
+    gaps = []
+    for key, (row, k, eps) in left_out.items():
+        if key not in kept and pair_failure(*key) is None:
+            if k < rows[row].k_min:
+                failures.append(f"{row.label(FamilyParams(k=k, eps=eps))}: k_min leaves out a valid pair")
+            else:  # an exclusion whose pair no row instance gives
+                gaps.append(key)
+    for row, d in rows.items():
+        for k, eps in d.excluded:
+            step, k0s = starts[row, eps]
+            if k < d.k_min or k >= k0s[k % step] and abs(point(row, k, eps)[1]) > q_window:
+                failures.append(f"{row.label(FamilyParams(k=k, eps=eps))}: excluded outside the window")
+    return gaps, failures

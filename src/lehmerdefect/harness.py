@@ -9,7 +9,7 @@ primitive divisor of u_n divides Phi_n(alpha, beta), and a prime of
 Phi_n(alpha, beta) that does not divide n is a primitive divisor of u_n
 (primdiv.CYCLOTOMIC_FORMS).  So a pair is n-defective only if
 Phi_n(a, q) = +-T with T a product of primes of n.  For n = 3, 4, 6 the
-form is linear, and families.linear_certificate proves, for every bound,
+form is linear, and families.certificate proves, for every bound,
 that these pairs are exactly the family table's and the gaps its row
 exclusions name.  So the search lists the rows' own instances
 (families.linear_pairs): the same range pieces (families._Row.terms) that
@@ -59,8 +59,8 @@ bound:
     sqrt|4t|.  So |Y| <= (|xi| + |xi'|) / (2 sqrt(D)) < (eps + 1)
     sqrt(|t| / D): every orbit has its representative in the box
     D Y^2 < |t| (T0 + 1)^2, where |Y| <= 3 for every capped target, and
-    _orbits solves X^2 = 4t + D Y^2 there.  (X == c1 Y mod 2 holds by
-    itself, as X^2 == D Y^2 == c1^2 Y^2 mod 4, so p is an integer.)  It
+    primdiv._orbits solves X^2 = 4t + D Y^2 there.  (X == c1 Y mod 2 holds
+    by itself, as X^2 == D Y^2 == c1^2 Y^2 mod 4, so p is an integer.)  It
     finds 8 representatives for each n.
   * For k >= k0, |Y| sqrt(D) = |xi_k - xi'_k| / 2 is (|xi_k| -+ |xi'_k|) / 2
     (- for t > 0, + for t < 0), and a step to k + 1 changes it by
@@ -90,11 +90,18 @@ chunk, as shipped and of all chunks) at every bound up to 69, at 1000, 4095,
 up to 64, at 1000, 5000 and 20000; and the capped per-a solve equal to the
 uncapped one at bound 20000.
 
-verify_table counts for the linear forms: the same certificate proves that
-the search finds exactly the table's pairs and the gaps the row exclusions
-name, with no invalid tuple or duplicate in the table, so the report is
-read from families.linear_table, which sums the lengths of the rows' range
-pieces (families._Row.terms) and enumerates nothing.  For the quadratic forms,
+verify_table counts wherever families.certificate(n) is proved, as it is
+for every n of the shipped table.  The certificate proves, for every bound,
+that the n-defective pairs are exactly the table's pairs and the gaps the
+row exclusions name, with no invalid tuple or duplicate in the table: for
+n = 3, 4, 6 as the progressions the linear search lists, for n = 5, 8, 10,
+12 as the half-orbits the orbit walk above follows, each one sequence row
+at one eps.  So the report is read from families.table_count, which sums
+the lengths of the linear rows' range pieces (families._Row.terms), counts
+the in-bound (k, eps) of each sequence row's walk, and searches and
+enumerates nothing.  The certificate runs at run time, once per process
+for each distinct set of rows, so an edited row is proved afresh.  A table
+whose certificate fails is compared by enumeration:
 _compare_with_search runs the search and matches it against the family
 table as records (families.table_records: canonical pair -> its (row,
 (k, l, q, eps), raw pair) views, the first the entry, the later ones its
@@ -103,7 +110,7 @@ are checked against the search's pairs only when some record is left
 unmatched.  FamilyParams, FamilyEntry and TableFailure objects are built
 only for what the report lists: invalid tuples, unmatched records and the
 table's internal duplicates.  The tests hold the counted report equal to the
-enumerated one for n = 3, 4, 6.
+enumerated one for every n.
 
 Every search runs in the calling process: with the linear chunks listed as
 range progressions, a 2-worker pool over the same chunks was no faster at any
@@ -160,7 +167,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
-from math import isqrt
 from operator import floordiv, mod, sub
 from pathlib import Path
 from typing import Iterator
@@ -176,17 +182,18 @@ from .families import (
     _key_width,
     _linear,
     audit_exclusion,
+    certificate,
     enumerate_with_anomalies,
     family_rows,
     instantiate,
     linear_pairs,
-    linear_table,
     raw_ab,
     record_entry,
+    table_count,
     table_records,
 )
 from .pairs import FailureKind, ValidationFailure, lehmer_prefix, pair_failure
-from .primdiv import CYCLOTOMIC_FORMS, residual_after_stripping
+from .primdiv import _apply, _orbits, _walk, residual_after_stripping
 
 
 @dataclass(frozen=True)
@@ -260,51 +267,6 @@ def _roots(n: int, a_from: int, a_to: int, bound: int):
                 yield a, a - 4 * q
 
 
-def _apply(m, p, q):
-    return m[0] * p + m[1] * q, m[2] * p + m[3] * q
-
-
-def _walk(m, p, q, bound):
-    """(p, q), M(p, q), M^2(p, q), ... up to the first point with 2|q| > bound."""
-    while 2 * abs(q) <= bound:
-        yield p, q
-        p, q = _apply(m, p, q)
-
-
-def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
-    """(M, representatives) of the quadratic form of n: M = (m11, m12, m21,
-    m22) multiplies xi = X + Y sqrt(D) by eps, and the representatives are
-    one root (p, q) of Phi_n(p, q) = t per orbit of M, for every capped
-    target t (see the module docstring)."""
-    (_, c1, c2), prime_caps = CYCLOTOMIC_FORMS[n]
-    d = c1 * c1 - 4 * c2
-    u0 = 1  # the least positive solution (T0, U0) of T^2 - D U^2 = 4
-    while isqrt(4 + d * u0 * u0) ** 2 != 4 + d * u0 * u0:
-        u0 += 1
-    t0 = isqrt(4 + d * u0 * u0)
-    m = ((t0 - c1 * u0) // 2, -c2 * u0, u0, (t0 + c1 * u0) // 2)
-    back = (m[3], -m[1], -m[2], m[0])
-    sizes = [1]  # every product of primes of n within their caps
-    for prime, cap in prime_caps:
-        sizes += [size * prime**e for size in sizes for e in range(1, cap + 1)]
-    reps = []
-    for size in sizes:
-        for t in (size, -size):
-            # D Y^2 < |t| (T0 + 1)^2, so Y^2 <= (|t| (T0 + 1)^2 - 1) // D.
-            y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d)
-            for q in range(-y_max, y_max + 1):
-                x_sq = 4 * t + d * q * q
-                x = isqrt(max(x_sq, 0))
-                if x * x != x_sq:
-                    continue
-                for x in {x, -x}:  # X == c1 Y mod 2, as X^2 == D Y^2 mod 4
-                    p = (x - c1 * q) // 2
-                    p_back, q_back = _apply(back, p, q)
-                    if x * q >= 0 and (2 * p_back + c1 * q_back) * q_back < 0:
-                        reps.append((p, q))
-    return m, reps
-
-
 def _chunks(bound: int) -> list[tuple[int, int]]:
     # Chunking is a function of the bound alone so resumes agree on boundaries.
     width = max(32, bound // 128)
@@ -337,7 +299,7 @@ def _groups(n, chunks, bound):
     lists its own chunks and no others.
 
     For a linear n these are the table's pairs there and its gaps, which
-    families.linear_certificate proves defective.  A group is the chunks
+    families.certificate proves defective.  A group is the chunks
     whose first a lies in one _GROUP_SPAN-wide stretch, listed for its whole
     a-span (families.linear_pairs).  For a quadratic n all the chunks are one
     group: one orbit walk over their span (under 2 ms even at bound 10^6),
@@ -562,16 +524,16 @@ def verify_table(n: int, bound: int) -> DiscrepancyReport:
     "not_defective:residual=<r>", defective entries the search did not find
     as "missed_by_search") and equivalent duplicates within the table.
 
-    For the linear forms (n = 3, 4, 6) nothing is enumerated: the table is
-    counted and its gaps read from the row exclusions (families.linear_table),
-    and families.linear_certificate proves, for every bound, that these are
-    what the search would find, with no table failure or duplicate.  For the
-    quadratic forms the search is run and matched against the table records
-    (_compare_with_search; see the module docstring), in this process.
+    Where families.certificate(n) is proved, for every bound, nothing is
+    searched or enumerated: the table is counted and its gaps read from the
+    certificate (families.table_count), which are what the search would
+    find, with no table failure or duplicate.  Otherwise the search is run
+    and matched against the table records (_compare_with_search; see the
+    module docstring), in this process.
     """
     _check_args(n, bound)
-    if _linear(n):
-        matched, gaps = linear_table(n, bound)
+    if certificate(n).proved:
+        matched, gaps = table_count(n, bound)
         return DiscrepancyReport(n, bound, gaps, (), (), matched)
     return _compare_with_search(n, bound)
 
@@ -579,7 +541,8 @@ def verify_table(n: int, bound: int) -> DiscrepancyReport:
 def _compare_with_search(n: int, bound: int) -> DiscrepancyReport:
     """verify_table by enumeration: search_defective against table_records.
 
-    The quadratic forms' path, and the tests' oracle for the linear ones.
+    The path of a table whose certificate fails, and the tests' oracle for
+    the counted report.
     """
     result = search_defective(n, bound)
     records, anomalies = table_records(n, bound)

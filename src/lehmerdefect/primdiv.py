@@ -24,7 +24,10 @@ of u_n (Lehmer, Ann. of Math. 31 (1930); see also Voutier, Math. Comp. 64
 (1995) and Bilu, Hanrot and Voutier, J. reine angew. Math. 539 (2001)).
 So every n-defective pair has |Phi_n(p, q)| equal to a product of primes
 of n, which is what lets the search solve for defective pairs; for the
-quadratic forms the exponents of those primes are also capped.
+quadratic forms the exponents of those primes are also capped, and _orbits
+gives the unit M of each quadratic form and one root per orbit of M: the
+search walks these orbits, and families.certificate proves each half-orbit
+one sequence row of the family table.
 """
 
 from __future__ import annotations
@@ -117,6 +120,55 @@ CYCLOTOMIC_FORMS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int | None],
     10: ((1, -5, 5), ((2, 0), (5, 1))),
     12: ((1, -4, 1), ((2, 1), (3, 1))),
 }
+
+
+def _apply(m, p, q):
+    return m[0] * p + m[1] * q, m[2] * p + m[3] * q
+
+
+def _walk(m, p, q, bound):
+    """(p, q), M(p, q), M^2(p, q), ... up to the first point with 2|q| > bound."""
+    while 2 * abs(q) <= bound:
+        yield p, q
+        p, q = _apply(m, p, q)
+
+
+def _orbits(n: int) -> tuple[tuple[int, int, int, int], list[tuple[int, int]]]:
+    """(M, representatives) of the quadratic form of n: M = (m11, m12, m21,
+    m22) multiplies xi = X + Y sqrt(D) by eps, and the representatives are
+    one root (p, q) of Phi_n(p, q) = t per orbit of M, for every capped
+    target t.  Every root lies on one orbit, and |q| does not decrease along
+    the walk by M from a representative, nor along the walk by M^-1 from its
+    M^-1 image (the proof is in the harness module docstring).  The search
+    walks these half-orbits, and families.certificate proves each one a
+    sequence row."""
+    (_, c1, c2), prime_caps = CYCLOTOMIC_FORMS[n]
+    d = c1 * c1 - 4 * c2
+    u0 = 1  # the least positive solution (T0, U0) of T^2 - D U^2 = 4
+    while isqrt(4 + d * u0 * u0) ** 2 != 4 + d * u0 * u0:
+        u0 += 1
+    t0 = isqrt(4 + d * u0 * u0)
+    m = ((t0 - c1 * u0) // 2, -c2 * u0, u0, (t0 + c1 * u0) // 2)
+    back = (m[3], -m[1], -m[2], m[0])
+    sizes = [1]  # every product of primes of n within their caps
+    for prime, cap in prime_caps:
+        sizes += [size * prime**e for size in sizes for e in range(1, cap + 1)]
+    reps = []
+    for size in sizes:
+        for t in (size, -size):
+            # D Y^2 < |t| (T0 + 1)^2, so Y^2 <= (|t| (T0 + 1)^2 - 1) // D.
+            y_max = isqrt((abs(t) * (t0 + 1) ** 2 - 1) // d)
+            for q in range(-y_max, y_max + 1):
+                x_sq = 4 * t + d * q * q
+                x = isqrt(max(x_sq, 0))
+                if x * x != x_sq:
+                    continue
+                for x in {x, -x}:  # X == c1 Y mod 2, as X^2 == D Y^2 mod 4
+                    p = (x - c1 * q) // 2
+                    p_back, q_back = _apply(back, p, q)
+                    if x * q >= 0 and (2 * p_back + c1 * q_back) * q_back < 0:
+                        reps.append((p, q))
+    return m, reps
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ The negative-index seeds are the unique downward continuation of each
 recurrence; family formulas evaluate them at small negative indices, so
 they are part of the contract, not an implementation convenience.
 
-seq_eval(seq, k) is the one accessor: it walks the recurrence k - min_index
-steps up from the seeds.  All values are exact (unbounded) integers.
+seq_values(seq, k) is the one walk: s(k), s(k + 1), ..., the recurrence
+stepped once per value, up from the seeds.  seq_eval(seq, k) is its first
+value.  All values are exact (unbounded) integers.
 Elements grow exponentially: phi(100) no longer fits in 64 bits.
 """
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 
 class SequenceId(str, Enum):
@@ -68,14 +71,25 @@ SPECS: dict[SequenceId, SequenceSpec] = {
 ZETAS = (SequenceId.ZETA0, SequenceId.ZETA1, SequenceId.ZETA2, SequenceId.ZETA3)
 
 
-def seq_eval(seq: SequenceId, k: int) -> int:
-    """Exact k-th element of the sequence, walked up from its seeds."""
+def seq_values(seq: SequenceId, k: int) -> Iterator[int]:
+    """s(k), s(k + 1), s(k + 2), ... of the sequence, one recurrence step per
+    value, walked up from its seeds.  The index is checked before this
+    returns."""
     spec = SPECS[seq]
     if k < spec.min_index:
         raise IndexBelowMinimumError(
             f"{seq.value} is defined for k >= {spec.min_index}, got k={k}"
         )
+    return islice(_walk(spec), k - spec.min_index, None)
+
+
+def _walk(spec: SequenceSpec) -> Iterator[int]:
     lo, hi = spec.seed0, spec.seed1
-    for _ in range(k - spec.min_index):
+    while True:
+        yield lo
         lo, hi = hi, spec.coeff_a * hi + spec.coeff_b * lo
-    return lo
+
+
+def seq_eval(seq: SequenceId, k: int) -> int:
+    """Exact k-th element of the sequence: the first of seq_values."""
+    return next(seq_values(seq, k))

@@ -156,7 +156,8 @@ def per_a_search(n: int, bound: int, capped: bool = True) -> tuple[tuple[int, in
 
 
 def counted_linear_table(n: int, bound: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """families.linear_table(n, bound), counted by inclusion-exclusion.
+    """families.table_count(n, bound) of a linear n, counted by
+    inclusion-exclusion.
 
     Only the rows' data is read (m, bases, exclusions).  For each row and
     power term t = prod(base^e) <= 2 bound, every e >= 1, the q with

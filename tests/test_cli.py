@@ -539,7 +539,7 @@ class TestLinearFamily:
         ]
         got = {argv: run_cli(*argv) for argv in argvs}
         for argv, (code, out, _) in got.items():
-            size, fmt = families.linear_table(n, int(argv[3]))[0], argv[5]
+            size, fmt = families.table_count(n, int(argv[3]))[0], argv[5]
             if fmt == "tsv":
                 assert len(out.splitlines()) - 1 == size, argv
             elif fmt == "text":
@@ -557,7 +557,7 @@ class TestLinearFamily:
 
     def test_skips_the_record_machinery(self, monkeypatch, run_cli):
         # No pair rule per tuple and no records.  The text header's count
-        # (linear_table) checks only the in-bound exclusions.
+        # (table_count) reads the proved certificate's gaps.
         argvs = [
             ("family", str(n), "--bound", "700", "--format", fmt)
             for n in (3, 4, 6)
@@ -834,6 +834,8 @@ def test_benchmark_trace_mode_finds_its_names(perfbench_layers, run_cli):
         for argv in (["verify", "5", "--bound", "30"], ["family", "6", "--bound", "30"],
                      ["audit"], ["check", "5", "1", "5"]):
             assert run_cli(*argv)[0] == 0, argv
+        # verify counts the proved table, so no command above searches.
+        harness.search_defective(5, 30)
     finally:
         with contextlib.suppress(ValueError):  # an install cut short adds no gc callback
             tracer.uninstall()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import counted_linear_table, definitional_search
-from lehmerdefect import families
+from lehmerdefect import families, harness
 from lehmerdefect.families import (
     SUPPORTED_N,
     ConstraintViolation,
@@ -20,10 +20,10 @@ from lehmerdefect.families import (
     enumerate_families,
     enumerate_with_anomalies,
     family_rows,
+    certificate,
     instantiate,
-    linear_certificate,
-    linear_table,
     raw_ab,
+    table_count,
     table_records,
 )
 from lehmerdefect.pairs import FailureKind, ValidationFailure, canonicalize, pair_failure, validate_ab
@@ -362,7 +362,7 @@ class TestAuditExclusion:
 class TestLinearCertificate:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_proved_for_every_bound(self, n):
-        cert = linear_certificate(n)
+        cert = certificate(n)
         assert cert.proved, cert.failures
         # (6, 2) is the one gap: valid, 4-defective and in no row instance.
         assert cert.gaps == (((6, 2),) if n == 4 else ())
@@ -377,17 +377,17 @@ class TestLinearCertificate:
                 for _, t in families._power_terms(d.bases, 2 * bound):
                     assert t <= bound or not families._q_range(t, *d.m, bound), (row, bound, t)
 
-    def test_quadratic_n_is_not_covered(self):
+    def test_quadratic_n_is_covered(self):
+        # One certificate and one count for every n: the quadratic n are
+        # proved too (TestSequenceCertificate), and counted from their walks.
         for n in (5, 8, 10, 12):
-            with pytest.raises(ValueError):
-                linear_certificate(n)
-            with pytest.raises(ValueError):
-                linear_table(n, 10)
+            assert certificate(n).proved
+            assert table_count(n, 10) == (len(table_records(n, 10)[0]), ())
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_negative_bound_rejected(self, n):
         # The same check and message as row_walks and table_records.
-        for table in (linear_table, families.row_walks, table_records):
+        for table in (table_count, families.row_walks, table_records):
             with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
                 table(n, -1)
 
@@ -409,7 +409,7 @@ class TestLinearCertificate:
             monkeypatch.setattr(families, "_ROWS", {k: d for k, d in _ROWS.items() if k != row})
         else:
             monkeypatch.setitem(families._ROWS, row, edit(_ROWS[row]))
-        cert = linear_certificate(n)
+        cert = certificate(n)
         assert not cert.proved
         assert any(f.startswith(failure) for f in cert.failures), cert.failures
 
@@ -419,20 +419,20 @@ class TestLinearCertificate:
         monkeypatch.setitem(CYCLOTOMIC_FORMS, 3, ((1, -2), ((3, None),)))
         for row in (R.N3_Q, R.N3_POW3):
             monkeypatch.setitem(families._ROWS, row, replace(_ROWS[row], m=(2, -2)))
-        cert = linear_certificate(3)
+        cert = certificate(3)
         assert cert.failures and all(f.startswith("(p, q) = (") for f in cert.failures), cert.failures
 
     def test_degenerate_ratio_outside_the_window_fails(self, monkeypatch):
         # The window |q| <= 2 rests on every DEGENERATE_PQ pair having |q| <= 2.
         monkeypatch.setattr(families, "DEGENERATE_PQ", families.DEGENERATE_PQ | {(7, 3)})
-        assert not linear_certificate(3).proved
+        assert not certificate(3).proved
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_count_matches_inclusion_exclusion(self, n):
         # Bounds no walk reaches: the pieces' lengths against a count by
         # inclusion-exclusion over the bases, from the rows' data alone.
         for bound in [*range(65), 1000, 10**6, 10**9, 10**12]:
-            assert linear_table(n, bound) == counted_linear_table(n, bound), bound
+            assert table_count(n, bound) == counted_linear_table(n, bound), bound
 
     def test_count_matches_walk_and_definition(self):
         # The n-defective pairs come from the definitional scan: the pair
@@ -440,9 +440,92 @@ class TestLinearCertificate:
         for bound in [*range(65), 500, 1000]:
             scanned = definitional_search(bound, (3, 4, 6)) if bound else {}
             for n in (3, 4, 6):
-                size, gaps = linear_table(n, bound)
+                size, gaps = table_count(n, bound)
                 records, anomalies = table_records(n, bound)
                 assert (size, anomalies) == (len(records), []), (n, bound)
                 assert all(len(views) == 1 for views in records.values()), (n, bound)
                 if bound:
                     assert sorted([*records, *gaps]) == list(scanned[n]), (n, bound)
+
+
+class TestSequenceCertificate:
+    """certificate(n) for n = 5, 8, 10, 12: every half-orbit of the search's
+    orbit walk is one sequence row at one eps (primdiv._orbits)."""
+
+    @pytest.mark.parametrize("n", [5, 8, 10, 12])
+    def test_proved_for_every_bound(self, n):
+        cert = certificate(n)
+        assert cert.proved, cert.failures
+        assert cert.gaps == ()
+
+    def test_all_seven_proved(self):
+        # n = 4's (6, 2) is the one gap of the shipped table, and stays visible.
+        certs = {n: certificate(n) for n in SUPPORTED_N}
+        assert all(c.proved for c in certs.values())
+        assert {n: c.gaps for n, c in certs.items() if c.gaps} == {4: ((6, 2),)}
+
+    @pytest.mark.parametrize(
+        "row,edit,failure",
+        [
+            # A k-step that acts as no M: no half-orbit is the row's.
+            (R.N5_PHI, lambda d: replace(d, stride=1), "the half-orbit from (1, 0) by M matches 0 rows"),
+            (R.N10_PSI, lambda d: replace(d, stride=1), "the half-orbit from (-5, -1) by M matches 0 rows"),
+            # k_min one higher leaves out the valid (5, -3) at k = 3.
+            (R.N5_PHI, lambda d: replace(d, k_min=4), "N5_PHI(k=3,eps=-1): k_min leaves out a valid pair"),
+            # k_min one lower admits (3, -1), a degenerate ratio.
+            (R.N5_PHI, lambda d: replace(d, k_min=2), "N5_PHI(k=2,eps=-1) breaks DegenerateRatio(3, 1)"),
+            (R.N8_PI, lambda d: replace(d, k_min=3), "N8_PI(k=2,eps=-1): k_min leaves out a valid pair"),
+            # n = 10 without the swap is n = 5's table, on no orbit of Phi_10.
+            (R.N10_PHI, lambda d: replace(d, swap=False), "the half-orbit from (1, 0) by M matches 0 rows"),
+            # rho for pi: the same recurrence, other values.
+            (R.N8_RHO, lambda d: replace(d, qseq=None), "the half-orbit from (1, 0) by M matches 0 rows"),
+            # phi for pi: another recurrence, so the two-term check proves nothing.
+            (R.N8_RHO, lambda d: replace(d, qseq=SequenceId.PHI), "N8_RHO: its sequences follow different recurrences"),
+            # zeta2 for zeta1: two rows on one half-orbit, none on another.
+            (R.N12_ZETA1, lambda d: replace(d, seq=SequenceId.ZETA2), "the half-orbit from (3, 1) by M matches 2 rows"),
+            # Dropped exclusions: (1, 1) of ZeroQ, (4, 0) of ZeroB, and the
+            # seam's duplicate (3, -5) admitted twice.
+            (R.N12_ZETA0, lambda d: replace(d, excluded=d.excluded[1:]), "N12_ZETA0(k=0,eps=1) breaks ZeroQ"),
+            (R.N5_PSI, lambda d: replace(d, excluded=((0, -1),)), "N5_PSI(k=1,eps=-1) breaks ZeroB"),
+            (R.N5_PSI, lambda d: replace(d, excluded=((1, -1),)), "N5_PSI(k=0,eps=1), before its half-orbit"),
+            # Extra exclusions: the valid (13, -7) past the rule breakers'
+            # window, and (3, -1), which k_min already leaves out.
+            (R.N5_PHI, lambda d: replace(d, excluded=((5, -1),)), "N5_PHI(k=5,eps=-1): excluded outside the window"),
+            (R.N5_PHI, lambda d: replace(d, excluded=((2, -1),)), "N5_PHI(k=2,eps=-1): excluded outside the window"),
+        ],
+    )
+    def test_planted_faults_fail(self, monkeypatch, row, edit, failure):
+        monkeypatch.setitem(families._ROWS, row, edit(_ROWS[row]))
+        cert = certificate(_ROWS[row].n)
+        assert not cert.proved
+        assert any(f.startswith(failure) for f in cert.failures), cert.failures
+
+    def test_excluded_valid_instance_is_a_gap(self, monkeypatch):
+        # N12_ZETA3(k=0,eps=1), the added (1, 5) of correction n=12(3),
+        # excluded: the certificate holds, with (1, 5) a gap, as (6, 2) is
+        # for n = 4, and the counted verify reports it missing, as the
+        # enumerated one does.
+        monkeypatch.setitem(families._ROWS, R.N12_ZETA3, replace(_ROWS[R.N12_ZETA3], excluded=((0, 1),)))
+        cert = certificate(12)
+        assert cert.proved and cert.gaps == ((1, 5),)
+        for bound in (4, 5, 200):
+            assert harness.verify_table(12, bound) == harness._compare_with_search(12, bound), bound
+        assert harness.verify_table(12, 5).missing_from_table == ((1, 5),)
+
+    @pytest.mark.parametrize("n", [5, 8, 10, 12])
+    def test_count_matches_records(self, n):
+        # The walk's in-bound (k, eps), one recurrence step per k, against
+        # the records at bounds up to 10^12.
+        for bound in [*range(65), 500, 1000, 10**6, 10**12]:
+            records, anomalies = table_records(n, bound)
+            assert (table_count(n, bound), anomalies) == ((len(records), ()), []), bound
+
+    def test_proved_once_per_row_set(self, monkeypatch):
+        # The proof is cached on the rows: an edited row set is proved
+        # afresh, and the shipped one is not proved again.
+        shipped = certificate(5)
+        assert certificate(5) is shipped
+        with monkeypatch.context() as m:
+            m.setitem(families._ROWS, R.N5_PSI, replace(_ROWS[R.N5_PSI], excluded=()))
+            assert not certificate(5).proved
+        assert certificate(5) is shipped

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import definitional_search, per_a_search, uncapped_search
-from lehmerdefect import cli, families, harness
+from lehmerdefect import cli, families, harness, primdiv
 from lehmerdefect.families import (
     SUPPORTED_N,
     DuplicateOf,
@@ -117,7 +117,7 @@ class TestSearch:
 
     def test_linear_search_does_not_strip(self, monkeypatch):
         # Every valid root of a linear form is defective, and only an
-        # excluded tuple can break a pair rule (families.linear_certificate),
+        # excluded tuple can break a pair rule (families.certificate),
         # so no root is stripped and only the excluded tuples are checked
         # with the pair rules; the definitional scans above hold the result.
         want = {n: search_defective(n, 300) for n in (3, 4, 6)}
@@ -249,7 +249,7 @@ def _capped_targets(n):
 
 class TestOrbitWalk:
     """The quadratic search walks the orbits of M from one representative
-    each (harness._orbits; the proof is in the harness module docstring)."""
+    each (primdiv._orbits; the proof is in the harness module docstring)."""
 
     def test_walk_matches_per_a_solve(self, per_a_pairs):
         assert _walk_mismatch(harness, per_a_pairs) is None
@@ -318,7 +318,12 @@ class TestOrbitWalk:
         ids=["M-squared", "half-box", "drop-minus-1", "drop-5"],
     )
     def test_planted_faults_are_caught(self, monkeypatch, per_a_pairs, old, new):
-        assert _walk_mismatch(_mutant(monkeypatch, old, new), per_a_pairs) is not None
+        # The walk and the representatives live in primdiv, next to the forms;
+        # the search reads them through harness's names.
+        mutant = _mutant(monkeypatch, old, new, original=primdiv)
+        for name in ("_apply", "_orbits", "_walk"):
+            monkeypatch.setattr(harness, name, getattr(mutant, name))
+        assert _walk_mismatch(harness, per_a_pairs) is not None
 
     def test_search_at_10_12(self, run_cli):
         # Each orbit is walked in about 30 steps a side at this bound.
@@ -356,7 +361,7 @@ def linear_per_a_chunks():
 class TestLinearPairs:
     """The linear search lists the rows' own instances (families.linear_pairs)
     once per group of chunks and cuts them at the chunk ends (harness.
-    _run_chunks); families.linear_certificate proves they are the defective
+    _run_chunks); families.certificate proves they are the defective
     pairs, and the definitional scans in TestSearch hold it equal to the
     definition."""
 
@@ -407,12 +412,12 @@ class TestLinearPairs:
             # _Row.terms is the one listing, so the fault reaches the count
             # and the family walk as well as the search.
             def counted(n, bound):
-                size, gaps = mutant.linear_table(n, bound)
+                size, gaps = mutant.table_count(n, bound)
                 return size + len(gaps)
 
             def walked(n, bound):
                 pairs = [(a, b) if a > 0 else (-a, -b) for _, walk in mutant.row_walks(n, bound) for *_, a, b in walk]
-                return sorted([*pairs, *mutant.linear_table(n, bound)[1]])
+                return sorted([*pairs, *mutant.table_count(n, bound)[1]])
 
             cases = linear_per_a_pairs.items()
             assert any(counted(n, bound) != len(want) for (n, bound), want in cases)
@@ -462,11 +467,14 @@ class TestLinearPairs:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", SUPPORTED_N)
     def test_counted_verify_equals_enumerated(self, monkeypatch, run_cli, n):
         # The enumerated comparison (search against table records) is the
         # oracle: same report, and the same exit code and bytes in every format.
-        for bound in [*range(1, 65), 1000, 20000]:
+        # 10^6 only for the quadratic n, whose records stay small (the linear
+        # count is held to inclusion-exclusion there, in test_families).
+        bounds = [*range(1, 65), 500, 1000, 5000, 20000 if families._linear(n) else 10**6]
+        for bound in bounds:
             oracle = harness._compare_with_search(n, bound)
             assert verify_table(n, bound) == oracle, bound
             for fmt in cli.FORMATS:
@@ -568,13 +576,15 @@ class TestVerify:
 
     def test_unmatched_entry_is_still_decided(self, monkeypatch):
         # An injected table record with the non-defective pair (5, 1) for
-        # n = 5: the search does not find it, so verify_table must strip it.
+        # n = 5: the search does not find it, so the enumerated comparison
+        # must strip it.  (verify_table counts the proved table and reads no
+        # records.)
         records, anomalies = table_records(5, 10)
         row, values, _ = next(iter(records.values()))[0]
         assert (5, 1) not in search_defective(5, 10).pairs
         bogus = {**records, (5, 1): [(row, values, (5, 1))]}
         monkeypatch.setattr(harness, "table_records", lambda n, bound: (bogus, anomalies))
-        report = verify_table(5, 10)
+        report = harness._compare_with_search(5, 10)
         assert [f.reason for f in report.table_failures] == [
             f"not_defective:residual={residual_after_stripping(5, 1, 5)}"
         ]
@@ -663,8 +673,10 @@ class TestVerify:
 
     def test_search_miss_is_reported(self, monkeypatch, run_cli):
         # A search that loses a defective pair the table holds must not leave
-        # exact agreement standing: the entry is stripped, found defective and
-        # reported as missed by the search.
+        # exact agreement standing in the enumerated comparison: the entry is
+        # stripped, found defective and reported as missed by the search.
+        # verify_table counts the proved table and runs no search, so the
+        # CLI's verify is routed through the enumerated comparison here.
         search = harness.search_defective
 
         def lossy(n, bound, jobs=1):
@@ -672,7 +684,9 @@ class TestVerify:
             return replace(result, pairs=tuple(p for p in result.pairs if p != (7, -5)))
 
         monkeypatch.setattr(harness, "search_defective", lossy)
-        report = verify_table(5, 200)
+        assert verify_table(5, 200).exact_agreement
+        monkeypatch.setattr(harness, "verify_table", harness._compare_with_search)
+        report = harness._compare_with_search(5, 200)
         assert [(f.row, f.params, f.raw_ab, f.reason) for f in report.table_failures] == [
             (FamilyRowId.N5_PSI, FamilyParams(k=2, eps=-1), (7, -5), "missed_by_search")
         ]
@@ -681,6 +695,47 @@ class TestVerify:
         code, out, _ = run_cli("verify", "5", "--bound", "200", "--format", "tsv")
         assert code == 2
         assert "table_failure\t7\t-5\tN5_PSI(k=2,eps=-1) missed_by_search\n" in out
+
+    def test_planted_table_falls_back(self, monkeypatch):
+        # N5_PSI with its exclusions lifted fails the certificate, so
+        # verify_table compares by enumeration: its report is the enumerated
+        # one, with the invalid tuple and the duplicate.
+        lifted = replace(families._ROWS[FamilyRowId.N5_PSI], excluded=())
+        monkeypatch.setitem(families._ROWS, FamilyRowId.N5_PSI, lifted)
+        assert not families.certificate(5).proved
+        for bound in (10, 200, 1000):
+            report = verify_table(5, bound)
+            assert report == harness._compare_with_search(5, bound), bound
+            assert report.table_failures and report.equivalent_duplicates, bound
+
+    def test_proved_verify_neither_searches_nor_enumerates(self, monkeypatch):
+        # Once the certificate is proved (the first call), verify_table only
+        # counts: no search, no orbit walk and no table records.
+        want = {(n, bound): verify_table(n, bound) for n in SUPPORTED_N for bound in (1, 500, 10**6)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a proved table was searched or enumerated")
+
+        for module, name in (
+            (harness, "search_defective"),
+            (harness, "_roots"),
+            (harness, "table_records"),
+            (families, "table_records"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert {key: verify_table(*key) for key in want} == want
+
+    def test_lossy_walk_fails_the_count(self, monkeypatch, run_cli):
+        # search 5 prints the proved table's count, not the listing's, so an
+        # orbit walk that loses (7, -5) ends text and JSON with exit 1 after
+        # the lines stream; TSV prints no count.
+        roots = harness._roots
+        monkeypatch.setattr(harness, "_roots", lambda *args: (r for r in roots(*args) if r != (7, -5)))
+        for fmt in ("text", "json"):
+            code, _, err = run_cli("search", "5", "--bound", "200", "--format", fmt)
+            assert (code, err) == (1, "error: search listed 32 pairs, not the 33 its table counts\n"), fmt
+        code, out, _ = run_cli("search", "5", "--bound", "200", "--format", "tsv")
+        assert code == 0 and "\n7\t-5\n" not in out and len(out.splitlines()) == 33
 
 
 def _verify_all():

@@ -69,7 +69,7 @@ class TestCyclotomicForms:
 
     def test_linear_form_shape(self):
         # The linear rows are the progressions a = t + m*q, b = t - (4 - m)*q
-        # with m = -c1 (families.linear_certificate, step 1), which needs
+        # with m = -c1 (families.certificate, step 1), which needs
         # c0 = 1 and 0 < m < 4.
         linear = {n: coeffs for n, (coeffs, _) in CYCLOTOMIC_FORMS.items() if len(coeffs) == 2}
         assert set(linear) == {3, 4, 6}

@@ -6,6 +6,7 @@ from lehmerdefect.sequences import (
     IndexBelowMinimumError,
     SequenceId,
     seq_eval,
+    seq_values,
 )
 
 PHI, PSI, PI, RHO = SequenceId.PHI, SequenceId.PSI, SequenceId.PI, SequenceId.RHO
@@ -61,6 +62,18 @@ def test_seq_range_rejects_empty_and_low():
     assert [seq_eval(PHI, k) for k in range(3, 2 + 1)] == []
     with pytest.raises(IndexBelowMinimumError):
         [seq_eval(PHI, k) for k in range(-3, 0 + 1)]
+
+
+@pytest.mark.parametrize("seq", list(SequenceId))
+def test_seq_values_walks_from_k(seq):
+    # seq_values(seq, k) is s(k), s(k + 1), ...: seq_eval is its first value,
+    # and the index is checked before any value is drawn.
+    lo = SPECS[seq].min_index
+    for k in range(lo, lo + 6):
+        values = seq_values(seq, k)
+        assert [next(values) for _ in range(40)] == [seq_eval(seq, j) for j in range(k, k + 40)]
+    with pytest.raises(IndexBelowMinimumError):
+        seq_values(seq, lo - 1)
 
 
 @pytest.mark.parametrize("seq", list(SequenceId))
